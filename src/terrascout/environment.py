@@ -29,8 +29,9 @@ from .gridmap import (
     OccupancyGrid,
     SensorModel,
     fuse_measurement,
-    map_entropy,
+    map_entropy,  # noqa: F401  re-exported; bench/test_bench.py traces it here
     simulate_measurement,
+    weighted_cell_entropy,
 )
 
 
@@ -138,12 +139,22 @@ class GlobalState:
     global_map: OccupancyGrid
     positions: np.ndarray  # (N, 3) lattice indices (col, row, level)
     remaining_budget: int
-    # weighted entropy of global_map after the last fusion; invalidated to
-    # None by anything that touches the map out-of-band
-    entropy_cache: Optional[float] = None
+    # global_map.probs() and its per-cell weighted entropy, equal bit for bit
+    # to a fresh full-map computation. A step refreshes them only on the
+    # rectangles it fuses, since log-odds fusion changes no other cell.
+    # Anything that touches the map out of band must set them to None.
+    probs: Optional[np.ndarray] = None
+    cell_entropy: Optional[np.ndarray] = None
 
     def positions_m(self, cfg: EnvConfig) -> np.ndarray:
         return np.stack([cfg.position_m(p) for p in self.positions])
+
+    def map_planes(self, w: ImportanceWeights) -> tuple[np.ndarray, np.ndarray]:
+        """The cached (probs, cell_entropy) planes, rebuilt if either is None."""
+        if self.probs is None or self.cell_entropy is None:
+            self.probs = self.global_map.probs()
+            self.cell_entropy = weighted_cell_entropy(self.probs, w)
+        return self.probs, self.cell_entropy
 
 
 @dataclass
@@ -169,10 +180,12 @@ class CommMessage:
 class NoiseStreams:
     """Measurement-noise generators keyed by (mission key, step, agent).
 
-    Keying by step and agent (and, through the full-field draw inside
-    ``simulate_measurement``, by cell) makes sensor noise independent of
-    planner decisions, so different planners on the same seeded mission
-    see the same noise wherever they measure the same cells.
+    Keying by step and agent, and by cell through the virtual full-map
+    uniform field that ``simulate_measurement`` reads, makes sensor noise
+    independent of planner decisions: different planners on the same
+    seeded mission see the same noise wherever they measure the same
+    cells. Each generator wraps Philox, whose ``advance`` lets
+    ``simulate_measurement`` draw only the cells a footprint reads.
     """
 
     def __init__(self, *key: int) -> None:
@@ -296,9 +309,11 @@ def valid_actions(state: GlobalState, agent_id: int, cfg: EnvConfig) -> np.ndarr
         if (int(t[0]), int(t[1])) in others_2d:
             continue
         mask[a] = True
-    # On any lattice with <= cols*rows - 1 other agents a vertical or lateral
-    # escape always exists; guard the masking logic anyway.
-    assert mask.any(), "action mask came out all-false"
+    # Vertical moves always stay free with two or more altitude levels; with
+    # one, an agent whose lateral neighbours are all off the lattice or taken
+    # is trapped.
+    if not mask.any():
+        raise ContractViolation(f"action mask of agent {agent_id} came out all-false")
     return mask
 
 
@@ -418,13 +433,15 @@ def _measure_and_fuse(
             fuse_measurement(loc.local_map, msg.measurement)
             loc.known_positions[msg.sender_id] = _lattice_of(msg.sender_position, cfg)
 
-    if state.entropy_cache is None:
-        state.entropy_cache = map_entropy(state.global_map, cfg.weights)
-    h_before = state.entropy_cache
+    probs, cell_entropy = state.map_planes(cfg.weights)
+    h_before = float(cell_entropy.sum())
     for m in measurements:
         fuse_measurement(state.global_map, m)
-    h_after = map_entropy(state.global_map, cfg.weights)
-    state.entropy_cache = h_after
+    for m in measurements:
+        cells = m.rect.slices
+        probs[cells] = state.global_map.probs_slice(cells)
+        cell_entropy[cells] = weighted_cell_entropy(probs[cells], cfg.weights)
+    h_after = float(cell_entropy.sum())
     return reward(h_before, h_after, cfg.reward_alpha, cfg.reward_beta)
 
 
@@ -467,9 +484,7 @@ class TerrainEnv:
         return r, done
 
     def global_entropy(self) -> float:
-        if self.state.entropy_cache is None:
-            self.state.entropy_cache = map_entropy(self.state.global_map, self.cfg.weights)
-        return self.state.entropy_cache
+        return float(self.state.map_planes(self.cfg.weights)[1].sum())
 
 
 def write_episode_csv(path, rows: Sequence[dict]) -> None:

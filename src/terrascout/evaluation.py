@@ -49,8 +49,10 @@ class MetricsRecord:
     cumulative_reward: float
 
     def __post_init__(self) -> None:
-        assert -1e-9 <= self.roi_entropy <= 1.0 + 1e-9
-        assert 0.0 <= self.f1 <= 1.0
+        if not -1e-9 <= self.roi_entropy <= 1.0 + 1e-9:
+            raise ContractViolation(f"normalized ROI entropy {self.roi_entropy} outside [0, 1]")
+        if not 0.0 <= self.f1 <= 1.0:
+            raise ContractViolation(f"F1 score {self.f1} outside [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -85,15 +87,19 @@ class MissionResult:
 
 
 def roi_entropy(grid: OccupancyGrid, gt: GroundTruthMap, w: ImportanceWeights,
-                *, probs=None) -> float:
-    """Weighted entropy over interesting cells, normalized to [0, 1]."""
+                *, cell_entropy=None) -> float:
+    """Weighted entropy over interesting cells, normalized to [0, 1].
+
+    ``cell_entropy`` may carry ``weighted_cell_entropy(grid.probs(), w)``
+    computed already; its ROI sum equals the one computed here bit for bit.
+    """
     if grid.log_odds.shape != gt.cells.shape:
         raise ContractViolation("grid and ground truth dimensions differ")
     roi = gt.cells == 1
     count = int(roi.sum())
     if count == 0:
         raise DegenerateTerrainError("terrain has no interesting cells")
-    h = map_entropy(grid, w, roi, probs=probs)
+    h = map_entropy(grid, w, roi) if cell_entropy is None else float(cell_entropy[roi].sum())
     h0 = weighted_cell_entropy(0.5, w) * count
     return h / h0
 
@@ -170,12 +176,12 @@ def run_mission(
         ]
         r, done = env.step(joint)
         cum += r
-        step_probs = env.state.global_map.probs()
+        probs, cell_entropy = env.state.map_planes(cfg.weights)
         records.append(
             MetricsRecord(
                 t,
-                roi_entropy(env.state.global_map, terrain, cfg.weights, probs=step_probs),
-                f1_score(env.state.global_map, terrain, probs=step_probs),
+                roi_entropy(env.state.global_map, terrain, cfg.weights, cell_entropy=cell_entropy),
+                f1_score(env.state.global_map, terrain, probs=probs),
                 cum,
             )
         )
@@ -190,11 +196,17 @@ def run_mission(
                     {
                         "step": t,
                         "agent": i,
-                        "roi_entropy": roi_entropy(loc.local_map, terrain, cfg.weights, probs=p),
+                        "roi_entropy": roi_entropy(
+                            loc.local_map, terrain, cfg.weights,
+                            cell_entropy=weighted_cell_entropy(p, cfg.weights),
+                        ),
                         "f1": f1_score(loc.local_map, terrain, probs=p),
                     }
                 )
-    assert len(records) == cfg.budget + 1
+    if len(records) != cfg.budget + 1:
+        raise ContractViolation(
+            f"mission ended after {len(records) - 1} steps, budget is {cfg.budget}"
+        )
     return MissionResult(mission_index, records, rows, env.state.global_map, local_rows)
 
 
@@ -318,7 +330,3 @@ def write_benchmark_csv(path, stats: dict[str, TrialStats]) -> None:
                         f"{st.f1_std[k]:.12g}",
                     ]
                 )
-
-
-def save_belief_pgm(path, grid: OccupancyGrid) -> None:
-    save_grid_pgm(path, grid)

@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import (
     ConfigurationError,
+    ContractViolation,
     DataError,
     DomainError,
     InvalidMeasurementError,
@@ -265,9 +266,14 @@ def simulate_measurement(
     over the fine cells the block covers, so all fine cells under one
     coarse cell carry the same value.
 
-    ``rng`` is consumed as one uniform field covering the whole map and
-    indexed by absolute cell, so two planners measuring the same cells at
-    the same (step, agent) key see identical noise.
+    The noise is a virtual uniform field covering the whole map, indexed by
+    absolute cell: cell (y, x) reads the value that ``rng.random((H, W))``
+    would put at ``[y, x]``, so two planners measuring the same cells at
+    the same (step, agent) key see identical noise. Only the anchor cells
+    are drawn (see :func:`_virtual_uniforms`), and ``rng`` is left in
+    exactly the state that the full H*W draw would leave it in. ``rng``
+    must wrap a Philox, PCG64 or PCG64DXSM bit generator; any other raises
+    :class:`ContractViolation`.
     """
     alt = float(position[2])
     acc = sensor.accuracy_at(alt)
@@ -275,8 +281,6 @@ def simulate_measurement(
     fac = upsample_factor(alt, sensor.min_altitude)
     side_cells = max(1, round(footprint_factor * alt / gt.resolution))
     x_lo0, y_lo0 = _footprint_origin(float(position[0]), float(position[1]), side_cells, gt.resolution)
-
-    uniforms = rng.random((gt.height, gt.width))
 
     ys = np.arange(rect.y_lo, rect.y_hi + 1)
     xs = np.arange(rect.x_lo, rect.x_hi + 1)
@@ -295,11 +299,69 @@ def simulate_measurement(
 
     anchor_y = np.clip(y_lo0 + (np.arange(n_by) + by_min) * fac, 0, gt.height - 1)
     anchor_x = np.clip(x_lo0 + (np.arange(n_bx) + bx_min) * fac, 0, gt.width - 1)
-    flips = uniforms[anchor_y[:, None], anchor_x[None, :]] >= acc
+    flips = _virtual_uniforms(rng, anchor_y, anchor_x, gt.width, gt.height * gt.width) >= acc
     observed = truth ^ flips
 
     values = observed[(by - by_min)[:, None], (bx - bx_min)[None, :]].astype(np.uint8)
     return Measurement(np.asarray(position, dtype=float), rect, values, acc, agent_id, step)
+
+
+def _virtual_uniforms(
+    rng: np.random.Generator,
+    rows: np.ndarray,
+    cols: np.ndarray,
+    width: int,
+    size: int,
+) -> np.ndarray:
+    """``rng.random(size).reshape(-1, width)[rows][:, cols]``, drawing only what it reads.
+
+    Each double of ``rng.random`` comes from the next output of the bit
+    generator, and ``advance(d)`` skips ``d * stride`` outputs. So for each
+    row the generator jumps to the block holding the row's first wanted
+    cell, draws that cell's offset within the block plus the span of
+    ``cols``, and drops the offset. Steps are counted relative to the
+    state at the call, and a negative ``advance`` re-reads a block the
+    previous draw already passed. Finally the generator is set to the
+    state the full ``size`` draw would have left it in: it jumps to the
+    last cell and draws it, and any pending 32-bit half is put back
+    (``advance`` clears it; double draws never touch it).
+    """
+    bitgen = rng.bit_generator
+    # Doubles per ``advance`` step. Looked up here, not at import, because
+    # numpy loads ``np.random`` lazily on first use.
+    strides = {np.random.Philox: 4, np.random.PCG64: 1, np.random.PCG64DXSM: 1}
+    stride = strides.get(type(bitgen))
+    if stride is None:
+        raise ContractViolation(
+            "sliced noise needs a Philox, PCG64 or PCG64DXSM bit generator, "
+            f"got {type(bitgen).__name__}"
+        )
+    start = bitgen.state
+    # outputs of the current block already used (Philox buffers one block)
+    phase = start.get("buffer_pos", stride)
+    steps = 0  # advance steps taken since the call
+
+    def draw(k: int, n: int) -> np.ndarray:
+        nonlocal steps
+        t = phase + k
+        skip = t // stride - steps - 1
+        bitgen.advance(skip)
+        lead = t % stride
+        steps += skip + -(-(lead + n) // stride)
+        return rng.random(lead + n)[lead:]
+
+    c0 = int(cols.min())
+    offsets = cols - c0
+    span = int(offsets.max()) + 1
+    out = np.empty((len(rows), len(cols)))
+    for i, y in enumerate(rows):
+        out[i] = draw(int(y) * width + c0, span)[offsets]
+    draw(size - 1, 1)
+    if start["has_uint32"]:
+        state = bitgen.state
+        state["has_uint32"], state["uinteger"] = start["has_uint32"], start["uinteger"]
+        bitgen.state = state
+    return out
 
 
 def fuse_measurement(grid: OccupancyGrid, m: Measurement) -> OccupancyGrid:
@@ -342,22 +404,14 @@ def map_entropy(
     grid: OccupancyGrid,
     w: ImportanceWeights,
     mask: Optional[np.ndarray] = None,
-    *,
-    probs: Optional[np.ndarray] = None,
 ) -> float:
-    """Summed weighted cell entropy over the grid (or a boolean cell subset).
-
-    ``probs`` may carry a precomputed ``grid.probs()`` to share across
-    metric computations within one step.
-    """
+    """Summed weighted cell entropy over the grid (or a boolean cell subset)."""
     if mask is None:
-        p = grid.probs() if probs is None else probs
-        return float(weighted_cell_entropy(p, w).sum())
+        return float(weighted_cell_entropy(grid.probs(), w).sum())
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != grid.log_odds.shape:
         raise DomainError("entropy mask shape does not match the grid")
-    p = (grid.probs() if probs is None else probs)[mask]
-    return float(weighted_cell_entropy(p, w).sum())
+    return float(weighted_cell_entropy(grid.probs()[mask], w).sum())
 
 
 # ---------------------------------------------------------------------------

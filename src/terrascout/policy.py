@@ -85,6 +85,12 @@ class FeatureStack:
             raise ContractViolation("feature manifest does not match plane count")
 
 
+def _finite(stack: FeatureStack) -> FeatureStack:
+    if not np.isfinite(stack.planes).all():
+        raise ContractViolation("feature planes contain non-finite values")
+    return stack
+
+
 def actor_manifest(fcfg: FeatureConfig) -> tuple[str, ...]:
     return tuple(name for name in ACTOR_PLANES if getattr(fcfg, name))
 
@@ -174,10 +180,12 @@ def build_actor_features(local: AgentLocalState, cfg: EnvConfig,
     planes: list[np.ndarray] = []
     if fcfg.position_map:
         planes.append(_centred_position_plane(local, cfg))
+    if fcfg.belief_map or fcfg.entropy_map:
+        probs = local.local_map.probs()
     if fcfg.belief_map:
-        planes.append(_pool(local.local_map.probs(), factor))
+        planes.append(_pool(probs, factor))
     if fcfg.entropy_map:
-        planes.append(_pool(weighted_cell_entropy(local.local_map.probs(), cfg.weights), factor))
+        planes.append(_pool(weighted_cell_entropy(probs, cfg.weights), factor))
     if fcfg.measurement_entropy:
         planes.append(_measurement_entropy_plane(local, cfg))
     if fcfg.footprint_map:
@@ -190,9 +198,7 @@ def build_actor_features(local: AgentLocalState, cfg: EnvConfig,
         planes.append(np.full((g, g), (local.agent_id + 1) / cfg.num_agents))
     if fcfg.budget:
         planes.append(np.full((g, g), local.remaining_budget / cfg.budget))
-    stack = FeatureStack(np.stack(planes), actor_manifest(fcfg))
-    assert np.isfinite(stack.planes).all()
-    return stack
+    return _finite(FeatureStack(np.stack(planes), actor_manifest(fcfg)))
 
 
 def build_critic_features(
@@ -214,14 +220,13 @@ def build_critic_features(
         return FeatureStack(base.planes, critic_manifest(fcfg, cfg.num_agents, mode))
     planes = [base.planes]
     factor = cfg.pool_factor
+    probs, cell_entropy = state.map_planes(cfg.weights)
     if fcfg.global_position_map:
         planes.append(_global_position_plane(state.positions, cfg)[None])
     if fcfg.global_belief_map:
-        planes.append(_pool(state.global_map.probs(), factor)[None])
+        planes.append(_pool(probs, factor)[None])
     if fcfg.global_entropy_map:
-        planes.append(
-            _pool(weighted_cell_entropy(state.global_map.probs(), cfg.weights), factor)[None]
-        )
+        planes.append(_pool(cell_entropy, factor)[None])
     if fcfg.global_footprint_map:
         planes.append(_footprint_plane(_footprint_rects(state.positions, cfg), cfg)[None])
     if mode == CRITIC_MODE_FULL and fcfg.action_maps:
@@ -236,9 +241,9 @@ def build_critic_features(
             pos = state.positions[j]
             onehots[k * NUM_ACTIONS + int(act), int(pos[1]), int(pos[0])] = 1.0
         planes.append(onehots)
-    stack = FeatureStack(np.concatenate(planes), critic_manifest(fcfg, cfg.num_agents, mode))
-    assert np.isfinite(stack.planes).all()
-    return stack
+    return _finite(
+        FeatureStack(np.concatenate(planes), critic_manifest(fcfg, cfg.num_agents, mode))
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,14 @@ from terrascout.environment import (
     reward,
     valid_actions,
 )
-from terrascout.errors import ConfigurationError, RejectedStepError
-from terrascout.gridmap import CellRect, Measurement, SensorModel, map_entropy
+from terrascout.errors import ConfigurationError, ContractViolation, RejectedStepError
+from terrascout.gridmap import (
+    CellRect,
+    Measurement,
+    SensorModel,
+    map_entropy,
+    weighted_cell_entropy,
+)
 
 
 def small_cfg(**kw):
@@ -153,6 +159,15 @@ def test_mask_all_valid_in_open_interior():
     state, _ = initial_state(cfg, gt, NoiseStreams(0))
     state.positions[0] = [4, 4, 1]
     assert valid_actions(state, 0, cfg).all()
+
+
+def test_trapped_agent_mask_raises():
+    # one lattice cell and one altitude level: every move leaves the box
+    cfg = EnvConfig(terrain_size=5.0, min_altitude=5.0, max_altitude=5.0, num_agents=1)
+    gt = generate_terrain(np.random.default_rng(0), cfg)
+    state, _ = initial_state(cfg, gt, NoiseStreams(0))
+    with pytest.raises(ContractViolation, match="all-false"):
+        valid_actions(state, 0, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -361,3 +376,32 @@ def test_stale_positions_update_only_via_messages():
     np.testing.assert_array_equal(env.locals[1].known_positions[0], start[0])
     # own entry tracks the true pose
     np.testing.assert_array_equal(env.locals[0].known_positions[0], env.state.positions[0])
+
+
+def test_cached_map_planes_track_full_map_every_step():
+    cfg = default_cfg(num_agents=3, budget=6)
+    gt = generate_terrain(np.random.default_rng(12), cfg)
+    env = TerrainEnv(cfg, gt, NoiseStreams(12))
+    env.reset()
+    rng = np.random.default_rng(5)
+    done = False
+    while not done:
+        h_before = map_entropy(env.state.global_map, cfg.weights)
+        joint = [int(rng.choice(np.flatnonzero(m))) for m in env.masks()]
+        r, done = env.step(joint)
+        fresh = env.state.global_map.probs()
+        np.testing.assert_array_equal(env.state.probs, fresh)
+        np.testing.assert_array_equal(
+            env.state.cell_entropy, weighted_cell_entropy(fresh, cfg.weights)
+        )
+        h_after = map_entropy(env.state.global_map, cfg.weights)
+        assert r == reward(h_before, h_after, cfg.reward_alpha, cfg.reward_beta)
+        assert env.global_entropy() == h_after
+    # an out-of-band write resets the cache, which then rebuilds from the map
+    env.state.global_map.log_odds[:40, :40] = 3.0
+    env.state.probs = None
+    fresh = env.state.global_map.probs()
+    probs, cell_entropy = env.state.map_planes(cfg.weights)
+    np.testing.assert_array_equal(probs, fresh)
+    np.testing.assert_array_equal(cell_entropy, weighted_cell_entropy(fresh, cfg.weights))
+    assert env.global_entropy() == map_entropy(env.state.global_map, cfg.weights)

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from terrascout import evaluation
 from terrascout.environment import EnvConfig, generate_terrain, terrain_rng
 from terrascout.errors import ContractViolation, DegenerateTerrainError
 from terrascout.evaluation import (
+    MetricsRecord,
     PlannerSpec,
     checkpoint_steps,
     f1_score,
@@ -105,6 +107,18 @@ def test_mission_record_count_and_t0():
     # before the first fused measurement the normalization is exact
     assert result.records[0].roi_entropy == 1.0
     assert result.records[0].f1 == 0.0
+
+
+@pytest.mark.parametrize("roi, f1", [(1.5, 0.5), (-0.1, 0.5), (0.5, 1.2), (0.5, -0.01)])
+def test_metrics_record_out_of_range_raises(roi, f1):
+    with pytest.raises(ContractViolation):
+        MetricsRecord(1, roi, f1, 0.0)
+
+
+def test_mission_ending_before_budget_raises(monkeypatch):
+    monkeypatch.setattr(evaluation.TerrainEnv, "step", lambda self, joint: (0.0, True))
+    with pytest.raises(ContractViolation, match="budget"):
+        run_mission(PlannerSpec("random"), cfg_(budget=4), 0)
 
 
 def test_random_planner_reduces_roi_entropy():

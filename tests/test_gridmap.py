@@ -4,12 +4,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom
 
 from terrascout.errors import (
     ConfigurationError,
+    ContractViolation,
     DataError,
     DomainError,
     InvalidMeasurementError,
@@ -30,8 +31,10 @@ from terrascout.gridmap import (
     save_grid,
     save_grid_pgm,
     simulate_measurement,
+    upsample_factor,
     weighted_cell_entropy,
 )
+from terrascout.gridmap import _footprint_origin
 
 W = ImportanceWeights(0.8, 0.2)
 HALF = ImportanceWeights(0.5, 0.5)
@@ -154,6 +157,102 @@ def test_noise_keyed_by_cell_not_by_footprint():
     # same position and stream -> identical measurement
     m4 = simulate_measurement(gt, np.array([25.0, 25.0, 15.0]), sensor, np.random.default_rng(42))
     np.testing.assert_array_equal(m3.values, m4.values)
+
+
+def full_field_measurement(gt, position, sensor, rng, *, footprint_factor=1.0):
+    """Reference: draws the whole H x W uniform field, then reads the anchors."""
+    alt = float(position[2])
+    acc = sensor.accuracy_at(alt)
+    rect = footprint(position, footprint_factor, gt.width, gt.height, gt.resolution)
+    fac = upsample_factor(alt, sensor.min_altitude)
+    side_cells = max(1, round(footprint_factor * alt / gt.resolution))
+    x_lo0, y_lo0 = _footprint_origin(float(position[0]), float(position[1]), side_cells, gt.resolution)
+
+    uniforms = rng.random((gt.height, gt.width))
+
+    ys = np.arange(rect.y_lo, rect.y_hi + 1)
+    xs = np.arange(rect.x_lo, rect.x_hi + 1)
+    by = (ys - y_lo0) // fac
+    bx = (xs - x_lo0) // fac
+    by_min, bx_min = by.min(), bx.min()
+    n_by = by.max() - by_min + 1
+    n_bx = bx.max() - bx_min + 1
+
+    sub = gt.cells[rect.slices].astype(np.float64)
+    block_id = (by - by_min)[:, None] * n_bx + (bx - bx_min)[None, :]
+    sums = np.bincount(block_id.ravel(), weights=sub.ravel(), minlength=n_by * n_bx)
+    counts = np.bincount(block_id.ravel(), minlength=n_by * n_bx)
+    counts = np.maximum(counts, 1)
+    truth = (sums >= 0.5 * counts).reshape(n_by, n_bx)
+
+    anchor_y = np.clip(y_lo0 + (np.arange(n_by) + by_min) * fac, 0, gt.height - 1)
+    anchor_x = np.clip(x_lo0 + (np.arange(n_bx) + bx_min) * fac, 0, gt.width - 1)
+    flips = uniforms[anchor_y[:, None], anchor_x[None, :]] >= acc
+    observed = truth ^ flips
+    return observed[(by - by_min)[:, None], (bx - bx_min)[None, :]].astype(np.uint8)
+
+
+BIT_GENERATORS = {
+    "philox": np.random.Philox,
+    "pcg64": np.random.PCG64,
+    "pcg64dxsm": np.random.PCG64DXSM,
+}
+
+
+# Examples pin footprints clipped at the west, east, south and north edges
+# and at a corner, on maps whose cell count is not a multiple of 4.
+@settings(max_examples=150, deadline=None)
+@given(
+    height=st.integers(1, 41),
+    width=st.integers(1, 41),
+    fx=st.floats(0.0, 1.0),
+    fy=st.floats(0.0, 1.0),
+    altitude=st.sampled_from([5.0, 10.0, 15.0]),
+    factor=st.sampled_from([0.2, 0.5, 1.0]),
+    generator=st.sampled_from(sorted(BIT_GENERATORS)),
+    consumed=st.integers(0, 3),
+    pending_half=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(height=37, width=29, fx=0.0, fy=0.5, altitude=10.0, factor=0.5,
+         generator="philox", consumed=1, pending_half=False, seed=1)
+@example(height=37, width=29, fx=1.0, fy=0.5, altitude=15.0, factor=0.5,
+         generator="philox", consumed=2, pending_half=False, seed=2)
+@example(height=37, width=29, fx=0.5, fy=0.0, altitude=5.0, factor=1.0,
+         generator="pcg64", consumed=3, pending_half=False, seed=3)
+@example(height=37, width=29, fx=0.5, fy=1.0, altitude=15.0, factor=0.5,
+         generator="pcg64", consumed=0, pending_half=True, seed=4)
+@example(height=23, width=31, fx=1.0, fy=1.0, altitude=10.0, factor=1.0,
+         generator="philox", consumed=3, pending_half=True, seed=5)
+def test_sliced_noise_matches_full_field_draw(
+    height, width, fx, fy, altitude, factor, generator, consumed, pending_half, seed
+):
+    cells = np.random.default_rng(seed).integers(0, 2, (height, width))
+    gt = GroundTruthMap(cells, 0.1)
+    position = np.array([fx * width * 0.1, fy * height * 0.1, altitude])
+    sensor = SensorModel.default()
+
+    def stream():
+        rng = np.random.Generator(BIT_GENERATORS[generator](seed))
+        rng.random(consumed)
+        if pending_half:
+            rng.integers(0, 2**32, dtype=np.uint32)  # leaves half a 64-bit output pending
+        return rng
+
+    ref_rng, rng = stream(), stream()
+    expected = full_field_measurement(gt, position, sensor, ref_rng, footprint_factor=factor)
+    m = simulate_measurement(gt, position, sensor, rng, footprint_factor=factor)
+    np.testing.assert_array_equal(m.values, expected)
+    assert rng.integers(0, 2**32, dtype=np.uint32) == ref_rng.integers(0, 2**32, dtype=np.uint32)
+    np.testing.assert_array_equal(rng.random(9), ref_rng.random(9))
+
+
+def test_sliced_noise_rejects_bit_generator_without_known_stride():
+    with pytest.raises(ContractViolation):
+        simulate_measurement(
+            flat_terrain(50), np.array([2.5, 2.5, 5.0]), SensorModel.default(),
+            np.random.Generator(np.random.MT19937(0)),
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -143,6 +143,13 @@ def test_entropy_planes_bounded():
                 assert plane.max() <= 0.54
 
 
+def test_non_finite_feature_planes_raise():
+    env = fresh_env()
+    env.locals[0].local_map.log_odds[0, 0] = np.nan
+    with pytest.raises(ContractViolation, match="non-finite"):
+        build_actor_features(env.locals[0], env.cfg, FCFG)
+
+
 def test_toggled_plane_absent():
     fcfg = FCFG.with_toggle("entropy_map", False)
     assert "entropy_map" not in actor_manifest(fcfg)
