@@ -34,28 +34,13 @@ from .gridmap import (
     GroundTruthMap,
     ImportanceWeights,
     SensorModel,
+    fmt,
     read_text_grid,
     write_text_grid,
 )
 from .planners import PLANNER_NAMES
-from .policy import FeatureConfig, NetArch
+from .policy import FeatureConfig, NetArch, load_network
 from .training import TrainConfig, VARIANTS, training_loop
-
-
-@dataclass
-class RasterGrid:
-    """Scalar field ingested from the documented text-grid format."""
-
-    values: np.ndarray  # (H, W) finite scalars, e.g. surface temperature
-    resolution: float
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.values.shape[0]
 
 
 @dataclass
@@ -285,9 +270,7 @@ def ingest_raster(path, threshold: float) -> tuple[GroundTruthMap, float]:
     its interesting fraction.
     """
     values, res = read_text_grid(path)
-    raster = RasterGrid(values, res)
-    cells = (raster.values >= threshold).astype(np.uint8)
-    gt = GroundTruthMap(cells, raster.resolution)
+    gt = GroundTruthMap((values >= threshold).astype(np.uint8), res)
     return gt, gt.interesting_fraction()
 
 
@@ -344,14 +327,18 @@ def _print_block(row: dict) -> None:
 
 def _planner_specs(args) -> list[PlannerSpec]:
     specs = []
+    actor = None
     for name in args.planner:
         if name not in PLANNER_NAMES:
             raise UsageError(f"unknown planner '{name}' (choose from {PLANNER_NAMES})")
         if name == "learned":
             if not args.actor_weights:
                 raise UsageError("--actor-weights is required for the learned planner")
-            specs.append(PlannerSpec("learned", actor_path=str(args.actor_weights),
-                                     mode=args.learned_mode))
+            if not args.actor_weights.is_file():
+                raise UsageError(f"actor weights not found: {args.actor_weights}")
+            if actor is None:
+                actor, _ = load_network(args.actor_weights)
+            specs.append(PlannerSpec("learned", actor=actor, mode=args.learned_mode))
         else:
             specs.append(PlannerSpec(name))
     if not specs:
@@ -400,10 +387,9 @@ def cmd_evaluate(args) -> int:
         specs, args.missions, args.seed, cfg,
         fcfg=fcfg, terrain=terrain, threads=args.threads,
         dump_dir=(out / "missions") if args.dump_maps else None,
+        local_dir=out if args.local_metrics else None,
     )
     write_benchmark_csv(out / "benchmark.csv", stats)
-    if args.local_metrics:
-        _write_local_metrics(out, specs, args.missions, args.seed, cfg, fcfg, terrain)
     for name in sorted(stats):
         st = stats[name]
         print(
@@ -411,28 +397,6 @@ def cmd_evaluate(args) -> int:
             f"+- {st.entropy_std[-1]:.4f}  f1 {st.f1_mean[-1]:.4f}"
         )
     return 0
-
-
-def _write_local_metrics(out: Path, specs, n_missions: int, seed: int, cfg, fcfg, terrain) -> None:
-    """Per-agent local-map metrics, one CSV per planner."""
-    import csv as _csv
-
-    from .evaluation import run_mission
-
-    for spec in specs:
-        path = out / f"{spec.name}_local_metrics.csv"
-        with open(path, "w", newline="", encoding="ascii") as fh:
-            writer = _csv.writer(fh)
-            writer.writerow(["mission", "step", "agent", "roi_entropy", "f1"])
-            for m in range(n_missions):
-                result = run_mission(
-                    spec, cfg, seed, m, fcfg=fcfg, terrain=terrain, local_metrics=True
-                )
-                for row in result.local_rows:
-                    writer.writerow(
-                        [m, row["step"], row["agent"],
-                         f"{row['roi_entropy']:.12g}", f"{row['f1']:.12g}"]
-                    )
 
 
 def cmd_ablate_features(args) -> int:
@@ -464,7 +428,7 @@ def cmd_ablate_features(args) -> int:
         run_dir = out / label
         result = training_loop(cfg, tcfg, toggled, args.seed, run_dir)
         stats = run_benchmark(
-            [PlannerSpec("learned", actor_path=str(result.actor_path))],
+            [PlannerSpec("learned", actor=result.actor)],
             max(args.missions, 2), args.seed + 1, cfg, fcfg=toggled,
         )
         write_benchmark_csv(run_dir / "benchmark.csv", stats)
@@ -519,8 +483,8 @@ def cmd_sweep_coverage_altitude(args) -> int:
         rows.append((alt, stats.entropy_mean[-1], stats.f1_mean[-1]))
     with open(out / "coverage_sweep.csv", "w", encoding="ascii") as fh:
         fh.write("altitude,entropy_mean,f1_mean\n")
-        for alt, ent, f1 in rows:
-            fh.write(f"{alt:.12g},{ent:.12g},{f1:.12g}\n")
+        for row in rows:
+            fh.write(",".join(map(fmt, row)) + "\n")
     best = min(rows, key=lambda r: r[1])
     print(f"best coverage altitude by final entropy: {best[0]} m")
     return 0
@@ -545,7 +509,6 @@ def build_parser() -> argparse.ArgumentParser:
         if with_seed:
             p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", type=Path, required=True, help="output directory")
-        p.add_argument("--threads", type=int, default=1)
 
     p_train = sub.add_parser("train", help="run the actor-critic training loop")
     common(p_train)
@@ -560,6 +523,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--planner", action="append", default=[],
                         help=f"one of {PLANNER_NAMES}; repeatable")
     p_eval.add_argument("--missions", type=int, default=50)
+    p_eval.add_argument("--threads", type=int, default=1,
+                        help="worker processes that run the missions")
     p_eval.add_argument("--agents", type=int, default=None, help="override team size")
     p_eval.add_argument("--comm-radius", default=None,
                         help="override communication radius in metres, or 'inf'")

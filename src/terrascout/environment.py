@@ -13,7 +13,6 @@ min_alt + k * alt_step)``.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from enum import IntEnum
@@ -32,6 +31,7 @@ from .gridmap import (
     map_entropy,  # noqa: F401  re-exported; bench/test_bench.py traces it here
     simulate_measurement,
     weighted_cell_entropy,
+    write_csv,
 )
 
 
@@ -490,14 +490,4 @@ class TerrainEnv:
 def write_episode_csv(path, rows: Sequence[dict]) -> None:
     """Trajectory export: (step, agent, x, y, z, action, reward, global_entropy)."""
     fields = ["step", "agent", "x", "y", "z", "action", "reward", "global_entropy"]
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: _fmt(row[k]) for k in fields})
-
-
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return f"{v:.12g}"
-    return str(v)
+    write_csv(path, ([row[k] for k in fields] for row in rows), fields)

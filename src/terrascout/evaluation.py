@@ -10,9 +10,9 @@ mean/std at the 1/3, 2/3, and final budget checkpoints.
 
 from __future__ import annotations
 
-import csv
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -36,9 +36,12 @@ from .gridmap import (
     map_entropy,
     save_grid_pgm,
     weighted_cell_entropy,
+    write_csv,
 )
 from .planners import make_planner
-from .policy import FeatureConfig
+from .policy import FeatureConfig, PolicyNet
+
+LOCAL_METRICS_HEADER = ("mission", "step", "agent", "roi_entropy", "f1")
 
 
 @dataclass
@@ -60,11 +63,11 @@ class PlannerSpec:
     """Picklable recipe for building a fresh planner inside a worker."""
 
     name: str
-    actor_path: Optional[str] = None
+    actor: Optional[PolicyNet] = field(default=None, compare=False)  # "learned" only
     mode: str = "sample"
 
     def build(self, fcfg: FeatureConfig):
-        return make_planner(self.name, actor_path=self.actor_path, fcfg=fcfg, mode=self.mode)
+        return make_planner(self.name, actor=self.actor, fcfg=fcfg, mode=self.mode)
 
 
 @dataclass
@@ -75,15 +78,17 @@ class TrialStats:
     entropy_std: list[float]
     f1_mean: list[float]
     f1_std: list[float]
+    final_entropy: np.ndarray  # per mission, for paired significance tests
+    final_f1: np.ndarray
 
 
 @dataclass
 class MissionResult:
     mission: int
     records: list[MetricsRecord]
-    episode_rows: list[dict] = field(default_factory=list)
-    final_map: Optional[OccupancyGrid] = None
-    local_rows: list[dict] = field(default_factory=list)  # per-agent local-map metrics
+    episode_rows: list[dict]
+    final_map: OccupancyGrid
+    local_rows: list[tuple]  # LOCAL_METRICS_HEADER rows, one per (step, agent)
 
 
 def roi_entropy(grid: OccupancyGrid, gt: GroundTruthMap, w: ImportanceWeights,
@@ -146,7 +151,8 @@ def run_mission(
     entropy exactly 1), before the start measurement is fused; each of the
     B planning steps then appends one record. ``local_metrics`` adds
     per-agent rows scored against each agent's own (communication-limited)
-    local map.
+    local map. Everything a benchmark writes about the mission comes from
+    this one pass.
     """
     if terrain is None:
         terrain = generate_terrain(terrain_rng(base_seed, mission_index), cfg)
@@ -158,12 +164,9 @@ def run_mission(
     records = [
         MetricsRecord(0, roi_entropy(prior, terrain, cfg.weights), f1_score(prior, terrain), 0.0)
     ]
-    local_rows: list[dict] = []
+    local_rows: list[tuple] = []
     env.reset()
-    rows = [
-        _episode_row(0, i, env, "init", 0.0)
-        for i in range(cfg.num_agents)
-    ]
+    rows = _episode_rows(0, env, ["init"] * cfg.num_agents, 0.0)
     cum = 0.0
     done = False
     t = 0
@@ -185,24 +188,16 @@ def run_mission(
                 cum,
             )
         )
-        rows += [
-            _episode_row(t, i, env, Action(joint[i]).name.lower(), r)
-            for i in range(cfg.num_agents)
-        ]
+        rows += _episode_rows(t, env, [Action(a).name.lower() for a in joint], r)
         if local_metrics:
             for i, loc in enumerate(env.locals):
                 p = loc.local_map.probs()
-                local_rows.append(
-                    {
-                        "step": t,
-                        "agent": i,
-                        "roi_entropy": roi_entropy(
-                            loc.local_map, terrain, cfg.weights,
-                            cell_entropy=weighted_cell_entropy(p, cfg.weights),
-                        ),
-                        "f1": f1_score(loc.local_map, terrain, probs=p),
-                    }
-                )
+                local_rows.append((
+                    mission_index, t, i,
+                    roi_entropy(loc.local_map, terrain, cfg.weights,
+                                cell_entropy=weighted_cell_entropy(p, cfg.weights)),
+                    f1_score(loc.local_map, terrain, probs=p),
+                ))
     if len(records) != cfg.budget + 1:
         raise ContractViolation(
             f"mission ended after {len(records) - 1} steps, budget is {cfg.budget}"
@@ -210,24 +205,35 @@ def run_mission(
     return MissionResult(mission_index, records, rows, env.state.global_map, local_rows)
 
 
-def _episode_row(step: int, agent: int, env: TerrainEnv, action: str, r: float) -> dict:
-    pos = env.cfg.position_m(env.state.positions[agent])
-    return {
-        "step": step,
-        "agent": agent,
-        "x": float(pos[0]),
-        "y": float(pos[1]),
-        "z": float(pos[2]),
-        "action": action,
-        "reward": r,
-        "global_entropy": env.global_entropy(),
-    }
+def _episode_rows(step: int, env: TerrainEnv, actions: Sequence[str], r: float) -> list[dict]:
+    """One trajectory row per agent; the global entropy is summed once per step."""
+    h = env.global_entropy()
+    rows = []
+    for agent, action in enumerate(actions):
+        pos = env.cfg.position_m(env.state.positions[agent])
+        rows.append({
+            "step": step,
+            "agent": agent,
+            "x": float(pos[0]),
+            "y": float(pos[1]),
+            "z": float(pos[2]),
+            "action": action,
+            "reward": r,
+            "global_entropy": h,
+        })
+    return rows
 
 
-def _mission_worker(args) -> tuple[int, list]:
-    spec, cfg, base_seed, mission, fcfg, terrain = args
-    result = run_mission(spec, cfg, base_seed, mission, fcfg=fcfg, terrain=terrain)
-    return mission, result.records
+def _keep_records(result: MissionResult, label: str, dump_dir: Optional[Path],
+                  local_csv: Optional[Path]) -> list[MetricsRecord]:
+    """Write one mission's artifacts, then let go of all but its records."""
+    if dump_dir is not None:
+        stem = f"{label}_mission{result.mission:03d}"
+        write_episode_csv(dump_dir / f"{stem}.csv", result.episode_rows)
+        save_grid_pgm(dump_dir / f"{stem}_belief.pgm", result.final_map)
+    if local_csv is not None:
+        write_csv(local_csv, result.local_rows)
+    return result.records
 
 
 def run_benchmark(
@@ -240,31 +246,43 @@ def run_benchmark(
     terrain: Optional[GroundTruthMap] = None,
     threads: int = 1,
     dump_dir=None,
+    local_dir=None,
 ) -> dict[str, TrialStats]:
     """Evaluate every planner on the same ``n_missions`` seeded missions.
 
     Terrain and sensor noise are keyed by (base_seed, mission) alone, so
     all planners see identical worlds. Aggregates use the unbiased (n-1)
-    standard deviation.
+    standard deviation. Each mission runs once, in a pool of ``threads``
+    processes when ``threads > 1``. As its result arrives, ``dump_dir``
+    receives its trajectory CSV and final belief PGM, and ``local_dir``
+    gets its local-map rows appended to ``<planner>_local_metrics.csv``;
+    only the records are kept.
     """
     if n_missions < 2:
         raise ContractViolation("benchmarks need at least 2 missions")
+    if dump_dir is not None:
+        dump_dir = Path(dump_dir)
+        dump_dir.mkdir(parents=True, exist_ok=True)
     steps = checkpoint_steps(cfg.budget)
     out: dict[str, TrialStats] = {}
     for spec in specs:
         label = _label(spec)
-        per_mission: dict[int, list[MetricsRecord]] = {}
-        jobs = [(spec, cfg, base_seed, m, fcfg, terrain) for m in range(n_missions)]
+        local_csv = None
+        if local_dir is not None:
+            local_csv = Path(local_dir) / f"{spec.name}_local_metrics.csv"
+            write_csv(local_csv, [], LOCAL_METRICS_HEADER)
+        run = partial(run_mission, spec, cfg, base_seed, fcfg=fcfg, terrain=terrain,
+                      local_metrics=local_csv is not None)
+        keep = partial(_keep_records, label=label, dump_dir=dump_dir, local_csv=local_csv)
+        # map(keep, ...) holds no result past its keep() call, so a mission's
+        # final map is freed before the next mission starts
         if threads > 1:
             with ProcessPoolExecutor(max_workers=threads) as pool:
-                for mission, records in pool.map(_mission_worker, jobs):
-                    per_mission[mission] = records
+                per_mission = list(map(keep, pool.map(run, range(n_missions))))
         else:
-            for job in jobs:
-                mission, records = _mission_worker(job)
-                per_mission[mission] = records
-        ent = np.array([[per_mission[m][s].roi_entropy for s in steps] for m in range(n_missions)])
-        f1 = np.array([[per_mission[m][s].f1 for s in steps] for m in range(n_missions)])
+            per_mission = list(map(keep, map(run, range(n_missions))))
+        ent = np.array([[records[s].roi_entropy for s in steps] for records in per_mission])
+        f1 = np.array([[records[s].f1 for s in steps] for records in per_mission])
         out[label] = TrialStats(
             planner=label,
             checkpoints=steps,
@@ -272,9 +290,9 @@ def run_benchmark(
             entropy_std=list(ent.std(axis=0, ddof=1)),
             f1_mean=list(f1.mean(axis=0)),
             f1_std=list(f1.std(axis=0, ddof=1)),
+            final_entropy=ent[:, -1],
+            final_f1=f1[:, -1],
         )
-        if dump_dir is not None:
-            _dump_mission_details(dump_dir, label, spec, cfg, base_seed, n_missions, fcfg, terrain)
     return out
 
 
@@ -288,45 +306,24 @@ def benchmark_final_metrics(
     terrain: Optional[GroundTruthMap] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-mission final (entropy, f1) pairs, for paired significance tests."""
-    ents, f1s = [], []
-    for m in range(n_missions):
-        records = run_mission(spec, cfg, base_seed, m, fcfg=fcfg, terrain=terrain).records
-        ents.append(records[-1].roi_entropy)
-        f1s.append(records[-1].f1)
-    return np.array(ents), np.array(f1s)
+    (stats,) = run_benchmark([spec], n_missions, base_seed, cfg,
+                             fcfg=fcfg, terrain=terrain).values()
+    return stats.final_entropy, stats.final_f1
 
 
 def _label(spec: PlannerSpec) -> str:
     return spec.name if spec.mode == "sample" else f"{spec.name}:{spec.mode}"
 
 
-def _dump_mission_details(dump_dir, label, spec, cfg, base_seed, n_missions, fcfg, terrain):
-    dump_dir = Path(dump_dir)
-    dump_dir.mkdir(parents=True, exist_ok=True)
-    for m in range(n_missions):
-        result = run_mission(spec, cfg, base_seed, m, fcfg=fcfg, terrain=terrain)
-        write_episode_csv(dump_dir / f"{label}_mission{m:03d}.csv", result.episode_rows)
-        save_grid_pgm(dump_dir / f"{label}_mission{m:03d}_belief.pgm", result.final_map)
-
-
 def write_benchmark_csv(path, stats: dict[str, TrialStats]) -> None:
     """Table-layout export: one row per planner and budget checkpoint."""
     labels = ("33%", "67%", "100%")
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["planner", "checkpoint", "entropy_mean", "entropy_std", "f1_mean", "f1_std"]
-        )
-        for name in sorted(stats):
-            st = stats[name]
-            for k, label in enumerate(labels):
-                writer.writerow(
-                    [
-                        name,
-                        label,
-                        f"{st.entropy_mean[k]:.12g}",
-                        f"{st.entropy_std[k]:.12g}",
-                        f"{st.f1_mean[k]:.12g}",
-                        f"{st.f1_std[k]:.12g}",
-                    ]
-                )
+    write_csv(
+        path,
+        (
+            (name, label, st.entropy_mean[k], st.entropy_std[k], st.f1_mean[k], st.f1_std[k])
+            for name, st in sorted(stats.items())
+            for k, label in enumerate(labels)
+        ),
+        ["planner", "checkpoint", "entropy_mean", "entropy_std", "f1_mean", "f1_std"],
+    )

@@ -14,10 +14,11 @@ z altitude)`` in metres.
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -415,8 +416,25 @@ def map_entropy(
 
 
 # ---------------------------------------------------------------------------
-# Serialization: row-major text grids and 8-bit PGM snapshots
+# Serialization: CSV tables, row-major text grids and 8-bit PGM snapshots
 # ---------------------------------------------------------------------------
+
+
+def fmt(v) -> str:
+    """The one number format of every text output: floats at 12 significant digits."""
+    return f"{v:.12g}" if isinstance(v, float) else str(v)
+
+
+def write_csv(path, rows, header: Optional[Sequence[str]] = None) -> None:
+    """Start a CSV with ``header`` and ``rows``, or append ``rows`` when ``header`` is None.
+
+    Values go through ``fmt``; lines end in the csv module's ``\\r\\n``.
+    """
+    with open(path, "a" if header is None else "w", newline="", encoding="ascii") as fh:
+        writer = csv.writer(fh)
+        if header is not None:
+            writer.writerow(header)
+        writer.writerows([fmt(v) for v in row] for row in rows)
 
 
 def write_text_grid(path, values: np.ndarray, resolution: float) -> None:
@@ -424,9 +442,9 @@ def write_text_grid(path, values: np.ndarray, resolution: float) -> None:
     values = np.asarray(values, dtype=np.float64)
     h, w = values.shape
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{w} {h} {resolution:.12g}\n")
+        fh.write(f"{w} {h} {fmt(resolution)}\n")
         for row in values:
-            fh.write(" ".join(f"{v:.12g}" for v in row) + "\n")
+            fh.write(" ".join(map(fmt, row)) + "\n")
 
 
 def read_text_grid(path) -> tuple[np.ndarray, float]:

@@ -24,15 +24,17 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ContractViolation, TerrascoutError, TrainingDivergenceError
+from .errors import (
+    ContractViolation,
+    DataError,
+    TerrascoutError,
+    TrainingDivergenceError,
+    UsageError,
+)
 
 
 class DimensionError(TerrascoutError):
     """Operand shapes cannot be combined."""
-
-
-class UsageError(TerrascoutError):
-    """Autograd API misuse (e.g. backward without a recorded forward)."""
 
 
 class Tensor:
@@ -175,10 +177,6 @@ class _GradStore:
         return self._grads.pop(id(node), None)
 
 
-def _accum(grads: _GradStore, node: Tensor, g: np.ndarray) -> None:
-    grads.add(node, g)
-
-
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     """Reduce a broadcast gradient back to the operand's shape."""
     if g.shape == shape:
@@ -202,8 +200,8 @@ def add(a, b) -> Tensor:
     data = a.data + b.data
 
     def backward(g, grads):
-        _accum(grads, a, _unbroadcast(g, a.data.shape))
-        _accum(grads, b, _unbroadcast(g, b.data.shape))
+        grads.add(a, _unbroadcast(g, a.data.shape))
+        grads.add(b, _unbroadcast(g, b.data.shape))
 
     return _make(data, (a, b), backward)
 
@@ -213,8 +211,8 @@ def sub(a, b) -> Tensor:
     data = a.data - b.data
 
     def backward(g, grads):
-        _accum(grads, a, _unbroadcast(g, a.data.shape))
-        _accum(grads, b, _unbroadcast(-g, b.data.shape))
+        grads.add(a, _unbroadcast(g, a.data.shape))
+        grads.add(b, _unbroadcast(-g, b.data.shape))
 
     return _make(data, (a, b), backward)
 
@@ -224,8 +222,8 @@ def mul(a, b) -> Tensor:
     data = a.data * b.data
 
     def backward(g, grads):
-        _accum(grads, a, _unbroadcast(g * b.data, a.data.shape))
-        _accum(grads, b, _unbroadcast(g * a.data, b.data.shape))
+        grads.add(a, _unbroadcast(g * b.data, a.data.shape))
+        grads.add(b, _unbroadcast(g * a.data, b.data.shape))
 
     return _make(data, (a, b), backward)
 
@@ -235,8 +233,8 @@ def div(a, b) -> Tensor:
     data = a.data / b.data
 
     def backward(g, grads):
-        _accum(grads, a, _unbroadcast(g / b.data, a.data.shape))
-        _accum(grads, b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
+        grads.add(a, _unbroadcast(g / b.data, a.data.shape))
+        grads.add(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
 
     return _make(data, (a, b), backward)
 
@@ -246,7 +244,7 @@ def exp(a) -> Tensor:
     data = np.exp(a.data)
 
     def backward(g, grads):
-        _accum(grads, a, g * data)
+        grads.add(a, g * data)
 
     return _make(data, (a,), backward)
 
@@ -256,7 +254,7 @@ def log(a) -> Tensor:
     data = np.log(a.data)
 
     def backward(g, grads):
-        _accum(grads, a, g / a.data)
+        grads.add(a, g / a.data)
 
     return _make(data, (a,), backward)
 
@@ -267,7 +265,7 @@ def relu(a) -> Tensor:
     data = np.where(keep, a.data, 0.0)
 
     def backward(g, grads):
-        _accum(grads, a, g * keep)
+        grads.add(a, g * keep)
 
     return _make(data, (a,), backward)
 
@@ -277,7 +275,7 @@ def reshape(a, shape) -> Tensor:
     data = a.data.reshape(shape)
 
     def backward(g, grads):
-        _accum(grads, a, g.reshape(a.data.shape))
+        grads.add(a, g.reshape(a.data.shape))
 
     return _make(data, (a,), backward)
 
@@ -290,7 +288,7 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
         gg = g
         if axis is not None and not keepdims:
             gg = np.expand_dims(gg, axis)
-        _accum(grads, a, np.broadcast_to(gg, a.data.shape).copy())
+        grads.add(a, np.broadcast_to(gg, a.data.shape).copy())
 
     return _make(np.asarray(data), (a,), backward)
 
@@ -301,7 +299,7 @@ def mean(a) -> Tensor:
     data = np.asarray(a.data.mean())
 
     def backward(g, grads):
-        _accum(grads, a, np.full(a.data.shape, float(g) / n))
+        grads.add(a, np.full(a.data.shape, float(g) / n))
 
     return _make(data, (a,), backward)
 
@@ -313,7 +311,7 @@ def where_const(cond: np.ndarray, a, fill: float) -> Tensor:
     data = np.where(cond, a.data, fill)
 
     def backward(g, grads):
-        _accum(grads, a, np.where(cond, g, 0.0))
+        grads.add(a, np.where(cond, g, 0.0))
 
     return _make(data, (a,), backward)
 
@@ -330,7 +328,7 @@ def gather_last(a, index: np.ndarray) -> Tensor:
     def backward(g, grads):
         full = np.zeros_like(a.data)
         full[rows, index] = g
-        _accum(grads, a, full)
+        grads.add(a, full)
 
     return _make(data, (a,), backward)
 
@@ -344,8 +342,8 @@ def matmul(a, b) -> Tensor:
     data = a.data @ b.data
 
     def backward(g, grads):
-        _accum(grads, a, g @ b.data.T)
-        _accum(grads, b, a.data.T @ g)
+        grads.add(a, g @ b.data.T)
+        grads.add(b, a.data.T @ g)
 
     return _make(data, (a, b), backward)
 
@@ -379,9 +377,9 @@ def conv2d(x, weight, bias, stride: int = 1, padding: int = 0) -> Tensor:
 
     def backward(g, grads):
         g2 = g.reshape(bsz, cout, oh * ow)
-        _accum(grads, bias, g.sum(axis=(0, 2, 3)))
+        grads.add(bias, g.sum(axis=(0, 2, 3)))
         gw = np.einsum("bop,bkp->ok", g2, cols2)
-        _accum(grads, weight, gw.reshape(weight.data.shape))
+        grads.add(weight, gw.reshape(weight.data.shape))
         if x._needs_grad:
             gcols = np.matmul(w2.T, g2).reshape(bsz, cin, kh, kw, oh, ow)
             gxp = np.zeros_like(xp)
@@ -394,7 +392,7 @@ def conv2d(x, weight, bias, stride: int = 1, padding: int = 0) -> Tensor:
                 gx = gxp[:, :, padding:-padding, padding:-padding]
             else:
                 gx = gxp
-            _accum(grads, x, gx)
+            grads.add(x, gx)
 
     return _make(out, (x, weight, bias), backward)
 
@@ -539,18 +537,33 @@ def save_checkpoint(path, named_params: Sequence[tuple[str, np.ndarray]],
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
+    """Read a checkpoint; a foreign, truncated or malformed file raises ``DataError``."""
     with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != _MAGIC:
-            raise ContractViolation(f"{path}: not a parameter checkpoint (bad magic)")
-        (hlen,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
-        if header.get("version") != 1:
-            raise ContractViolation(f"{path}: unsupported checkpoint version")
-        params: dict[str, np.ndarray] = {}
-        for layer in header["layers"]:
-            shape = tuple(layer["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            raw = fh.read(count * 8)
-            params[layer["name"]] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+        data = fh.read()
+    if data[:8] != _MAGIC:
+        raise DataError(f"{path}: not a parameter checkpoint (bad magic)")
+    if len(data) < 12:
+        raise DataError(f"{path}: truncated checkpoint header")
+    (hlen,) = struct.unpack_from("<I", data, 8)
+    offset = 12 + hlen
+    if len(data) < offset:
+        raise DataError(f"{path}: truncated checkpoint header")
+    try:
+        header = json.loads(data[12:offset].decode("utf-8"))
+        layers = [(layer["name"], tuple(int(n) for n in layer["shape"]))
+                  for layer in header["layers"]]
+        if any(n < 0 for _, shape in layers for n in shape):
+            raise ValueError("negative layer dimension")
+    except (ValueError, KeyError, TypeError) as exc:
+        raise DataError(f"{path}: unreadable checkpoint header ({exc!r})") from exc
+    if header.get("version") != 1:
+        raise DataError(f"{path}: unsupported checkpoint version")
+    params: dict[str, np.ndarray] = {}
+    for name, shape in layers:
+        end = offset + 8 * math.prod(shape)
+        if len(data) < end:
+            raise DataError(f"{path}: truncated parameter data for layer '{name}'")
+        params[name] = np.frombuffer(data, dtype="<f8", count=math.prod(shape),
+                                     offset=offset).reshape(shape).copy()
+        offset = end
     return params, header.get("metadata", {})

@@ -20,7 +20,7 @@ from .environment import (
 )
 from .errors import ConfigurationError, ContractViolation
 from .gridmap import ImportanceWeights, footprint, weighted_cell_entropy
-from .policy import FeatureConfig, PolicyNet, actor_forward, build_actor_features, load_network
+from .policy import FeatureConfig, PolicyNet, actor_forward, build_actor_features
 
 
 class RandomPlanner:
@@ -197,8 +197,8 @@ class LearnedPlanner:
 PLANNER_NAMES = ("random", "coverage", "greedy-ig", "learned")
 
 
-def make_planner(name: str, *, actor_path=None, actor: Optional[PolicyNet] = None,
-                 fcfg: Optional[FeatureConfig] = None, mode: str = "sample"):
+def make_planner(name: str, *, actor: Optional[PolicyNet] = None,
+                 fcfg: FeatureConfig = FeatureConfig(), mode: str = "sample"):
     """Fresh planner instance for one mission."""
     if name == "random":
         return RandomPlanner()
@@ -208,10 +208,6 @@ def make_planner(name: str, *, actor_path=None, actor: Optional[PolicyNet] = Non
         return GreedyInfoGainPlanner()
     if name == "learned":
         if actor is None:
-            if actor_path is None:
-                raise ConfigurationError("learned planner needs actor weights")
-            actor, meta = load_network(actor_path)
-            if fcfg is None and "feature_config" in meta:
-                fcfg = FeatureConfig(**meta["feature_config"])
-        return LearnedPlanner(actor, fcfg or FeatureConfig(), mode=mode)
+            raise ConfigurationError("learned planner needs actor weights")
+        return LearnedPlanner(actor, fcfg, mode=mode)
     raise ConfigurationError(f"unknown planner '{name}'")

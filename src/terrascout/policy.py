@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .environment import Action, AgentLocalState, EnvConfig, GlobalState, NUM_ACTIONS
-from .errors import ConfigurationError, ContractViolation
+from .errors import ConfigurationError, ContractViolation, DataError
 from .gridmap import footprint, weighted_cell_entropy
 from . import nn
 from .nn import Conv2d, Linear, Tensor
@@ -404,13 +404,16 @@ def save_network(path, net: PolicyNet, *, kind: str, manifest: Sequence[str],
 
 def load_network(path) -> tuple[PolicyNet, dict]:
     params, meta = nn.load_checkpoint(path)
-    arch = NetArch.from_metadata(meta["arch"])
-    net = PolicyNet(
-        int(meta["in_channels"]),
-        int(meta["grid_size"]),
-        int(meta["out_dim"]),
-        np.random.default_rng(0),
-        arch,
-    )
-    net.load_state(params)
+    try:
+        arch = NetArch.from_metadata(meta["arch"])
+        net = PolicyNet(
+            int(meta["in_channels"]),
+            int(meta["grid_size"]),
+            int(meta["out_dim"]),
+            np.random.default_rng(0),
+            arch,
+        )
+        net.load_state(params)
+    except (KeyError, TypeError, ValueError, ConfigurationError) as exc:
+        raise DataError(f"{path}: not a network checkpoint ({exc!r})") from exc
     return net, meta

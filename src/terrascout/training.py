@@ -15,7 +15,6 @@ per-agent advantage. Four credit-assignment variants are supported:
 
 from __future__ import annotations
 
-import csv
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -35,6 +34,7 @@ from .environment import (
 )
 from .errors import ConfigurationError, ContractViolation, TrainingDivergenceError
 from . import nn
+from .gridmap import write_csv
 from .policy import (
     CRITIC_MODE_FULL,
     CRITIC_MODE_LOCAL,
@@ -516,26 +516,17 @@ def training_loop(
 
     paths = _save_all(out_dir, actor, critic, vnet, fcfg, cfg, meta)
     log_path = out_dir / "training_log.csv"
-    _write_csv(
-        log_path,
-        ["block", "missions_done", "env_interactions", "mean_return", "actor_loss",
-         "critic_loss", "epsilon"],
-        block_rows,
-    )
+    log_fields = ["block", "missions_done", "env_interactions", "mean_return", "actor_loss",
+                  "critic_loss", "epsilon"]
+    write_csv(log_path, ([row[k] for k in log_fields] for row in block_rows), log_fields)
     missions_path = out_dir / "missions.csv"
-    _write_csv(
+    write_csv(
         missions_path,
+        ((i, r, tcfg.epsilon_at(i)) for i, r in enumerate(mission_returns)),
         ["mission", "return", "epsilon"],
-        [
-            {"mission": i, "return": r, "epsilon": tcfg.epsilon_at(i)}
-            for i, r in enumerate(mission_returns)
-        ],
     )
-    with open(out_dir / "timing.csv", "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["block", "wallclock_s"])
-        for b, dt in timing_rows:
-            writer.writerow([b, f"{dt:.3f}"])
+    write_csv(out_dir / "timing.csv", ((b, f"{dt:.3f}") for b, dt in timing_rows),
+              ["block", "wallclock_s"])
     return TrainResult(
         out_dir=out_dir,
         actor_path=paths[0],
@@ -572,17 +563,3 @@ def _save_all(out_dir: Path, actor: PolicyNet, critic: PolicyNet,
             extra=meta,
         )
     return actor_path, critic_path, vnet_path
-
-
-def _write_csv(path, fields: list[str], rows: list[dict]) -> None:
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(fields)
-        for row in rows:
-            writer.writerow([_fmt(row[k]) for k in fields])
-
-
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return f"{v:.12g}"
-    return str(v)

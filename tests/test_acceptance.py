@@ -99,13 +99,10 @@ def test_criterion_1c_telescoping_every_planner():
     )
     checked = 0
     for name in ("random", "coverage", "greedy-ig", "learned"):
-        spec = PlannerSpec(name)
+        # fresh random-weight actor exercises the learned path
+        spec = PlannerSpec(name, actor=toy_actor if name == "learned" else None)
         for mission in range(20):
-            if name == "learned":
-                # fresh random-weight actor exercises the learned path
-                result = run_mission_with_actor(toy_actor, cfg, 404, mission)
-            else:
-                result = run_mission(spec, cfg, 404, mission)
+            result = run_mission(spec, cfg, 404, mission, fcfg=FCFG)
             by_step = {}
             for row in result.episode_rows:
                 by_step.setdefault(row["step"], row["global_entropy"])
@@ -115,28 +112,6 @@ def test_criterion_1c_telescoping_every_planner():
             checked += 1
     assert checked == 80
     _report(1, "per-step entropy reductions telescope to H0 - HB (1e-9, 20 missions x 4 planners)")
-
-
-def run_mission_with_actor(actor, cfg, seed, mission):
-    from terrascout import evaluation as ev
-    from terrascout.environment import NoiseStreams, TerrainEnv, generate_terrain, policy_rng, terrain_rng
-    from terrascout.planners import LearnedPlanner
-
-    terrain = generate_terrain(terrain_rng(seed, mission), cfg)
-    env = TerrainEnv(cfg, terrain, NoiseStreams(seed, mission))
-    env.reset()
-    planner = LearnedPlanner(actor, FCFG, mode="sample")
-    rng = policy_rng(seed, mission)
-    rows = [ev._episode_row(0, i, env, "init", 0.0) for i in range(cfg.num_agents)]
-    done = False
-    t = 0
-    while not done:
-        t += 1
-        masks = env.masks()
-        joint = [planner.act(env.locals[i], masks[i], cfg, t, rng) for i in range(cfg.num_agents)]
-        r, done = env.step(joint)
-        rows += [ev._episode_row(t, i, env, "x", r) for i in range(cfg.num_agents)]
-    return ev.MissionResult(mission, [], rows)
 
 
 # ---------------------------------------------------------------------------

@@ -299,3 +299,96 @@ def test_evaluate_local_metrics_flag(smoke_config, tmp_path):
     assert lines[0] == "mission,step,agent,roi_entropy,f1"
     # 2 missions x 3 steps x 2 agents
     assert len(lines) == 1 + 12
+
+
+# ---------------------------------------------------------------------------
+# one pass per mission; actor checkpoints
+# ---------------------------------------------------------------------------
+
+
+def _toy_actor_checkpoint(smoke_config, path):
+    from terrascout.policy import NetArch, actor_manifest, make_actor, save_network
+
+    cfg, fcfg = build_env_config(parse_config_file(smoke_config)), build_feature_config({})
+    actor = make_actor(cfg, fcfg, np.random.default_rng(0),
+                       NetArch(conv_channels=(2,), conv_strides=(2,), mlp_sizes=(4,)))
+    save_network(path, actor, kind="actor", manifest=actor_manifest(fcfg))
+    return path
+
+
+def _files(root):
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*"))
+            if p.is_file() and p.name != "manifest.json"}
+
+
+def test_evaluate_runs_each_mission_once(smoke_config, tmp_path, monkeypatch):
+    from terrascout import evaluation
+
+    calls = []
+    run_mission = evaluation.run_mission
+
+    def counted(*args, **kwargs):
+        calls.append(args[3])
+        return run_mission(*args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "run_mission", counted)
+    out = tmp_path / "once"
+    rc = main(["evaluate", "--config", str(smoke_config), "--planner", "random",
+               "--planner", "greedy-ig", "--missions", "3", "--dump-maps",
+               "--local-metrics", "--out", str(out)])
+    assert rc == 0
+    assert calls == [0, 1, 2, 0, 1, 2]
+    assert len(list((out / "missions").glob("*_belief.pgm"))) == 6
+    assert len((out / "greedy-ig_local_metrics.csv").read_text().splitlines()) == 1 + 3 * 3 * 2
+
+
+def test_evaluate_threads_write_the_serial_files(smoke_config, tmp_path):
+    actor = _toy_actor_checkpoint(smoke_config, tmp_path / "actor.ckpt")
+    argv = ["evaluate", "--config", str(smoke_config), "--seed", "8", "--planner", "random",
+            "--planner", "learned", "--actor-weights", str(actor), "--missions", "3",
+            "--dump-maps", "--local-metrics"]
+    assert main(argv + ["--out", str(tmp_path / "serial")]) == 0
+    assert main(argv + ["--threads", "2", "--out", str(tmp_path / "pool")]) == 0
+    serial = _files(tmp_path / "serial")
+    assert len(serial) == 1 + 2 + 2 * 3 * 2
+    assert serial == _files(tmp_path / "pool")
+
+
+def test_threads_is_an_evaluate_option_only(smoke_config, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--config", str(smoke_config), "--threads", "2",
+              "--out", str(tmp_path / "t")])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("damage", [
+    lambda data: b"NOTACKPT" + data[8:],  # foreign file
+    lambda data: data[:10],  # header length cut short
+    lambda data: data[:12] + b"{not json" + data[21:],  # unparsable header
+    lambda data: data[:-8],  # parameter data cut short
+], ids=["bad-magic", "short-header", "unparsable-header", "short-parameters"])
+def test_evaluate_bad_checkpoint_is_data_error(smoke_config, tmp_path, capsys, damage):
+    ckpt = _toy_actor_checkpoint(smoke_config, tmp_path / "actor.ckpt")
+    ckpt.write_bytes(damage(ckpt.read_bytes()))
+    rc = main(["evaluate", "--config", str(smoke_config), "--planner", "learned",
+               "--actor-weights", str(ckpt), "--missions", "2", "--out", str(tmp_path / "x")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and err.count("\n") == 1
+
+
+def test_evaluate_checkpoint_without_network_metadata_is_data_error(smoke_config, tmp_path):
+    from terrascout.nn import save_checkpoint
+
+    ckpt = tmp_path / "raw.ckpt"
+    save_checkpoint(ckpt, [("w", np.zeros(3))], {"kind": "actor"})
+    rc = main(["evaluate", "--config", str(smoke_config), "--planner", "learned",
+               "--actor-weights", str(ckpt), "--missions", "2", "--out", str(tmp_path / "x")])
+    assert rc == 3
+
+
+def test_evaluate_missing_checkpoint_is_usage_error(smoke_config, tmp_path):
+    rc = main(["evaluate", "--config", str(smoke_config), "--planner", "learned",
+               "--actor-weights", str(tmp_path / "none.ckpt"), "--missions", "2",
+               "--out", str(tmp_path / "x")])
+    assert rc == 2

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from terrascout import nn
-from terrascout.errors import ContractViolation, TrainingDivergenceError
+from terrascout.errors import ContractViolation, DataError, TrainingDivergenceError
 from terrascout.nn import (
     Adam,
     Conv2d,
@@ -341,5 +341,5 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
 def test_checkpoint_rejects_garbage(tmp_path):
     path = tmp_path / "bad.ckpt"
     path.write_bytes(b"NOTACKPT anything")
-    with pytest.raises(ContractViolation):
+    with pytest.raises(DataError):
         load_checkpoint(path)
