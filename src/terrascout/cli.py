@@ -39,7 +39,7 @@ from .gridmap import (
     write_text_grid,
 )
 from .planners import PLANNER_NAMES
-from .policy import FeatureConfig, NetArch, load_network
+from .policy import FeatureConfig, NetArch, actor_manifest, load_network
 from .training import TrainConfig, VARIANTS, training_loop
 
 
@@ -134,19 +134,30 @@ def _validate_keys(raw: dict[str, str], path) -> None:
         raise UsageError(f"{path}: unknown config key '{key}'")
 
 
+def _finite(value: str) -> float:
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError("not a finite number")
+    return number
+
+
 def _parse_value(key: str, value: str, kind):
     try:
-        if kind is float or kind is int or kind is str:
+        if kind is float:
+            return _finite(value)
+        if kind is int or kind is str:
             return kind(value)
         if kind == "radius":
-            return math.inf if value.lower() in ("inf", "infinite", "unlimited") else float(value)
+            if value.lower() in ("inf", "infinite", "unlimited"):
+                return math.inf
+            return _finite(value)
         if kind == "ints":
             return tuple(int(tok) for tok in value.replace(",", " ").split())
         if kind == "sensor":
             pairs = []
             for tok in value.split(","):
                 alt, acc = tok.split(":")
-                pairs.append((float(alt), float(acc)))
+                pairs.append((_finite(alt), _finite(acc)))
             return SensorModel(tuple(pairs))
     except (ValueError, ConfigurationError) as exc:
         raise UsageError(f"bad value for config key '{key}': {value} ({exc})") from exc
@@ -253,6 +264,8 @@ def _config_snapshot(cfg: EnvConfig, fcfg: FeatureConfig,
             "epsilon_anneal_missions": tcfg.epsilon_anneal_missions,
             "variant": tcfg.variant,
             "total_missions": tcfg.total_missions,
+            "grad_clip": tcfg.grad_clip,
+            "checkpoint_every_blocks": tcfg.checkpoint_every_blocks,
             "arch": tcfg.arch.to_metadata(),
         }
     return snap
@@ -325,7 +338,7 @@ def _print_block(row: dict) -> None:
     )
 
 
-def _planner_specs(args) -> list[PlannerSpec]:
+def _planner_specs(args, fcfg: FeatureConfig) -> list[PlannerSpec]:
     specs = []
     actor = None
     for name in args.planner:
@@ -337,7 +350,13 @@ def _planner_specs(args) -> list[PlannerSpec]:
             if not args.actor_weights.is_file():
                 raise UsageError(f"actor weights not found: {args.actor_weights}")
             if actor is None:
-                actor, _ = load_network(args.actor_weights)
+                actor, meta = load_network(args.actor_weights)
+                kind, planes = meta.get("kind"), meta.get("manifest")
+                if kind != "actor" or planes != list(actor_manifest(fcfg)):
+                    raise DataError(
+                        f"{args.actor_weights}: a {kind} network reading {planes}; the "
+                        f"configured features need an actor reading {list(actor_manifest(fcfg))}"
+                    )
             specs.append(PlannerSpec("learned", actor=actor, mode=args.learned_mode))
         else:
             specs.append(PlannerSpec(name))
@@ -352,9 +371,7 @@ def _apply_overrides(cfg: EnvConfig, args) -> EnvConfig:
     if getattr(args, "agents", None):
         kwargs["num_agents"] = args.agents
     if getattr(args, "comm_radius", None) is not None:
-        kwargs["comm_radius"] = (
-            math.inf if str(args.comm_radius).lower() == "inf" else float(args.comm_radius)
-        )
+        kwargs["comm_radius"] = _parse_value("comm_radius", args.comm_radius, "radius")
     return replace(cfg, **kwargs) if kwargs else cfg
 
 
@@ -363,7 +380,7 @@ def cmd_evaluate(args) -> int:
     cfg = _apply_overrides(cfg, args)
     if args.missions < 2:
         raise UsageError("--missions must be at least 2")
-    specs = _planner_specs(args)
+    specs = _planner_specs(args, fcfg)
     terrain = load_ground_truth(args.terrain) if args.terrain else None
     if terrain is not None:
         expected = cfg.map_cells

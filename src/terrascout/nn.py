@@ -521,9 +521,9 @@ def save_checkpoint(path, named_params: Sequence[tuple[str, np.ndarray]],
     layers = []
     blobs = []
     for name, value in named_params:
-        arr = np.ascontiguousarray(np.asarray(value, dtype=np.float64))
+        arr = np.asarray(value, dtype="<f8")
         layers.append({"name": name, "shape": list(arr.shape)})
-        blobs.append(arr.astype("<f8").tobytes())
+        blobs.append(arr.tobytes())
     header = json.dumps(
         {"version": 1, "metadata": metadata or {}, "layers": layers},
         sort_keys=True,

@@ -176,19 +176,17 @@ class CoveragePlanner:
 class LearnedPlanner:
     """Frozen actor network driven by the agent's local features."""
 
-    def __init__(self, actor: PolicyNet, fcfg: FeatureConfig, mode: str = "sample",
-                 epsilon: float = 0.0):
+    def __init__(self, actor: PolicyNet, fcfg: FeatureConfig, mode: str = "sample"):
         if mode not in ("sample", "argmax"):
             raise ConfigurationError(f"unknown learned-planner mode '{mode}'")
         self.actor = actor
         self.fcfg = fcfg
         self.mode = mode
-        self.epsilon = epsilon
 
     def act(self, local: AgentLocalState, mask: np.ndarray, cfg: EnvConfig,
             step_index: int, rng: np.random.Generator) -> int:
         stack = build_actor_features(local, cfg, self.fcfg)
-        probs = actor_forward(self.actor, stack, mask, self.epsilon)
+        probs = actor_forward(self.actor, stack, mask, 0.0)
         if self.mode == "argmax":
             return int(np.argmax(probs))
         return int(rng.choice(NUM_ACTIONS, p=probs))

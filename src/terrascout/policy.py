@@ -203,21 +203,22 @@ def build_actor_features(local: AgentLocalState, cfg: EnvConfig,
 
 def build_critic_features(
     state: GlobalState,
-    local: AgentLocalState,
+    base: FeatureStack,
+    agent_id: int,
     other_actions: Sequence[int],
     cfg: EnvConfig,
     fcfg: FeatureConfig = FeatureConfig(),
     mode: str = CRITIC_MODE_FULL,
 ) -> FeatureStack:
-    """Actor planes plus centralised planes (f)-(j).
+    """The agent's actor stack ``base`` followed by centralised planes (f)-(j).
 
     ``other_actions`` lists the actions of the N-1 teammates ordered by
-    agent id (skipping this agent); each marks a one-hot plane at that
-    teammate's current cell.
+    agent id (skipping ``agent_id``); each marks a one-hot plane at that
+    teammate's current cell. Under the local mode the critic stack is
+    ``base`` itself.
     """
-    base = build_actor_features(local, cfg, fcfg)
     if mode == CRITIC_MODE_LOCAL:
-        return FeatureStack(base.planes, critic_manifest(fcfg, cfg.num_agents, mode))
+        return base
     planes = [base.planes]
     factor = cfg.pool_factor
     probs, cell_entropy = state.map_planes(cfg.weights)
@@ -230,7 +231,7 @@ def build_critic_features(
     if fcfg.global_footprint_map:
         planes.append(_footprint_plane(_footprint_rects(state.positions, cfg), cfg)[None])
     if mode == CRITIC_MODE_FULL and fcfg.action_maps:
-        others = [j for j in range(cfg.num_agents) if j != local.agent_id]
+        others = [j for j in range(cfg.num_agents) if j != agent_id]
         if len(other_actions) != len(others):
             raise ContractViolation(
                 f"expected {len(others)} teammate actions, got {len(other_actions)}"

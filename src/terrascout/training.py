@@ -1,10 +1,10 @@
 """On-policy actor-critic training with a counterfactual baseline.
 
-The loop alternates between collecting a block of on-policy transitions
-(one interaction = one agent decision) and optimizing: the critic
-regresses TD(lambda) targets built from a periodically-copied target
-network, and the actor ascends the policy gradient weighted by a
-per-agent advantage. Four credit-assignment variants are supported:
+The loop alternates between collecting a block of on-policy decisions
+(one interaction = one agent decision = one row of a ``Rollout``) and
+optimizing: the critic regresses TD(lambda) targets built from a
+periodically-copied target network, and the actor ascends the policy
+gradient weighted by a per-agent advantage. Four credit-assignment variants are supported:
 
   coma               A = Q(s, u) - sum_u' pi(u') Q(s, (u_-i, u')), critic
                      sees teammates' actions as one-hot planes
@@ -16,7 +16,7 @@ per-agent advantage. Four credit-assignment variants are supported:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -24,7 +24,6 @@ import numpy as np
 
 from .environment import (
     EnvConfig,
-    GroundTruthMap,
     NoiseStreams,
     NUM_ACTIONS,
     TerrainEnv,
@@ -64,28 +63,39 @@ _CRITIC_MODE_OF = {
 
 
 @dataclass
-class Transition:
-    """One agent decision with everything needed to replay its losses."""
+class Rollout:
+    """Agent decisions as arrays, one row each, ordered (mission, step, agent).
 
-    mission: int
-    step: int
-    agent_id: int
-    actor_features: np.ndarray
-    critic_features: np.ndarray
-    mask: np.ndarray
-    action: int
-    behavior_policy: np.ndarray
-    reward: float
-    terminal: bool
-    epsilon: float
-    target: float = 0.0  # TD(lambda) regression target, filled per block
-    v_target: float = 0.0  # state-value target (central-qv only)
+    ``features`` holds each decision's critic stack. The actor stack is its
+    first ``actor.in_channels`` planes and the state-value stack its first
+    ``vnet.in_channels``, so every network reads its own prefix.
+    """
+
+    features: np.ndarray  # (n, K, G, G) critic planes
+    masks: np.ndarray  # (n, NUM_ACTIONS) valid actions
+    actions: np.ndarray  # (n,) actions taken
+    rewards: np.ndarray  # (n,) team reward of the step
+    epsilons: np.ndarray  # (n,) exploration floor the action was drawn with
+    targets: Optional[np.ndarray] = None  # TD(lambda) regression targets, filled per block
+    v_targets: Optional[np.ndarray] = None  # state-value targets (central-qv only)
 
     def __post_init__(self) -> None:
-        if abs(float(self.behavior_policy.sum()) - 1.0) > 1e-9:
-            raise ContractViolation("behavior policy must sum to 1")
-        if not np.isfinite(self.reward):
+        if not np.isfinite(self.rewards).all():
             raise ContractViolation("non-finite reward")
+        if self.targets is None:
+            self.targets = np.zeros(len(self))
+        if self.v_targets is None:
+            self.v_targets = np.zeros(len(self))
+
+    def __len__(self) -> int:
+        return len(self.actions)
+
+    @classmethod
+    def concat(cls, parts: Sequence["Rollout"]) -> "Rollout":
+        return cls(*(np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(cls)))
+
+    def take(self, idx) -> "Rollout":
+        return Rollout(*(getattr(self, f.name)[idx] for f in fields(self)))
 
 
 @dataclass
@@ -113,9 +123,10 @@ class TrainConfig:
         positives = (
             self.rollout_block, self.epochs, self.batch_size, self.actor_lr,
             self.critic_lr, self.gamma, self.target_copy_interval,
-            self.epsilon_anneal_missions, self.total_missions,
+            self.epsilon_anneal_missions, self.total_missions, self.grad_clip,
+            self.checkpoint_every_blocks,
         )
-        if any(v <= 0 for v in positives) or self.td_lambda < 0:
+        if any(not v > 0 for v in positives) or not self.td_lambda >= 0:
             raise ConfigurationError("training config values must be positive")
         for e in (self.epsilon_start, self.epsilon_end):
             if not (0.0 <= e <= 1.0):
@@ -174,22 +185,17 @@ def advantage_variant(variant: str, q_row: np.ndarray, pi: np.ndarray, action: i
 # ---------------------------------------------------------------------------
 
 
-def _stack_features(batch: Sequence[Transition], kind: str) -> np.ndarray:
-    if kind == "actor":
-        return np.stack([t.actor_features for t in batch])
-    return np.stack([t.critic_features for t in batch])
+def _forward(net: PolicyNet, features: np.ndarray) -> nn.Tensor:
+    """``net`` on its prefix of the critic planes (see ``Rollout``)."""
+    return net.forward(features[:, : net.in_channels])
 
 
-def actor_update(batch: Sequence[Transition], actor: PolicyNet, advantages: np.ndarray,
+def actor_update(batch: Rollout, actor: PolicyNet, advantages: np.ndarray,
                  optimizer: nn.Adam, grad_clip: float) -> float:
     """One Adam step on mean(-log pi(u|omega) * A); advantages are constants."""
-    feats = _stack_features(batch, "actor")
-    masks = np.stack([t.mask for t in batch])
-    actions = np.array([t.action for t in batch])
-    eps = np.array([[t.epsilon] for t in batch])
-    logits = actor.forward(feats)
-    probs = nn.masked_bounded_softmax(logits, masks, eps)
-    logp = nn.log(nn.gather_last(probs, actions))
+    logits = _forward(actor, batch.features)
+    probs = nn.masked_bounded_softmax(logits, batch.masks, batch.epsilons[:, None])
+    logp = nn.log(nn.gather_last(probs, batch.actions))
     loss = nn.mean(nn.mul(logp, nn.Tensor(-np.asarray(advantages))))
     optimizer.zero_grad()
     loss.backward()
@@ -198,15 +204,13 @@ def actor_update(batch: Sequence[Transition], actor: PolicyNet, advantages: np.n
     return float(loss.data)
 
 
-def critic_update(batch: Sequence[Transition], critic: PolicyNet, targets: np.ndarray,
+def critic_update(batch: Rollout, critic: PolicyNet, targets: np.ndarray,
                   optimizer: nn.Adam, grad_clip: float) -> float:
     """One Adam step on the MSE between Q(s, taken action) and the targets."""
     targets = np.asarray(targets, dtype=np.float64)
     if not np.isfinite(targets).all():
         raise TrainingDivergenceError("non-finite TD target")
-    feats = _stack_features(batch, "critic")
-    actions = np.array([t.action for t in batch])
-    q_taken = nn.gather_last(critic.forward(feats), actions)
+    q_taken = nn.gather_last(_forward(critic, batch.features), batch.actions)
     err = nn.sub(q_taken, nn.Tensor(targets))
     loss = nn.mean(nn.mul(err, err))
     optimizer.zero_grad()
@@ -216,12 +220,10 @@ def critic_update(batch: Sequence[Transition], critic: PolicyNet, targets: np.nd
     return float(loss.data)
 
 
-def _value_update(batch: Sequence[Transition], vnet: PolicyNet, n_value_planes: int,
-                  optimizer: nn.Adam, grad_clip: float) -> float:
-    feats = _stack_features(batch, "critic")[:, :n_value_planes]
-    targets = np.array([t.v_target for t in batch])
-    v = nn.reshape(vnet.forward(feats), (len(batch),))
-    err = nn.sub(v, nn.Tensor(targets))
+def _value_update(batch: Rollout, vnet: PolicyNet, optimizer: nn.Adam,
+                  grad_clip: float) -> float:
+    v = nn.reshape(_forward(vnet, batch.features), (len(batch),))
+    err = nn.sub(v, nn.Tensor(batch.v_targets))
     loss = nn.mean(nn.mul(err, err))
     optimizer.zero_grad()
     loss.backward()
@@ -243,56 +245,44 @@ def run_training_mission(
     mission_index: int,
     epsilon: float,
     critic_mode: str,
-    *,
-    terrain: Optional[GroundTruthMap] = None,
-    collect: bool = True,
-) -> tuple[list[Transition], float]:
-    """Play one on-policy mission; optionally record transitions."""
-    if terrain is None:
-        terrain = generate_terrain(terrain_rng(seed, mission_index), cfg)
+) -> tuple[Rollout, float]:
+    """Play one on-policy mission and record every agent decision."""
+    terrain = generate_terrain(terrain_rng(seed, mission_index), cfg)
     env = TerrainEnv(cfg, terrain, NoiseStreams(seed, mission_index))
     env.reset()
     rng = policy_rng(seed, mission_index)
-    transitions: list[Transition] = []
+    features, masks, actions, rewards = [], [], [], []
     mission_return = 0.0
     done = False
-    t = 0
     while not done:
-        t += 1
-        masks = env.masks()
+        step_masks = env.masks()
         stacks = [build_actor_features(loc, cfg, fcfg) for loc in env.locals]
         pis = [
-            actor_forward(actor, stacks[i], masks[i], epsilon)
+            actor_forward(actor, stacks[i], step_masks[i], epsilon)
             for i in range(cfg.num_agents)
         ]
-        actions = [int(rng.choice(NUM_ACTIONS, p=pi)) for pi in pis]
-        records = []
-        if collect:
-            for i in range(cfg.num_agents):
-                others = [actions[j] for j in range(cfg.num_agents) if j != i]
-                cstack = build_critic_features(
-                    env.state, env.locals[i], others, cfg, fcfg, mode=critic_mode
-                )
-                records.append((stacks[i], cstack, masks[i], actions[i], pis[i]))
-        r, done = env.step(actions)
-        mission_return += r
-        for i, (astack, cstack, mask, action, pi) in enumerate(records):
-            transitions.append(
-                Transition(
-                    mission=mission_index,
-                    step=t,
-                    agent_id=i,
-                    actor_features=astack.planes,
-                    critic_features=cstack.planes,
-                    mask=mask,
-                    action=action,
-                    behavior_policy=pi,
-                    reward=r,
-                    terminal=done,
-                    epsilon=epsilon,
-                )
+        step_actions = [int(rng.choice(NUM_ACTIONS, p=pi)) for pi in pis]
+        for i, stack in enumerate(stacks):
+            others = step_actions[:i] + step_actions[i + 1 :]
+            cstack = build_critic_features(
+                env.state, stack, i, others, cfg, fcfg, mode=critic_mode
             )
-    return transitions, mission_return
+            features.append(cstack.planes)
+        r, done = env.step(step_actions)
+        mission_return += r
+        masks += step_masks
+        actions += step_actions
+        rewards += [r] * cfg.num_agents
+    if len(actions) != cfg.budget * cfg.num_agents:
+        raise ContractViolation(
+            f"mission recorded {len(actions)} decisions, expected "
+            f"{cfg.budget} steps x {cfg.num_agents} agents"
+        )
+    rollout = Rollout(
+        np.stack(features), np.stack(masks), np.array(actions), np.array(rewards),
+        np.full(len(actions), epsilon),
+    )
+    return rollout, mission_return
 
 
 def evaluate_policy_returns(
@@ -304,13 +294,10 @@ def evaluate_policy_returns(
     epsilon: float,
 ) -> list[float]:
     """Returns of the given policy on the exact seeded training missions."""
-    out = []
-    for m in mission_indices:
-        _, ret = run_training_mission(
-            actor, cfg, fcfg, seed, m, epsilon, CRITIC_MODE_FULL, collect=False
-        )
-        out.append(ret)
-    return out
+    return [
+        run_training_mission(actor, cfg, fcfg, seed, m, epsilon, CRITIC_MODE_FULL)[1]
+        for m in mission_indices
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -334,48 +321,39 @@ class TrainResult:
     target_critic: Optional[PolicyNet] = None
 
 
-def _fill_block_targets(transitions: list[Transition], target_critic: PolicyNet,
+def _fill_block_targets(block: Rollout, target_critic: PolicyNet,
                         target_vnet: Optional[PolicyNet], tcfg: TrainConfig,
-                        n_value_planes: int) -> None:
-    """Compute per-episode TD(lambda) targets from the frozen target nets."""
-    episodes: dict[tuple[int, int], list[Transition]] = {}
-    for tr in transitions:
-        episodes.setdefault((tr.mission, tr.agent_id), []).append(tr)
-    for key, eps_list in episodes.items():
-        eps_list.sort(key=lambda tr: tr.step)
-        feats = _stack_features(eps_list, "critic")
-        qs_all = target_critic.forward(feats).data
-        taken = np.array([tr.action for tr in eps_list])
-        qs = qs_all[np.arange(len(eps_list)), taken]
-        rewards = [tr.reward for tr in eps_list]
-        targets = td_lambda_targets(rewards, qs, tcfg.td_lambda, tcfg.gamma)
-        for tr, tgt in zip(eps_list, targets):
-            tr.target = float(tgt)
+                        cfg: EnvConfig) -> None:
+    """Compute per-episode TD(lambda) targets from the frozen target nets.
+
+    Every mission runs exactly ``cfg.budget`` steps, so the rows of agent i
+    in mission m are ``arange(n).reshape(-1, budget, N)[m, :, i]``.
+    """
+    rows = np.arange(len(block)).reshape(-1, cfg.budget, cfg.num_agents)
+    episodes = rows.transpose(0, 2, 1).reshape(-1, cfg.budget)  # one (m, i) per row
+    for idx in episodes:
+        feats = block.features[idx]
+        qs = _forward(target_critic, feats).data[np.arange(len(idx)), block.actions[idx]]
+        rewards = block.rewards[idx]
+        block.targets[idx] = td_lambda_targets(rewards, qs, tcfg.td_lambda, tcfg.gamma)
         if target_vnet is not None:
-            vs = target_vnet.forward(feats[:, :n_value_planes]).data.reshape(-1)
-            v_targets = td_lambda_targets(rewards, vs, tcfg.td_lambda, tcfg.gamma)
-            for tr, tgt in zip(eps_list, v_targets):
-                tr.v_target = float(tgt)
+            vs = _forward(target_vnet, feats).data.reshape(-1)
+            block.v_targets[idx] = td_lambda_targets(rewards, vs, tcfg.td_lambda, tcfg.gamma)
 
 
-def _batch_advantages(batch: Sequence[Transition], actor: PolicyNet, critic: PolicyNet,
-                      vnet: Optional[PolicyNet], variant: str,
-                      n_value_planes: int) -> np.ndarray:
+def _batch_advantages(batch: Rollout, actor: PolicyNet, critic: PolicyNet,
+                      vnet: Optional[PolicyNet], variant: str) -> np.ndarray:
     """Advantages from the current critic and current policy, grad-free."""
-    cfeats = _stack_features(batch, "critic")
-    q_rows = critic.forward(cfeats).data
-    afeats = _stack_features(batch, "actor")
-    masks = np.stack([t.mask for t in batch])
-    eps = np.array([[t.epsilon] for t in batch])
-    logits = actor.forward(afeats)
-    pis = nn.masked_bounded_softmax(logits, masks, eps).data
+    q_rows = _forward(critic, batch.features).data
+    logits = _forward(actor, batch.features)
+    pis = nn.masked_bounded_softmax(logits, batch.masks, batch.epsilons[:, None]).data
     v_values = None
     if variant == "central-qv":
-        v_values = vnet.forward(cfeats[:, :n_value_planes]).data.reshape(-1)
+        v_values = _forward(vnet, batch.features).data.reshape(-1)
     out = np.empty(len(batch))
-    for i, tr in enumerate(batch):
+    for i, action in enumerate(batch.actions):
         v = float(v_values[i]) if v_values is not None else None
-        out[i] = advantage_variant(variant, q_rows[i], pis[i], tr.action, v)
+        out[i] = advantage_variant(variant, q_rows[i], pis[i], int(action), v)
     return out
 
 
@@ -386,7 +364,6 @@ def training_loop(
     seed: int,
     out_dir,
     *,
-    terrain: Optional[GroundTruthMap] = None,
     progress: Optional[Callable[[dict], None]] = None,
 ) -> TrainResult:
     """Alternate rollout blocks and optimization epochs until the mission
@@ -399,7 +376,6 @@ def training_loop(
     out_dir.mkdir(parents=True, exist_ok=True)
     variant = tcfg.variant
     critic_mode = _CRITIC_MODE_OF[variant]
-    n_value_planes = len(critic_manifest(fcfg, cfg.num_agents, CRITIC_MODE_NO_ACTIONS))
 
     init_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 11])))
     actor = make_actor(cfg, fcfg, init_rng, tcfg.arch)
@@ -449,40 +425,37 @@ def training_loop(
 
     while missions_done < tcfg.total_missions:
         t0 = time.perf_counter()
-        block_transitions: list[Transition] = []
+        parts: list[Rollout] = []
+        rows = 0
         block_returns: list[float] = []
-        while len(block_transitions) < tcfg.rollout_block and missions_done < tcfg.total_missions:
+        while rows < tcfg.rollout_block and missions_done < tcfg.total_missions:
             epsilon = tcfg.epsilon_at(missions_done)
-            trs, ret = run_training_mission(
-                actor, cfg, fcfg, seed, missions_done, epsilon, critic_mode,
-                terrain=terrain,
+            part, ret = run_training_mission(
+                actor, cfg, fcfg, seed, missions_done, epsilon, critic_mode
             )
-            block_transitions.extend(trs)
+            parts.append(part)
+            rows += len(part)
             block_returns.append(ret)
             mission_returns.append(ret)
             missions_done += 1
-        interactions += len(block_transitions)
+        rollout = Rollout.concat(parts)
+        interactions += rows
 
-        _fill_block_targets(block_transitions, target_critic, target_vnet, tcfg, n_value_planes)
+        _fill_block_targets(rollout, target_critic, target_vnet, tcfg, cfg)
 
-        n = len(block_transitions)
         actor_losses: list[float] = []
         critic_losses: list[float] = []
         for epoch in range(tcfg.epochs):
             shuffle_rng = np.random.Generator(
                 np.random.PCG64(np.random.SeedSequence([seed, 13, block, epoch]))
             )
-            perm = shuffle_rng.permutation(n)
-            for lo in range(0, n, tcfg.batch_size):
-                idx = perm[lo : lo + tcfg.batch_size]
-                batch = [block_transitions[i] for i in idx]
-                targets = np.array([tr.target for tr in batch])
-                closs = critic_update(batch, critic, targets, opt_critic, tcfg.grad_clip)
+            perm = shuffle_rng.permutation(rows)
+            for lo in range(0, rows, tcfg.batch_size):
+                batch = rollout.take(perm[lo : lo + tcfg.batch_size])
+                closs = critic_update(batch, critic, batch.targets, opt_critic, tcfg.grad_clip)
                 if vnet is not None:
-                    _value_update(batch, vnet, n_value_planes, opt_vnet, tcfg.grad_clip)
-                advantages = _batch_advantages(
-                    batch, actor, critic, vnet, variant, n_value_planes
-                )
+                    _value_update(batch, vnet, opt_vnet, tcfg.grad_clip)
+                advantages = _batch_advantages(batch, actor, critic, vnet, variant)
                 aloss = actor_update(batch, actor, advantages, opt_actor, tcfg.grad_clip)
                 if not (np.isfinite(aloss) and np.isfinite(closs)):
                     raise TrainingDivergenceError(

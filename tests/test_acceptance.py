@@ -188,7 +188,7 @@ def test_criterion_2_gradient_checks():
     env = TerrainEnv(cfg, generate_terrain(terrain_rng(1, 0), cfg), NoiseStreams(1, 0))
     env.reset()
     feats = build_actor_features(env.locals[0], cfg, FCFG)
-    cfeats = build_critic_features(env.state, env.locals[0], [0], cfg, FCFG)
+    cfeats = build_critic_features(env.state, feats, 0, [0], cfg, FCFG)
     env_mask = env.masks()[0]
     action = int(np.flatnonzero(env_mask)[0])
 

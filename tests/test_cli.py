@@ -92,6 +92,29 @@ def test_comm_radius_inf(tmp_path):
     assert math.isinf(cfg.comm_radius)
 
 
+@pytest.mark.parametrize("line, flags", [
+    ("train.actor_lr = nan", []),
+    ("train.lambda = nan", []),
+    ("train.grad_clip = inf", []),
+    ("terrain_size = inf", []),
+    ("terrain_size = -inf", []),
+    ("comm_radius = nan", []),
+    ("reward_alpha = nan", []),
+    ("sensor = nan:0.9, 10:0.8", []),
+    ("", ["--comm-radius", "nan"]),
+])
+def test_non_finite_config_value_is_usage_error(tmp_path, capsys, line, flags):
+    path = tmp_path / "c.cfg"
+    path.write_text(line + "\n")
+    out = tmp_path / "out"
+    rc = main(["evaluate", "--config", str(path), "--planner", "random",
+               "--missions", "2", "--out", str(out)] + flags)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # raster ingestion
 # ---------------------------------------------------------------------------
@@ -176,6 +199,23 @@ def test_train_variant_recorded_in_checkpoints(smoke_config, tmp_path):
     assert meta["variant"] == "central-qv"
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["train"]["variant"] == "central-qv"
+
+
+def test_manifest_records_every_train_key(smoke_config, tmp_path):
+    from terrascout.cli import TRAIN_KEYS
+
+    config = tmp_path / "keys.cfg"
+    config.write_text(smoke_config.read_text()
+                      + "train.grad_clip = 2.5\ntrain.checkpoint_every_blocks = 7\n")
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(config), "--missions", "1",
+                 "--out", str(out), "--quiet"]) == 0
+    train = json.loads((out / "manifest.json").read_text())["config"]["train"]
+    assert train["grad_clip"] == 2.5
+    assert train["checkpoint_every_blocks"] == 7
+    for key in TRAIN_KEYS:
+        name = key.removeprefix("train.")
+        assert name in train or name in train["arch"], key
 
 
 def test_evaluate_command_and_determinism(smoke_config, tmp_path):
@@ -385,6 +425,41 @@ def test_evaluate_checkpoint_without_network_metadata_is_data_error(smoke_config
     rc = main(["evaluate", "--config", str(smoke_config), "--planner", "learned",
                "--actor-weights", str(ckpt), "--missions", "2", "--out", str(tmp_path / "x")])
     assert rc == 3
+
+
+def test_evaluate_rejects_a_critic_checkpoint(smoke_config, tmp_path, capsys):
+    from terrascout.policy import NetArch, critic_manifest, make_critic, save_network
+
+    cfg, fcfg = build_env_config(parse_config_file(smoke_config)), build_feature_config({})
+    critic = make_critic(cfg, fcfg, np.random.default_rng(0),
+                         NetArch(conv_channels=(2,), conv_strides=(2,), mlp_sizes=(4,)))
+    ckpt = tmp_path / "critic.ckpt"
+    save_network(ckpt, critic, kind="critic", manifest=critic_manifest(fcfg, cfg.num_agents))
+    out = tmp_path / "x"
+    rc = main(["evaluate", "--config", str(smoke_config), "--planner", "learned",
+               "--actor-weights", str(ckpt), "--missions", "2", "--out", str(out)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_evaluate_rejects_an_actor_of_other_features(smoke_config, tmp_path, capsys):
+    config = tmp_path / "no_entropy.cfg"
+    config.write_text(smoke_config.read_text() + "features.entropy_map = off\n")
+    train_out = tmp_path / "train"
+    assert main(["train", "--config", str(config), "--missions", "1",
+                 "--out", str(train_out), "--quiet"]) == 0
+    capsys.readouterr()
+    out = tmp_path / "x"
+    rc = main(["evaluate", "--config", str(smoke_config), "--planner", "learned",
+               "--actor-weights", str(train_out / "actor.ckpt"), "--missions", "2",
+               "--out", str(out)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and err.count("\n") == 1
+    assert "entropy_map" in err
+    assert not out.exists()
 
 
 def test_evaluate_missing_checkpoint_is_usage_error(smoke_config, tmp_path):

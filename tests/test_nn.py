@@ -338,6 +338,22 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
         assert params[name].tobytes() == value.tobytes()
 
 
+def test_checkpoint_keeps_every_parameter_shape(tmp_path):
+    named = [
+        ("scalar", np.array(2.0)),
+        ("vector", np.arange(3.0)),
+        ("fortran", np.asfortranarray(np.arange(6.0).reshape(2, 3))),
+        ("strided", np.arange(12.0).reshape(3, 4)[:, ::2]),
+        ("single", np.float32(0.1)),
+    ]
+    path = tmp_path / "shapes.ckpt"
+    save_checkpoint(path, named)
+    params, _ = load_checkpoint(path)
+    for name, value in named:
+        assert params[name].shape == np.shape(value)
+        np.testing.assert_array_equal(params[name], np.asarray(value, dtype=np.float64))
+
+
 def test_checkpoint_rejects_garbage(tmp_path):
     path = tmp_path / "bad.ckpt"
     path.write_bytes(b"NOTACKPT anything")

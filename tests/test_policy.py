@@ -14,6 +14,7 @@ from terrascout.environment import (
 )
 from terrascout.errors import ConfigurationError, ContractViolation
 from terrascout.policy import (
+    CRITIC_MODE_FULL,
     CRITIC_MODE_LOCAL,
     CRITIC_MODE_NO_ACTIONS,
     FeatureConfig,
@@ -46,6 +47,11 @@ def fresh_env(seed=0, **kw):
     env = TerrainEnv(cfg, gt, NoiseStreams(seed))
     env.reset()
     return env
+
+
+def agent0_critic(env, other_actions, mode=CRITIC_MODE_FULL):
+    base = build_actor_features(env.locals[0], env.cfg, FCFG)
+    return build_critic_features(env.state, base, 0, other_actions, env.cfg, FCFG, mode=mode)
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +173,7 @@ def test_toggled_plane_absent():
 
 def test_critic_appends_six_action_planes_per_teammate():
     env = fresh_env()
-    stack = build_critic_features(env.state, env.locals[0], [int(Action.UP)], env.cfg, FCFG)
+    stack = agent0_critic(env, [int(Action.UP)])
     assert stack.planes.shape[0] == 7 + 4 + 6
     action_planes = stack.planes[-6:]
     up_plane = action_planes[int(Action.UP)]
@@ -182,12 +188,12 @@ def test_critic_appends_six_action_planes_per_teammate():
 def test_critic_rejects_wrong_action_count():
     env = fresh_env()
     with pytest.raises(ContractViolation):
-        build_critic_features(env.state, env.locals[0], [0, 1], env.cfg, FCFG)
+        agent0_critic(env, [0, 1])
 
 
 def test_full_comms_makes_local_planes_equal_global():
     env = fresh_env(comm_radius=math.inf)
-    stack = build_critic_features(env.state, env.locals[0], [0], env.cfg, FCFG)
+    stack = agent0_critic(env, [0])
     names = list(stack.manifest)
     np.testing.assert_allclose(
         stack.planes[names.index("belief_map")],
@@ -203,11 +209,22 @@ def test_full_comms_makes_local_planes_equal_global():
 
 def test_local_mode_is_actor_planes_only():
     env = fresh_env()
-    stack = build_critic_features(
-        env.state, env.locals[0], [0], env.cfg, FCFG, mode=CRITIC_MODE_LOCAL
-    )
     base = build_actor_features(env.locals[0], env.cfg, FCFG)
-    np.testing.assert_array_equal(stack.planes, base.planes)
+    stack = build_critic_features(
+        env.state, base, 0, [0], env.cfg, FCFG, mode=CRITIC_MODE_LOCAL
+    )
+    assert stack is base
+    assert stack.manifest == critic_manifest(FCFG, 2, CRITIC_MODE_LOCAL)
+
+
+def test_critic_stack_starts_with_the_actor_stack():
+    env = fresh_env()
+    base = build_actor_features(env.locals[0], env.cfg, FCFG)
+    for mode in (CRITIC_MODE_FULL, CRITIC_MODE_NO_ACTIONS):
+        others = [0] if mode == CRITIC_MODE_FULL else []
+        stack = build_critic_features(env.state, base, 0, others, env.cfg, FCFG, mode=mode)
+        np.testing.assert_array_equal(stack.planes[: len(base.manifest)], base.planes)
+        assert stack.manifest[: len(base.manifest)] == base.manifest
 
 
 # ---------------------------------------------------------------------------
@@ -259,8 +276,8 @@ def test_critic_outputs_six_values_and_reacts_to_action_planes():
     reactive = 0
     for seed in range(100):
         critic = make_critic(env.cfg, FCFG, np.random.default_rng(seed), TOY_ARCH)
-        up = build_critic_features(env.state, env.locals[0], [int(Action.UP)], env.cfg, FCFG)
-        down = build_critic_features(env.state, env.locals[0], [int(Action.DOWN)], env.cfg, FCFG)
+        up = agent0_critic(env, [int(Action.UP)])
+        down = agent0_critic(env, [int(Action.DOWN)])
         q_up = critic_forward(critic, up)
         q_down = critic_forward(critic, down)
         assert q_up.shape == (6,)
@@ -274,16 +291,14 @@ def test_zeroed_critic_outputs_zero():
     critic = make_critic(env.cfg, FCFG, np.random.default_rng(0), TOY_ARCH)
     for p in critic.parameters():
         p.data[...] = 0.0
-    stack = build_critic_features(env.state, env.locals[0], [0], env.cfg, FCFG)
+    stack = agent0_critic(env, [0])
     np.testing.assert_array_equal(critic_forward(critic, stack), np.zeros(6))
 
 
 def test_value_net_scalar_output():
     env = fresh_env()
     vnet = make_value_net(env.cfg, FCFG, np.random.default_rng(0), TOY_ARCH)
-    stack = build_critic_features(
-        env.state, env.locals[0], [], env.cfg, FCFG, mode=CRITIC_MODE_NO_ACTIONS
-    )
+    stack = agent0_critic(env, [], mode=CRITIC_MODE_NO_ACTIONS)
     assert critic_forward(vnet, stack).shape == (1,)
 
 

@@ -5,27 +5,41 @@ import filecmp
 import numpy as np
 import pytest
 
-from terrascout.environment import EnvConfig, NUM_ACTIONS
+from terrascout.environment import (
+    EnvConfig,
+    NUM_ACTIONS,
+    NoiseStreams,
+    TerrainEnv,
+    generate_terrain,
+    terrain_rng,
+)
 from terrascout.errors import ConfigurationError, ContractViolation
 from terrascout import nn
 from terrascout.policy import (
+    CRITIC_MODE_FULL,
+    CRITIC_MODE_NO_ACTIONS,
     FeatureConfig,
     NetArch,
+    build_actor_features,
     critic_manifest,
     load_network,
     make_actor,
     make_critic,
+    make_value_net,
 )
 from terrascout.training import (
+    Rollout,
     TrainConfig,
-    Transition,
+    _fill_block_targets,
     actor_update,
     advantage_variant,
     counterfactual_advantage,
     critic_update,
+    run_training_mission,
     td_lambda_targets,
     training_loop,
 )
+from terrascout import training
 
 TOY_ARCH = NetArch(conv_channels=(3, 4), conv_strides=(1, 2), mlp_sizes=(12,))
 FCFG = FeatureConfig()
@@ -57,25 +71,17 @@ def micro_tcfg(**kw):
     return TrainConfig(**defaults)
 
 
-def fake_transition(cfg, rng, action=0, reward=0.1, epsilon=0.1, mask=None):
+def fake_rollout(cfg, rng, actions=(0,), reward=0.1, epsilon=0.1):
+    """One row per action: random critic planes, every action valid."""
+    n = len(actions)
     g = cfg.lattice_cols
-    n_actor = 7
     n_critic = len(critic_manifest(FCFG, cfg.num_agents))
-    if mask is None:
-        mask = np.ones(NUM_ACTIONS, dtype=bool)
-    pi = np.full(NUM_ACTIONS, 1.0 / mask.sum()) * mask
-    return Transition(
-        mission=0,
-        step=1,
-        agent_id=0,
-        actor_features=rng.normal(size=(n_actor, g, g)),
-        critic_features=rng.normal(size=(n_critic, g, g)),
-        mask=mask,
-        action=action,
-        behavior_policy=pi,
-        reward=reward,
-        terminal=False,
-        epsilon=epsilon,
+    return Rollout(
+        features=rng.normal(size=(n, n_critic, g, g)),
+        masks=np.ones((n, NUM_ACTIONS), dtype=bool),
+        actions=np.array(actions),
+        rewards=np.full(n, reward),
+        epsilons=np.full(n, epsilon),
     )
 
 
@@ -184,9 +190,8 @@ def test_coma_equals_actor_independent_on_action_blind_critic():
     # zero every first-layer weight reading the action planes
     critic.convs[0].weight.data[:, n_planes - n_action_planes :] = 0.0
     rng = np.random.default_rng(2)
-    tr = fake_transition(cfg, rng)
-    feats_a = tr.critic_features.copy()
-    feats_b = tr.critic_features.copy()
+    feats_a = fake_rollout(cfg, rng).features[0]
+    feats_b = feats_a.copy()
     feats_b[n_planes - n_action_planes :] = rng.normal(size=feats_b[n_planes - n_action_planes :].shape)
     qa = critic.forward(feats_a[None]).data[0]
     qb = critic.forward(feats_b[None]).data[0]
@@ -205,7 +210,7 @@ def test_actor_update_zero_advantages_keep_parameters():
     actor = make_actor(cfg, FCFG, np.random.default_rng(0), TOY_ARCH)
     before = [p.data.copy() for p in actor.parameters()]
     rng = np.random.default_rng(1)
-    batch = [fake_transition(cfg, rng, action=a % 6) for a in range(6)]
+    batch = fake_rollout(cfg, rng, actions=range(6))
     opt = nn.Adam(actor.parameters(), lr=1e-3)
     actor_update(batch, actor, np.zeros(6), opt, grad_clip=10.0)
     for p, b in zip(actor.parameters(), before):
@@ -217,16 +222,16 @@ def test_actor_update_moves_probability_with_advantage_sign():
     rng = np.random.default_rng(2)
     for sign in (+1.0, -1.0):
         actor = make_actor(cfg, FCFG, np.random.default_rng(0), TOY_ARCH)
-        tr = fake_transition(cfg, rng, action=2)
+        tr = fake_rollout(cfg, rng, actions=[2])
         opt = nn.Adam(actor.parameters(), lr=1e-3)
 
         def taken_prob():
-            logits = actor.forward(tr.actor_features[None])
-            probs = nn.masked_bounded_softmax(logits, tr.mask[None], tr.epsilon)
-            return float(probs.data[0, tr.action])
+            logits = actor.forward(tr.features[:, : actor.in_channels])
+            probs = nn.masked_bounded_softmax(logits, tr.masks, tr.epsilons[:, None])
+            return float(probs.data[0, 2])
 
         before = taken_prob()
-        actor_update([tr], actor, np.array([sign]), opt, grad_clip=10.0)
+        actor_update(tr, actor, np.array([sign]), opt, grad_clip=10.0)
         after = taken_prob()
         if sign > 0:
             assert after > before
@@ -241,7 +246,7 @@ def test_actor_update_does_not_touch_critic_gradients():
     for p in critic.parameters():
         p.zero_grad()
     rng = np.random.default_rng(3)
-    batch = [fake_transition(cfg, rng) for _ in range(4)]
+    batch = fake_rollout(cfg, rng, actions=[0] * 4)
     opt = nn.Adam(actor.parameters(), lr=1e-3)
     actor_update(batch, actor, np.ones(4), opt, grad_clip=10.0)
     for p in critic.parameters():
@@ -252,9 +257,9 @@ def test_critic_update_noop_when_targets_match():
     cfg = micro_cfg()
     critic = make_critic(cfg, FCFG, np.random.default_rng(0), TOY_ARCH)
     rng = np.random.default_rng(4)
-    batch = [fake_transition(cfg, rng) for _ in range(3)]
-    q = critic.forward(np.stack([t.critic_features for t in batch])).data
-    targets = q[np.arange(3), [t.action for t in batch]]
+    batch = fake_rollout(cfg, rng, actions=[0] * 3)
+    q = critic.forward(batch.features).data
+    targets = q[np.arange(3), batch.actions]
     before = [p.data.copy() for p in critic.parameters()]
     opt = nn.Adam(critic.parameters(), lr=1e-3)
     loss = critic_update(batch, critic, targets, opt, grad_clip=10.0)
@@ -266,12 +271,12 @@ def test_critic_update_noop_when_targets_match():
 def test_critic_update_converges_on_fixed_transition():
     cfg = micro_cfg()
     critic = make_critic(cfg, FCFG, np.random.default_rng(0), TOY_ARCH)
-    tr = fake_transition(cfg, np.random.default_rng(5), action=1)
+    tr = fake_rollout(cfg, np.random.default_rng(5), actions=[1])
     target = np.array([0.65])
     opt = nn.Adam(critic.parameters(), lr=3e-3)
     for step_count in range(1, 5001):
-        critic_update([tr], critic, target, opt, grad_clip=10.0)
-        q = critic.forward(tr.critic_features[None]).data[0, 1]
+        critic_update(tr, critic, target, opt, grad_clip=10.0)
+        q = critic.forward(tr.features).data[0, 1]
         if abs(q - 0.65) < 1e-3:
             break
     assert abs(q - 0.65) < 1e-3
@@ -282,11 +287,101 @@ def test_critic_loss_decreases_over_steps():
     cfg = micro_cfg()
     critic = make_critic(cfg, FCFG, np.random.default_rng(0), TOY_ARCH)
     rng = np.random.default_rng(6)
-    batch = [fake_transition(cfg, rng, action=i % 6) for i in range(6)]
+    batch = fake_rollout(cfg, rng, actions=range(6))
     targets = np.linspace(-1, 1, 6)
     opt = nn.Adam(critic.parameters(), lr=1e-4)
     losses = [critic_update(batch, critic, targets, opt, grad_clip=10.0) for _ in range(10)]
     assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
+
+
+# ---------------------------------------------------------------------------
+# rollouts
+# ---------------------------------------------------------------------------
+
+
+def test_rollout_take_and_concat_keep_rows_aligned():
+    cfg = micro_cfg()
+    rng = np.random.default_rng(7)
+    a = fake_rollout(cfg, rng, actions=[0, 1, 2], reward=0.5)
+    b = fake_rollout(cfg, rng, actions=[3, 4], reward=-0.5)
+    both = Rollout.concat([a, b])
+    assert len(both) == 5
+    np.testing.assert_array_equal(both.actions, [0, 1, 2, 3, 4])
+    np.testing.assert_array_equal(both.features[3:], b.features)
+    part = both.take(np.array([4, 0]))
+    np.testing.assert_array_equal(part.actions, [4, 0])
+    np.testing.assert_array_equal(part.rewards, [-0.5, 0.5])
+    np.testing.assert_array_equal(part.features[1], a.features[0])
+    part.targets[:] = 1.0  # a taken batch is a copy
+    assert (both.targets == 0.0).all()
+
+
+def test_rollout_rejects_non_finite_reward():
+    cfg = micro_cfg()
+    with pytest.raises(ContractViolation):
+        fake_rollout(cfg, np.random.default_rng(0), reward=float("nan"))
+
+
+def test_training_mission_rows_are_critic_stacks_by_step_and_agent():
+    cfg = micro_cfg()
+    actor = make_actor(cfg, FCFG, np.random.default_rng(0), TOY_ARCH)
+    rollout, ret = run_training_mission(actor, cfg, FCFG, 4, 2, 0.3, CRITIC_MODE_FULL)
+    n = cfg.budget * cfg.num_agents
+    assert rollout.features.shape == (
+        n, len(critic_manifest(FCFG, cfg.num_agents)), cfg.lattice_cols, cfg.lattice_cols
+    )
+    np.testing.assert_array_equal(rollout.epsilons, np.full(n, 0.3))
+    step_rewards = rollout.rewards.reshape(cfg.budget, cfg.num_agents)
+    assert (step_rewards == step_rewards[:, :1]).all()
+    assert ret == pytest.approx(step_rewards[:, 0].sum())
+    # the first step's rows start with each agent's actor stack at reset
+    env = TerrainEnv(cfg, generate_terrain(terrain_rng(4, 2), cfg), NoiseStreams(4, 2))
+    env.reset()
+    for i, loc in enumerate(env.locals):
+        actor_planes = build_actor_features(loc, cfg, FCFG).planes
+        np.testing.assert_array_equal(rollout.features[i, : actor.in_channels], actor_planes)
+        np.testing.assert_array_equal(rollout.masks[i], env.masks()[i])
+
+
+def test_training_mission_rejects_a_short_mission(monkeypatch):
+    cfg = micro_cfg()
+    actor = make_actor(cfg, FCFG, np.random.default_rng(0), TOY_ARCH)
+    step = TerrainEnv.step
+
+    def stop_after_one(self, joint_action):
+        r, _ = step(self, joint_action)
+        return r, True
+
+    monkeypatch.setattr(training.TerrainEnv, "step", stop_after_one)
+    with pytest.raises(ContractViolation):
+        run_training_mission(actor, cfg, FCFG, 0, 0, 0.1, CRITIC_MODE_FULL)
+
+
+def test_block_targets_follow_each_agent_episode():
+    cfg = micro_cfg()
+    tcfg = micro_tcfg(td_lambda=0.6, gamma=0.9)
+    actor = make_actor(cfg, FCFG, np.random.default_rng(0), TOY_ARCH)
+    critic = make_critic(cfg, FCFG, np.random.default_rng(1), TOY_ARCH)
+    vnet = make_value_net(cfg, FCFG, np.random.default_rng(2), TOY_ARCH)
+    block = Rollout.concat([
+        run_training_mission(actor, cfg, FCFG, 1, m, 0.2, CRITIC_MODE_FULL)[0] for m in (0, 1)
+    ])
+    _fill_block_targets(block, critic, vnet, tcfg, cfg)
+    n_value = len(critic_manifest(FCFG, cfg.num_agents, CRITIC_MODE_NO_ACTIONS))
+    per_mission = cfg.budget * cfg.num_agents
+    for m in (0, 1):
+        for i in range(cfg.num_agents):
+            rows = [m * per_mission + t * cfg.num_agents + i for t in range(cfg.budget)]
+            feats = block.features[rows]
+            qs = critic.forward(feats).data[np.arange(cfg.budget), block.actions[rows]]
+            rewards = block.rewards[rows]
+            np.testing.assert_array_equal(
+                block.targets[rows], td_lambda_targets(rewards, qs, 0.6, 0.9)
+            )
+            vs = vnet.forward(feats[:, :n_value]).data.reshape(-1)
+            np.testing.assert_array_equal(
+                block.v_targets[rows], td_lambda_targets(rewards, vs, 0.6, 0.9)
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +404,13 @@ def test_train_config_validation():
         TrainConfig(epsilon_start=1.5)
     with pytest.raises(ConfigurationError):
         TrainConfig(batch_size=0)
+    for key in ("actor_lr", "critic_lr", "gamma", "td_lambda"):
+        with pytest.raises(ConfigurationError):
+            TrainConfig(**{key: float("nan")})
+    # a negative clip would turn every update uphill; 0 blocks would divide by zero
+    for key, value in (("grad_clip", -1.0), ("grad_clip", 0.0), ("checkpoint_every_blocks", 0)):
+        with pytest.raises(ConfigurationError):
+            TrainConfig(**{key: value})
 
 
 def test_training_loop_smoke_and_artifacts(tmp_path):
