@@ -2,8 +2,10 @@
 
 Commands: ``train``, ``evaluate``, ``ablate-features``, ``ingest``,
 ``sweep-coverage-altitude``. Every command writes a ``manifest.json``
-(resolved config, seed, version, command line, output paths) before doing
-any work, so a run can be reproduced from its manifest alone.
+(seed, version, command line, output paths, and under ``config`` the text
+of every config key the command reads) before doing any work. Those
+``config`` entries written back as ``key = value`` lines rebuild equal
+configs, so a run can be reproduced from its manifest alone.
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 training divergence.
 """
@@ -14,7 +16,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import fields, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -43,68 +45,36 @@ from .policy import FeatureConfig, NetArch, actor_manifest, load_network
 from .training import TrainConfig, VARIANTS, training_loop
 
 
-@dataclass
-class RunManifest:
-    command: str
-    argv: list[str]
-    seed: int
-    version: str
-    config: dict
-    outputs: list[str]
-
-    def write(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.__dict__, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-
 # ---------------------------------------------------------------------------
-# config files: `key = value` lines, '#' comments, dotted sections
+# the config schema: `key = value` lines, '#' comments, dotted sections
 # ---------------------------------------------------------------------------
 
-ENV_KEYS = {
-    "terrain_size": float,
-    "map_resolution": float,
-    "planning_resolution": float,
-    "min_altitude": float,
-    "max_altitude": float,
-    "altitude_step": float,
-    "num_agents": int,
-    "budget": int,
-    "comm_radius": "radius",
-    "reward_alpha": float,
-    "reward_beta": float,
-    "footprint_factor": float,
-    "coverage_altitude": float,
-    "sensor": "sensor",
-    "weight_interesting": float,
-    "weight_uninteresting": float,
+# Every field of these dataclasses is a config key. A field named after a
+# section (EnvConfig.weights, TrainConfig.arch) nests that section instead.
+_SECTIONS = {
+    "env": EnvConfig,
+    "weights": ImportanceWeights,
+    "train": TrainConfig,
+    "arch": NetArch,
+    "features": FeatureConfig,
+}
+_PREFIX = {"train": "train.", "arch": "train.", "features": "features."}
+_KEY_NAMES = {
+    ("weights", "w1"): "weight_interesting",
+    ("weights", "w2"): "weight_uninteresting",
+    ("train", "td_lambda"): "train.lambda",
+}
+_DEFAULTS = {section: cls() for section, cls in _SECTIONS.items()}
+
+# config key -> (section, field)
+CONFIG_KEYS: dict[str, tuple[str, str]] = {
+    _KEY_NAMES.get((section, f.name), _PREFIX.get(section, "") + f.name): (section, f.name)
+    for section, cls in _SECTIONS.items()
+    for f in fields(cls)
+    if f.name not in _SECTIONS
 }
 
-TRAIN_KEYS = {
-    "train.rollout_block": int,
-    "train.epochs": int,
-    "train.batch_size": int,
-    "train.actor_lr": float,
-    "train.critic_lr": float,
-    "train.lambda": float,
-    "train.gamma": float,
-    "train.target_copy_interval": int,
-    "train.epsilon_start": float,
-    "train.epsilon_end": float,
-    "train.epsilon_anneal_missions": int,
-    "train.variant": str,
-    "train.total_missions": int,
-    "train.grad_clip": float,
-    "train.checkpoint_every_blocks": int,
-    "train.conv_channels": "ints",
-    "train.conv_strides": "ints",
-    "train.kernel_size": int,
-    "train.padding": int,
-    "train.mlp_sizes": "ints",
-}
-
-FEATURE_PREFIX = "features."
+_FLAGS = {"on": True, "true": True, "1": True, "off": False, "false": False, "0": False}
 
 
 def parse_config_file(path) -> dict[str, str]:
@@ -119,156 +89,88 @@ def parse_config_file(path) -> dict[str, str]:
         if "=" not in stripped:
             raise UsageError(f"{path}: line {ln_no}: expected 'key = value'")
         key, value = (part.strip() for part in stripped.split("=", 1))
+        if key not in CONFIG_KEYS:
+            raise UsageError(f"{path}: unknown config key '{key}'")
         raw[key] = value
-    _validate_keys(raw, path)
     return raw
 
 
-def _validate_keys(raw: dict[str, str], path) -> None:
-    feature_names = set(FeatureConfig.__dataclass_fields__)
-    for key in raw:
-        if key in ENV_KEYS or key in TRAIN_KEYS:
-            continue
-        if key.startswith(FEATURE_PREFIX) and key[len(FEATURE_PREFIX):] in feature_names:
-            continue
-        raise UsageError(f"{path}: unknown config key '{key}'")
-
-
-def _finite(value: str) -> float:
-    number = float(value)
+def _finite(text: str) -> float:
+    number = float(text)
     if not math.isfinite(number):
         raise ValueError("not a finite number")
     return number
 
 
-def _parse_value(key: str, value: str, kind):
+def _parse_value(key: str, text: str):
+    """Parse one value; its kind is the type of its field's default."""
+    section, name = CONFIG_KEYS[key]
+    kind = type(getattr(_DEFAULTS[section], name))
     try:
+        if kind is bool:
+            flag = _FLAGS.get(text.strip().lower())
+            if flag is None:
+                raise ValueError("must be on or off")
+            return flag
         if kind is float:
-            return _finite(value)
-        if kind is int or kind is str:
-            return kind(value)
-        if kind == "radius":
-            if value.lower() in ("inf", "infinite", "unlimited"):
+            if key == "comm_radius" and text.lower() in ("inf", "infinite", "unlimited"):
                 return math.inf
-            return _finite(value)
-        if kind == "ints":
-            return tuple(int(tok) for tok in value.replace(",", " ").split())
-        if kind == "sensor":
-            pairs = []
-            for tok in value.split(","):
-                alt, acc = tok.split(":")
-                pairs.append((_finite(alt), _finite(acc)))
-            return SensorModel(tuple(pairs))
+            return _finite(text)
+        if kind is tuple:
+            return tuple(int(tok) for tok in text.replace(",", " ").split())
+        if kind is SensorModel:
+            pairs = [tok.split(":") for tok in text.split(",")]
+            return SensorModel(tuple((_finite(alt), _finite(acc)) for alt, acc in pairs))
+        return kind(text)  # int or str
     except (ValueError, ConfigurationError) as exc:
-        raise UsageError(f"bad value for config key '{key}': {value} ({exc})") from exc
-    raise UsageError(f"bad value for config key '{key}'")
+        raise UsageError(f"bad value for config key '{key}': {text} ({exc})") from exc
+
+
+def _render(value) -> str:
+    """The config-file text of a value; ``_parse_value`` reads it back equal."""
+    if isinstance(value, bool):
+        return "on" if value else "off"
+    if isinstance(value, tuple):
+        return ", ".join(map(str, value))
+    if isinstance(value, SensorModel):
+        return ", ".join(f"{alt!r}:{acc!r}" for alt, acc in value.table)
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def _build(raw: dict[str, str], section: str):
+    """One section's dataclass from the keys present in ``raw``; defaults fill the rest."""
+    kwargs = {name: _parse_value(key, raw[key])
+              for key, (sec, name) in CONFIG_KEYS.items() if sec == section and key in raw}
+    if section == "weights" and "w1" in kwargs and "w2" not in kwargs:
+        kwargs["w2"] = 1.0 - kwargs["w1"]
+    cls = _SECTIONS[section]
+    kwargs.update({f.name: _build(raw, f.name) for f in fields(cls) if f.name in _SECTIONS})
+    try:
+        return cls(**kwargs)
+    except ConfigurationError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def build_env_config(raw: dict[str, str]) -> EnvConfig:
-    kwargs = {}
-    w1 = w2 = None
-    for key, kind in ENV_KEYS.items():
-        if key not in raw:
-            continue
-        value = _parse_value(key, raw[key], kind)
-        if key == "weight_interesting":
-            w1 = value
-        elif key == "weight_uninteresting":
-            w2 = value
-        else:
-            kwargs[key] = value
-    if w1 is not None or w2 is not None:
-        w1 = 0.8 if w1 is None else w1
-        w2 = (1.0 - w1) if w2 is None else w2
-        kwargs["weights"] = ImportanceWeights(w1, w2)
-    try:
-        return EnvConfig(**kwargs)
-    except ConfigurationError as exc:
-        raise UsageError(str(exc)) from exc
+    return _build(raw, "env")
 
 
 def build_train_config(raw: dict[str, str]) -> TrainConfig:
-    kwargs = {}
-    arch_kwargs = {}
-    rename = {"train.lambda": "td_lambda"}
-    arch_fields = {
-        "train.conv_channels": "conv_channels",
-        "train.conv_strides": "conv_strides",
-        "train.kernel_size": "kernel_size",
-        "train.padding": "padding",
-        "train.mlp_sizes": "mlp_sizes",
-    }
-    for key, kind in TRAIN_KEYS.items():
-        if key not in raw:
-            continue
-        value = _parse_value(key, raw[key], kind)
-        if key in arch_fields:
-            arch_kwargs[arch_fields[key]] = value
-        else:
-            kwargs[rename.get(key, key.removeprefix("train."))] = value
-    if arch_kwargs:
-        from dataclasses import replace
-
-        kwargs["arch"] = replace(NetArch(), **arch_kwargs)
-    try:
-        return TrainConfig(**kwargs)
-    except ConfigurationError as exc:
-        raise UsageError(str(exc)) from exc
+    return _build(raw, "train")
 
 
 def build_feature_config(raw: dict[str, str]) -> FeatureConfig:
-    fcfg = FeatureConfig()
-    for key, value in raw.items():
-        if not key.startswith(FEATURE_PREFIX):
-            continue
-        name = key[len(FEATURE_PREFIX):]
-        flag = value.strip().lower()
-        if flag not in ("on", "off", "true", "false", "1", "0"):
-            raise UsageError(f"feature toggle '{key}' must be on or off, got '{value}'")
-        fcfg = fcfg.with_toggle(name, flag in ("on", "true", "1"))
-    return fcfg
+    return _build(raw, "features")
 
 
-def _config_snapshot(cfg: EnvConfig, fcfg: FeatureConfig,
-                     tcfg: Optional[TrainConfig] = None) -> dict:
-    snap = {
-        "terrain_size": cfg.terrain_size,
-        "map_resolution": cfg.map_resolution,
-        "planning_resolution": cfg.planning_resolution,
-        "min_altitude": cfg.min_altitude,
-        "max_altitude": cfg.max_altitude,
-        "altitude_step": cfg.altitude_step,
-        "num_agents": cfg.num_agents,
-        "budget": cfg.budget,
-        "comm_radius": "inf" if math.isinf(cfg.comm_radius) else cfg.comm_radius,
-        "sensor": [list(pair) for pair in cfg.sensor.table],
-        "weights": [cfg.weights.w1, cfg.weights.w2],
-        "reward_alpha": cfg.reward_alpha,
-        "reward_beta": cfg.reward_beta,
-        "footprint_factor": cfg.footprint_factor,
-        "coverage_altitude": cfg.coverage_altitude,
-        "features": {k: getattr(fcfg, k) for k in fcfg.__dataclass_fields__},
-    }
+def _config_record(cfg: EnvConfig, fcfg: FeatureConfig,
+                   tcfg: Optional[TrainConfig] = None) -> dict[str, str]:
+    """Every key of the sections a command uses, as its config-file text."""
+    sections = {"env": cfg, "weights": cfg.weights, "features": fcfg}
     if tcfg is not None:
-        snap["train"] = {
-            "rollout_block": tcfg.rollout_block,
-            "epochs": tcfg.epochs,
-            "batch_size": tcfg.batch_size,
-            "actor_lr": tcfg.actor_lr,
-            "critic_lr": tcfg.critic_lr,
-            "lambda": tcfg.td_lambda,
-            "gamma": tcfg.gamma,
-            "target_copy_interval": tcfg.target_copy_interval,
-            "epsilon_start": tcfg.epsilon_start,
-            "epsilon_end": tcfg.epsilon_end,
-            "epsilon_anneal_missions": tcfg.epsilon_anneal_missions,
-            "variant": tcfg.variant,
-            "total_missions": tcfg.total_missions,
-            "grad_clip": tcfg.grad_clip,
-            "checkpoint_every_blocks": tcfg.checkpoint_every_blocks,
-            "arch": tcfg.arch.to_metadata(),
-        }
-    return snap
+        sections.update(train=tcfg, arch=tcfg.arch)
+    return {key: _render(getattr(sections[section], name))
+            for key, (section, name) in CONFIG_KEYS.items() if section in sections}
 
 
 # ---------------------------------------------------------------------------
@@ -299,30 +201,35 @@ def load_ground_truth(path) -> GroundTruthMap:
 # ---------------------------------------------------------------------------
 
 
-def _load_configs(args) -> tuple[EnvConfig, FeatureConfig, TrainConfig, dict]:
+def _load_configs(args) -> tuple[EnvConfig, FeatureConfig, TrainConfig]:
+    """The configs of ``--config``; a flag whose dest is a config key overrides that key."""
     raw = parse_config_file(args.config) if args.config else {}
-    return build_env_config(raw), build_feature_config(raw), build_train_config(raw), raw
+    raw.update({key: str(value) for key, value in vars(args).items()
+                if key in CONFIG_KEYS and value is not None})
+    return build_env_config(raw), build_feature_config(raw), build_train_config(raw)
+
+
+def _start_run(args, config: dict, outputs: Sequence[str]) -> Path:
+    """Create ``--out`` and write its manifest.json before any work is done."""
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    manifest = {
+        "command": args.command,
+        "argv": list(sys.argv[1:]),
+        "seed": getattr(args, "seed", 0),
+        "version": __version__,
+        "config": config,
+        "outputs": [str(out / name) for name in outputs],
+    }
+    with open(out / "manifest.json", "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return out
 
 
 def cmd_train(args) -> int:
-    from dataclasses import replace
-
-    cfg, fcfg, tcfg, _ = _load_configs(args)
-    if args.variant:
-        tcfg = replace(tcfg, variant=args.variant)
-    if args.missions:
-        tcfg = replace(tcfg, total_missions=args.missions)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    manifest = RunManifest(
-        command="train",
-        argv=list(sys.argv[1:]),
-        seed=args.seed,
-        version=__version__,
-        config=_config_snapshot(cfg, fcfg, tcfg),
-        outputs=[str(out / "training_log.csv"), str(out / "actor.ckpt")],
-    )
-    manifest.write(out / "manifest.json")
+    cfg, fcfg, tcfg = _load_configs(args)
+    out = _start_run(args, _config_record(cfg, fcfg, tcfg), ["training_log.csv", "actor.ckpt"])
     result = training_loop(
         cfg, tcfg, fcfg, args.seed, out,
         progress=None if args.quiet else _print_block,
@@ -365,19 +272,8 @@ def _planner_specs(args, fcfg: FeatureConfig) -> list[PlannerSpec]:
     return specs
 
 
-def _apply_overrides(cfg: EnvConfig, args) -> EnvConfig:
-    from dataclasses import replace
-    kwargs = {}
-    if getattr(args, "agents", None):
-        kwargs["num_agents"] = args.agents
-    if getattr(args, "comm_radius", None) is not None:
-        kwargs["comm_radius"] = _parse_value("comm_radius", args.comm_radius, "radius")
-    return replace(cfg, **kwargs) if kwargs else cfg
-
-
 def cmd_evaluate(args) -> int:
-    cfg, fcfg, _, _ = _load_configs(args)
-    cfg = _apply_overrides(cfg, args)
+    cfg, fcfg, _ = _load_configs(args)
     if args.missions < 2:
         raise UsageError("--missions must be at least 2")
     specs = _planner_specs(args, fcfg)
@@ -389,17 +285,7 @@ def cmd_evaluate(args) -> int:
                 f"terrain grid {terrain.cells.shape} does not match the configured "
                 f"{expected}x{expected} map"
             )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    manifest = RunManifest(
-        command="evaluate",
-        argv=list(sys.argv[1:]),
-        seed=args.seed,
-        version=__version__,
-        config=_config_snapshot(cfg, fcfg),
-        outputs=[str(out / "benchmark.csv")],
-    )
-    manifest.write(out / "manifest.json")
+    out = _start_run(args, _config_record(cfg, fcfg), ["benchmark.csv"])
     stats = run_benchmark(
         specs, args.missions, args.seed, cfg,
         fcfg=fcfg, terrain=terrain, threads=args.threads,
@@ -417,9 +303,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_ablate_features(args) -> int:
-    cfg, fcfg, tcfg, _ = _load_configs(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    cfg, fcfg, tcfg = _load_configs(args)
     toggles = [tok.strip() for tok in (args.toggles or "").split(",") if tok.strip()]
     feature_names = set(FeatureConfig.__dataclass_fields__)
     plans: list[tuple[str, FeatureConfig]] = []
@@ -432,15 +316,8 @@ def cmd_ablate_features(args) -> int:
             raise UsageError(f"unknown feature plane '{name}'")
         plans.append((("with_" if enable else "without_") + name,
                       fcfg.with_toggle(name, enable)))
-    manifest = RunManifest(
-        command="ablate-features",
-        argv=list(sys.argv[1:]),
-        seed=args.seed,
-        version=__version__,
-        config=_config_snapshot(cfg, fcfg, tcfg),
-        outputs=[str(out / label / "benchmark.csv") for label, _ in plans],
-    )
-    manifest.write(out / "manifest.json")
+    out = _start_run(args, _config_record(cfg, fcfg, tcfg),
+                     [f"{label}/benchmark.csv" for label, _ in plans])
     for label, toggled in plans:
         run_dir = out / label
         result = training_loop(cfg, tcfg, toggled, args.seed, run_dir)
@@ -455,17 +332,8 @@ def cmd_ablate_features(args) -> int:
 
 
 def cmd_ingest(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    manifest = RunManifest(
-        command="ingest",
-        argv=list(sys.argv[1:]),
-        seed=0,
-        version=__version__,
-        config={"input": str(args.input), "threshold": args.threshold},
-        outputs=[str(out / "ground_truth.txt")],
-    )
-    manifest.write(out / "manifest.json")
+    out = _start_run(args, {"input": str(args.input), "threshold": args.threshold},
+                     ["ground_truth.txt"])
     gt, fraction = ingest_raster(args.input, args.threshold)
     write_text_grid(out / "ground_truth.txt", gt.cells.astype(np.float64), gt.resolution)
     print(f"ingested {gt.width}x{gt.height} raster: interesting fraction {fraction:.4f}")
@@ -475,21 +343,10 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_sweep_coverage_altitude(args) -> int:
-    cfg, fcfg, _, _ = _load_configs(args)
+    cfg, fcfg, _ = _load_configs(args)
     if args.missions < 2:
         raise UsageError("--missions must be at least 2")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    manifest = RunManifest(
-        command="sweep-coverage-altitude",
-        argv=list(sys.argv[1:]),
-        seed=args.seed,
-        version=__version__,
-        config=_config_snapshot(cfg, fcfg),
-        outputs=[str(out / "coverage_sweep.csv")],
-    )
-    manifest.write(out / "manifest.json")
-    from dataclasses import replace
+    out = _start_run(args, _config_record(cfg, fcfg), ["coverage_sweep.csv"])
     rows = []
     for level in range(cfg.altitude_levels):
         alt = cfg.altitude_of_level(level)
@@ -529,9 +386,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train", help="run the actor-critic training loop")
     common(p_train)
-    p_train.add_argument("--variant", choices=VARIANTS, default=None)
-    p_train.add_argument("--missions", type=int, default=None,
-                         help="override train.total_missions")
+    p_train.add_argument("--variant", dest="train.variant", choices=VARIANTS, default=None)
+    p_train.add_argument("--missions", dest="train.total_missions", metavar="MISSIONS",
+                         type=int, default=None, help="override train.total_missions")
     p_train.add_argument("--quiet", action="store_true")
     p_train.set_defaults(func=cmd_train)
 
@@ -542,8 +399,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--missions", type=int, default=50)
     p_eval.add_argument("--threads", type=int, default=1,
                         help="worker processes that run the missions")
-    p_eval.add_argument("--agents", type=int, default=None, help="override team size")
-    p_eval.add_argument("--comm-radius", default=None,
+    p_eval.add_argument("--agents", dest="num_agents", metavar="AGENTS", type=int,
+                        default=None, help="override team size")
+    p_eval.add_argument("--comm-radius", dest="comm_radius", metavar="COMM_RADIUS", default=None,
                         help="override communication radius in metres, or 'inf'")
     p_eval.add_argument("--actor-weights", type=Path, default=None)
     p_eval.add_argument("--learned-mode", choices=("sample", "argmax"), default="sample")

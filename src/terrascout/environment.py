@@ -81,16 +81,27 @@ class EnvConfig:
     coverage_altitude: float = 10.0
 
     def __post_init__(self) -> None:
+        lengths = (self.terrain_size, self.map_resolution, self.planning_resolution,
+                   self.altitude_step, self.footprint_factor)
+        if any(not v > 0 for v in lengths):
+            raise ConfigurationError(
+                "terrain size, resolutions, altitude step and footprint factor must be positive"
+            )
+        if not self.comm_radius >= 0:
+            raise ConfigurationError("communication radius must be nonnegative")
         cols = self.terrain_size / self.planning_resolution
-        if abs(cols - round(cols)) > 1e-9 or round(cols) < 1:
+        if not math.isfinite(cols) or abs(cols - round(cols)) > 1e-9 or round(cols) < 1:
             raise ConfigurationError("terrain side must be a multiple of the planning resolution")
         levels = (self.max_altitude - self.min_altitude) / self.altitude_step
-        if abs(levels - round(levels)) > 1e-9 or self.max_altitude < self.min_altitude:
+        if (not math.isfinite(levels) or abs(levels - round(levels)) > 1e-9
+                or self.max_altitude < self.min_altitude):
             raise ConfigurationError("altitudes must form an arithmetic grid")
         if self.num_agents < 1:
             raise ConfigurationError("need at least one agent")
         if self.budget < 1:
             raise ConfigurationError("budget must be at least 1")
+        if self.altitude_levels > len(self.sensor.table):
+            raise ConfigurationError("more flight levels than sensor altitudes")
         for k in range(self.altitude_levels):
             self.sensor.accuracy_at(self.altitude_of_level(k))
 

@@ -17,7 +17,7 @@ one-hot plane per (other agent, action) marking who chose what where.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -260,24 +260,16 @@ class NetArch:
     padding: int = 1
     mlp_sizes: tuple = (128, 64)
 
-    def to_metadata(self) -> dict:
-        return {
-            "conv_channels": list(self.conv_channels),
-            "conv_strides": list(self.conv_strides),
-            "kernel_size": self.kernel_size,
-            "padding": self.padding,
-            "mlp_sizes": list(self.mlp_sizes),
-        }
-
-    @classmethod
-    def from_metadata(cls, meta: dict) -> "NetArch":
-        return cls(
-            conv_channels=tuple(meta["conv_channels"]),
-            conv_strides=tuple(meta["conv_strides"]),
-            kernel_size=int(meta["kernel_size"]),
-            padding=int(meta["padding"]),
-            mlp_sizes=tuple(meta["mlp_sizes"]),
-        )
+    def __post_init__(self) -> None:
+        for name in ("conv_channels", "conv_strides", "mlp_sizes"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        if len(self.conv_channels) != len(self.conv_strides):
+            raise ConfigurationError("conv_channels and conv_strides must have equal lengths")
+        sizes = (*self.conv_channels, *self.conv_strides, self.kernel_size, *self.mlp_sizes)
+        if any(not v > 0 for v in sizes) or not self.padding >= 0:
+            raise ConfigurationError(
+                "channels, strides, kernel size and widths must be positive, padding nonnegative"
+            )
 
 
 class PolicyNet:
@@ -396,7 +388,7 @@ def save_network(path, net: PolicyNet, *, kind: str, manifest: Sequence[str],
         "in_channels": net.in_channels,
         "grid_size": net.grid_size,
         "out_dim": net.out_dim,
-        "arch": net.arch.to_metadata(),
+        "arch": asdict(net.arch),
     }
     if extra:
         metadata.update(extra)
@@ -406,7 +398,7 @@ def save_network(path, net: PolicyNet, *, kind: str, manifest: Sequence[str],
 def load_network(path) -> tuple[PolicyNet, dict]:
     params, meta = nn.load_checkpoint(path)
     try:
-        arch = NetArch.from_metadata(meta["arch"])
+        arch = NetArch(**meta["arch"])
         net = PolicyNet(
             int(meta["in_channels"]),
             int(meta["grid_size"]),

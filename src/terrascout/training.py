@@ -128,6 +128,8 @@ class TrainConfig:
         )
         if any(not v > 0 for v in positives) or not self.td_lambda >= 0:
             raise ConfigurationError("training config values must be positive")
+        if self.gamma > 1 or self.td_lambda > 1:
+            raise ConfigurationError("gamma and lambda must not exceed 1")
         for e in (self.epsilon_start, self.epsilon_end):
             if not (0.0 <= e <= 1.0):
                 raise ConfigurationError("epsilon endpoints must lie in [0, 1]")

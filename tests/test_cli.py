@@ -2,13 +2,19 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from terrascout.cli import (
+    CONFIG_KEYS,
+    _config_record,
+    _load_configs,
     build_env_config,
     build_feature_config,
+    build_parser,
     build_train_config,
     ingest_raster,
     load_ground_truth,
@@ -115,6 +121,86 @@ def test_non_finite_config_value_is_usage_error(tmp_path, capsys, line, flags):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("lines", [
+    "terrain_size = 0",
+    "map_resolution = 0",
+    "map_resolution = -0.5",
+    "planning_resolution = 0",
+    "altitude_step = 0",
+    "altitude_step = 1e-300",
+    "footprint_factor = 0",
+    "footprint_factor = -1",
+    "comm_radius = -5",
+    "weight_interesting = 1.5",
+    "train.gamma = 1.5",
+    "train.lambda = 1.5",
+    "train.conv_strides = 0, 1",
+    "train.conv_channels = 0, 4",
+    "train.conv_channels = -2, 4",
+    "train.mlp_sizes = 0",
+    "train.kernel_size = 0",
+    "train.padding = -1",
+    "train.conv_channels = 8, 16, 32\ntrain.conv_strides = 1",
+])
+def test_out_of_range_config_value_is_usage_error(smoke_config, tmp_path, capsys, lines):
+    config = tmp_path / "bad.cfg"
+    config.write_text(smoke_config.read_text() + lines + "\n")
+    out = tmp_path / "out"
+    rc = main(["train", "--config", str(config), "--missions", "1", "--out", str(out), "--quiet"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--missions", "0", "--quiet"],
+    ["evaluate", "--planner", "random", "--agents", "0"],
+], ids=["train-missions-0", "evaluate-agents-0"])
+def test_zero_override_is_usage_error(smoke_config, tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert main(argv + ["--config", str(smoke_config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("usage error: ")
+    assert not out.exists()
+
+
+def _configs(raw):
+    return build_env_config(raw), build_feature_config(raw), build_train_config(raw)
+
+
+CFG_DIR = Path(__file__).resolve().parents[1] / "cfg"
+
+
+@pytest.mark.parametrize("name", ["smoke.cfg", "full.cfg", "field.cfg"])
+def test_committed_configs_build_and_round_trip(name):
+    configs = _configs(parse_config_file(CFG_DIR / name))
+    assert _configs(_config_record(*configs)) == configs
+
+
+EDGE_TEXTS = [
+    "0", "-1", "1", "0.5", "1e308", "-1e308", "1e-300", "5e-324", "nan", "inf", "-inf", "", " ",
+    "1,", ",", "1, 2", "2, 4, 8", "5:0.9, 10:0.8, 15:0.7", "5:0.9", "0:0.9", str(2 ** 64),
+    str(-2 ** 70), "on", "off", "coma", "decentralised",
+]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.dictionaries(
+    st.sampled_from(sorted(CONFIG_KEYS)),
+    st.one_of(st.sampled_from(EDGE_TEXTS), st.integers().map(str),
+              st.floats().map(repr), st.text(max_size=12)),
+    min_size=1, max_size=3,
+))
+def test_fuzzed_config_values_build_or_are_usage_errors(raw):
+    # only the configs are built: a value like 1e308 or 10**9 channels is
+    # valid and would allocate without bound in an environment or a network
+    try:
+        configs = _configs(raw)
+    except UsageError:
+        return
+    assert _configs(_config_record(*configs)) == configs
+
+
 # ---------------------------------------------------------------------------
 # raster ingestion
 # ---------------------------------------------------------------------------
@@ -172,7 +258,7 @@ def test_train_command_writes_manifest_and_checkpoints(smoke_config, tmp_path, c
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == "train"
     assert manifest["seed"] == 7
-    assert manifest["config"]["num_agents"] == 2
+    assert manifest["config"]["num_agents"] == "2"
     assert (out / "actor.ckpt").exists()
     assert (out / "training_log.csv").exists()
 
@@ -198,24 +284,21 @@ def test_train_variant_recorded_in_checkpoints(smoke_config, tmp_path):
     _, meta = load_checkpoint(out / "actor.ckpt")
     assert meta["variant"] == "central-qv"
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["config"]["train"]["variant"] == "central-qv"
+    assert manifest["config"]["train.variant"] == "central-qv"
 
 
 def test_manifest_records_every_train_key(smoke_config, tmp_path):
-    from terrascout.cli import TRAIN_KEYS
-
     config = tmp_path / "keys.cfg"
     config.write_text(smoke_config.read_text()
                       + "train.grad_clip = 2.5\ntrain.checkpoint_every_blocks = 7\n")
     out = tmp_path / "run"
     assert main(["train", "--config", str(config), "--missions", "1",
                  "--out", str(out), "--quiet"]) == 0
-    train = json.loads((out / "manifest.json").read_text())["config"]["train"]
-    assert train["grad_clip"] == 2.5
-    assert train["checkpoint_every_blocks"] == 7
-    for key in TRAIN_KEYS:
-        name = key.removeprefix("train.")
-        assert name in train or name in train["arch"], key
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    assert config["train.grad_clip"] == "2.5"
+    assert config["train.checkpoint_every_blocks"] == "7"
+    for key in CONFIG_KEYS:
+        assert key in config, key
 
 
 def test_evaluate_command_and_determinism(smoke_config, tmp_path):
@@ -239,6 +322,27 @@ def test_evaluate_learned_requires_weights(smoke_config, tmp_path):
     rc = main(["evaluate", "--config", str(smoke_config), "--planner", "learned",
                "--missions", "2", "--out", str(tmp_path / "x")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--variant", "central-qv", "--missions", "1", "--quiet"],
+    ["evaluate", "--planner", "random", "--missions", "2", "--agents", "3",
+     "--comm-radius", "inf"],
+    ["ablate-features", "--toggles", "entropy_map", "--missions", "2"],
+], ids=["train", "evaluate", "ablate-features"])
+def test_manifest_config_rebuilds_the_run_configs(smoke_config, tmp_path, argv):
+    out = tmp_path / "run"
+    args = argv + ["--config", str(smoke_config), "--out", str(out)]
+    assert main(args) == 0
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    lines = tmp_path / "manifest.cfg"
+    lines.write_text("".join(f"{key} = {value}\n" for key, value in config.items()))
+    rebuilt = _configs(parse_config_file(lines))
+    used = _load_configs(build_parser().parse_args(args))
+    # evaluate reads no train.* key, so it records none
+    compared = 2 if argv[0] == "evaluate" else 3
+    assert rebuilt[:compared] == used[:compared]
+    assert rebuilt[0].num_agents == (3 if argv[0] == "evaluate" else 2)
 
 
 def test_evaluate_with_fixed_terrain(smoke_config, tmp_path):
@@ -267,7 +371,7 @@ def test_evaluate_agent_override(smoke_config, tmp_path):
                "--missions", "2", "--agents", "3", "--out", str(out)])
     assert rc == 0
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["config"]["num_agents"] == 3
+    assert manifest["config"]["num_agents"] == "3"
 
 
 def test_ingest_command(tmp_path):
@@ -460,6 +564,19 @@ def test_evaluate_rejects_an_actor_of_other_features(smoke_config, tmp_path, cap
     assert err.startswith("data error: ") and err.count("\n") == 1
     assert "entropy_map" in err
     assert not out.exists()
+
+
+def test_evaluate_checkpoint_with_a_bad_arch_is_data_error(smoke_config, tmp_path, capsys):
+    from terrascout.nn import save_checkpoint
+
+    ckpt = _toy_actor_checkpoint(smoke_config, tmp_path / "actor.ckpt")
+    params, meta = load_checkpoint(ckpt)
+    meta["arch"]["conv_strides"] = [0]
+    save_checkpoint(ckpt, list(params.items()), meta)
+    rc = main(["evaluate", "--config", str(smoke_config), "--planner", "learned",
+               "--actor-weights", str(ckpt), "--missions", "2", "--out", str(tmp_path / "x")])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("data error: ")
 
 
 def test_evaluate_missing_checkpoint_is_usage_error(smoke_config, tmp_path):

@@ -45,6 +45,13 @@ def test_roi_entropy_uniform_prior_is_one():
     assert roi_entropy(grid, gt, W) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_run_mission_on_roi_free_terrain_raises():
+    cfg = cfg_(terrain_size=10.0, num_agents=2, budget=2)
+    gt = GroundTruthMap(np.zeros((20, 20), dtype=np.uint8), 0.5)
+    with pytest.raises(DegenerateTerrainError):
+        run_mission(PlannerSpec("random"), cfg, 0, terrain=gt)
+
+
 def test_roi_entropy_certain_correct_map_is_zero():
     gt = gt_fraction()
     grid = OccupancyGrid(np.where(gt.cells == 1, 40.0, -40.0), 0.5)
