@@ -17,23 +17,19 @@ from .gridmap import (
 from .environment import (
     Action,
     AgentLocalState,
-    CommMessage,
     EnvConfig,
     GlobalState,
     NoiseStreams,
     TerrainEnv,
     exchange_messages,
     generate_terrain,
-    initial_state,
     reward,
-    step,
     valid_actions,
 )
 
 __all__ = [
     "Action",
     "AgentLocalState",
-    "CommMessage",
     "EnvConfig",
     "GlobalState",
     "GroundTruthMap",
@@ -47,11 +43,9 @@ __all__ = [
     "footprint",
     "fuse_measurement",
     "generate_terrain",
-    "initial_state",
     "map_entropy",
     "reward",
     "simulate_measurement",
-    "step",
     "valid_actions",
     "weighted_cell_entropy",
 ]

@@ -277,6 +277,11 @@ def cmd_evaluate(args) -> int:
     if args.missions < 2:
         raise UsageError("--missions must be at least 2")
     specs = _planner_specs(args, fcfg)
+    if "coverage" in args.planner:
+        try:
+            cfg.level_of_altitude(cfg.coverage_altitude)
+        except ConfigurationError as exc:
+            raise UsageError(f"coverage_altitude: {exc}") from exc
     terrain = load_ground_truth(args.terrain) if args.terrain else None
     if terrain is not None:
         expected = cfg.map_cells
@@ -285,6 +290,8 @@ def cmd_evaluate(args) -> int:
                 f"terrain grid {terrain.cells.shape} does not match the configured "
                 f"{expected}x{expected} map"
             )
+        if not terrain.cells.any():
+            raise DataError(f"{args.terrain}: terrain has no interesting cells")
     out = _start_run(args, _config_record(cfg, fcfg), ["benchmark.csv"])
     stats = run_benchmark(
         specs, args.missions, args.seed, cfg,
@@ -304,6 +311,8 @@ def cmd_evaluate(args) -> int:
 
 def cmd_ablate_features(args) -> int:
     cfg, fcfg, tcfg = _load_configs(args)
+    if args.missions < 2:
+        raise UsageError("--missions must be at least 2")
     toggles = [tok.strip() for tok in (args.toggles or "").split(",") if tok.strip()]
     feature_names = set(FeatureConfig.__dataclass_fields__)
     plans: list[tuple[str, FeatureConfig]] = []
@@ -323,7 +332,7 @@ def cmd_ablate_features(args) -> int:
         result = training_loop(cfg, tcfg, toggled, args.seed, run_dir)
         stats = run_benchmark(
             [PlannerSpec("learned", actor=result.actor)],
-            max(args.missions, 2), args.seed + 1, cfg, fcfg=toggled,
+            args.missions, args.seed + 1, cfg, fcfg=toggled,
         )
         write_benchmark_csv(run_dir / "benchmark.csv", stats)
         st = stats["learned"]

@@ -157,9 +157,6 @@ class GlobalState:
     probs: Optional[np.ndarray] = None
     cell_entropy: Optional[np.ndarray] = None
 
-    def positions_m(self, cfg: EnvConfig) -> np.ndarray:
-        return np.stack([cfg.position_m(p) for p in self.positions])
-
     def map_planes(self, w: ImportanceWeights) -> tuple[np.ndarray, np.ndarray]:
         """The cached (probs, cell_entropy) planes, rebuilt if either is None."""
         if self.probs is None or self.cell_entropy is None:
@@ -178,14 +175,7 @@ class AgentLocalState:
     known_positions: np.ndarray  # (N, 3) lattice indices, last heard (stale allowed)
     remaining_budget: int
     last_measurement: Optional[Measurement] = None
-    inbox: list = field(default_factory=list)  # CommMessages received this step
-
-
-@dataclass
-class CommMessage:
-    sender_id: int
-    sender_position: np.ndarray  # (3,) metres, equals measurement.position
-    measurement: Measurement
+    inbox: list = field(default_factory=list)  # teammates' Measurements received this step
 
 
 class NoiseStreams:
@@ -259,43 +249,6 @@ def initial_columns(cols: int, n_agents: int) -> list[int]:
     return [(2 * k + 1) * cols // (2 * n_agents) for k in range(n_agents)]
 
 
-def initial_state(
-    cfg: EnvConfig,
-    terrain: GroundTruthMap,
-    noise: NoiseStreams,
-) -> tuple[GlobalState, list[AgentLocalState]]:
-    """Deploy agents, take the start (t = 0) measurements, and exchange them.
-
-    Agents start at minimum altitude, evenly spaced on the southern lattice
-    edge. Every map begins at the uniform prior; the t = 0 measurement is
-    fused before the first planning decision so the first policy input is
-    informative. Initial deployment counts as common knowledge, so each
-    agent's teammate-position table starts at the true initial poses.
-    """
-    cols = cfg.lattice_cols
-    if cfg.num_agents > cols:
-        raise ConfigurationError(
-            f"{cfg.num_agents} agents do not fit on a {cols}-column lattice edge"
-        )
-    start_cols = initial_columns(cols, cfg.num_agents)
-    positions = np.array([[c, 0, 0] for c in start_cols], dtype=np.int64)
-
-    n = cfg.map_cells
-    state = GlobalState(OccupancyGrid.uniform(n, n, cfg.map_resolution), positions, cfg.budget)
-    locals_ = [
-        AgentLocalState(
-            agent_id=i,
-            local_map=OccupancyGrid.uniform(n, n, cfg.map_resolution),
-            position=positions[i].copy(),
-            known_positions=positions.copy(),
-            remaining_budget=cfg.budget,
-        )
-        for i in range(cfg.num_agents)
-    ]
-    _measure_and_fuse(state, locals_, terrain, cfg, noise, step_index=0)
-    return state, locals_
-
-
 def valid_actions(state: GlobalState, agent_id: int, cfg: EnvConfig) -> np.ndarray:
     """Boolean mask over the action set for one agent.
 
@@ -332,19 +285,19 @@ def exchange_messages(
     positions_m: np.ndarray,
     measurements: Sequence[Measurement],
     comm_radius: float,
-) -> list[list[CommMessage]]:
+) -> list[list[Measurement]]:
     """Deliver each agent's measurement to every teammate within range (3D)."""
     n = len(measurements)
     if positions_m.shape[0] != n:
         raise ContractViolation("one measurement per agent is required")
-    inboxes: list[list[CommMessage]] = [[] for _ in range(n)]
+    inboxes: list[list[Measurement]] = [[] for _ in range(n)]
     for i in range(n):
         for k in range(n):
             if i == k:
                 continue
             dist = float(np.linalg.norm(positions_m[i] - positions_m[k]))
             if dist <= comm_radius:
-                inboxes[k].append(CommMessage(i, positions_m[i].copy(), measurements[i]))
+                inboxes[k].append(measurements[i])
     return inboxes
 
 
@@ -359,111 +312,12 @@ def reward(h_before: float, h_after: float, alpha: float, beta: float) -> float:
     return alpha * (h_before - h_after) / h_before + beta
 
 
-def step(
-    state: GlobalState,
-    locals_: list[AgentLocalState],
-    joint_action: Sequence[int],
-    terrain: GroundTruthMap,
-    cfg: EnvConfig,
-    noise: NoiseStreams,
-    step_index: int,
-) -> tuple[GlobalState, list[AgentLocalState], float, bool]:
-    """Advance one synchronized decision step.
-
-    All agents move simultaneously (masks are checked against current
-    positions; if two agents still pick the same free 2D cell, the
-    lower-id agent moves and the other holds). Each agent then measures at
-    its new pose, in-range measurements are exchanged and fused locally,
-    all measurements are fused globally, and the team reward is the
-    relative global entropy reduction.
-    """
-    n = cfg.num_agents
-    if len(joint_action) != n:
-        raise ContractViolation(f"joint action needs {n} components")
-    if state.remaining_budget <= 0:
-        raise RejectedStepError("mission budget already spent")
-
-    for i, a in enumerate(joint_action):
-        mask = valid_actions(state, i, cfg)
-        if not (0 <= int(a) < NUM_ACTIONS) or not mask[int(a)]:
-            raise RejectedStepError(f"agent {i} chose masked action {Action(int(a)).name}")
-
-    proposed = [state.positions[i] + ACTION_DELTAS[int(joint_action[i])] for i in range(n)]
-    committed_2d: set[tuple[int, int]] = set()
-    new_positions = np.empty_like(state.positions)
-    for i in range(n):  # ascending id: lower id wins contested cells
-        cell = (int(proposed[i][0]), int(proposed[i][1]))
-        if cell in committed_2d:
-            new_positions[i] = state.positions[i]
-        else:
-            new_positions[i] = proposed[i]
-        committed_2d.add((int(new_positions[i][0]), int(new_positions[i][1])))
-    state.positions = new_positions
-    for i in range(n):
-        locals_[i].position = new_positions[i].copy()
-
-    r = _measure_and_fuse(state, locals_, terrain, cfg, noise, step_index)
-    state.remaining_budget -= 1
-    for loc in locals_:
-        loc.remaining_budget = state.remaining_budget
-    return state, locals_, r, state.remaining_budget == 0
-
-
-def _measure_and_fuse(
-    state: GlobalState,
-    locals_: list[AgentLocalState],
-    terrain: GroundTruthMap,
-    cfg: EnvConfig,
-    noise: NoiseStreams,
-    step_index: int,
-) -> float:
-    """Sense at current positions, communicate, fuse; returns the step reward."""
-    n = cfg.num_agents
-    measurements = []
-    for i in range(n):
-        pos_m = cfg.position_m(state.positions[i])
-        m = simulate_measurement(
-            terrain,
-            pos_m,
-            cfg.sensor,
-            noise.generator(step_index, i),
-            footprint_factor=cfg.footprint_factor,
-            agent_id=i,
-            step=step_index,
-        )
-        measurements.append(m)
-
-    inboxes = exchange_messages(state.positions_m(cfg), measurements, cfg.comm_radius)
-    for i in range(n):
-        loc = locals_[i]
-        fuse_measurement(loc.local_map, measurements[i])
-        loc.last_measurement = measurements[i]
-        loc.inbox = inboxes[i]
-        loc.known_positions[i] = state.positions[i]
-        for msg in inboxes[i]:
-            fuse_measurement(loc.local_map, msg.measurement)
-            loc.known_positions[msg.sender_id] = _lattice_of(msg.sender_position, cfg)
-
-    probs, cell_entropy = state.map_planes(cfg.weights)
-    h_before = float(cell_entropy.sum())
-    for m in measurements:
-        fuse_measurement(state.global_map, m)
-    for m in measurements:
-        cells = m.rect.slices
-        probs[cells] = state.global_map.probs_slice(cells)
-        cell_entropy[cells] = weighted_cell_entropy(probs[cells], cfg.weights)
-    h_after = float(cell_entropy.sum())
-    return reward(h_before, h_after, cfg.reward_alpha, cfg.reward_beta)
-
-
-def _lattice_of(pos_m: np.ndarray, cfg: EnvConfig) -> np.ndarray:
-    col = int(pos_m[0] / cfg.planning_resolution)
-    row = int(pos_m[1] / cfg.planning_resolution)
-    return np.array([col, row, cfg.level_of_altitude(pos_m[2])], dtype=np.int64)
-
-
 class TerrainEnv:
-    """Owns one mission: terrain, state, step counter, and noise streams."""
+    """Owns one mission: terrain, state, step counter, and noise streams.
+
+    ``reset`` starts a mission and ``step`` advances it; ``state`` and
+    ``locals`` are the global and on-board views they update in place.
+    """
 
     def __init__(self, cfg: EnvConfig, terrain: GroundTruthMap, noise: NoiseStreams):
         self.cfg = cfg
@@ -474,25 +328,121 @@ class TerrainEnv:
         self.step_index = 0
 
     def reset(self) -> tuple[GlobalState, list[AgentLocalState]]:
-        self.state, self.locals = initial_state(self.cfg, self.terrain, self.noise)
+        """Deploy agents, take the start (t = 0) measurements, and exchange them.
+
+        Agents start at minimum altitude, evenly spaced on the southern
+        lattice edge. Every map begins at the uniform prior; the t = 0
+        measurement is fused before the first planning decision so the first
+        policy input is informative. Initial deployment counts as common
+        knowledge, so each agent's teammate-position table starts at the
+        true initial poses.
+        """
+        cfg = self.cfg
+        cols = cfg.lattice_cols
+        if cfg.num_agents > cols:
+            raise ConfigurationError(
+                f"{cfg.num_agents} agents do not fit on a {cols}-column lattice edge"
+            )
+        positions = np.array(
+            [[c, 0, 0] for c in initial_columns(cols, cfg.num_agents)], dtype=np.int64
+        )
+        n = cfg.map_cells
+        self.state = GlobalState(
+            OccupancyGrid.uniform(n, n, cfg.map_resolution), positions, cfg.budget
+        )
+        self.locals = [
+            AgentLocalState(
+                agent_id=i,
+                local_map=OccupancyGrid.uniform(n, n, cfg.map_resolution),
+                position=positions[i].copy(),
+                known_positions=positions.copy(),
+                remaining_budget=cfg.budget,
+            )
+            for i in range(cfg.num_agents)
+        ]
         self.step_index = 0
+        self._measure_and_fuse()
         return self.state, self.locals
 
     def masks(self) -> list[np.ndarray]:
         return [valid_actions(self.state, i, self.cfg) for i in range(self.cfg.num_agents)]
 
     def step(self, joint_action: Sequence[int]) -> tuple[float, bool]:
+        """Advance one synchronized decision step; returns (reward, done).
+
+        All agents move simultaneously (masks are checked against current
+        positions; if two agents still pick the same free 2D cell, the
+        lower-id agent moves and the other holds). Each agent then measures
+        at its new pose, in-range measurements are exchanged and fused
+        locally, all measurements are fused globally, and the team reward is
+        the relative global entropy reduction. A rejected step changes
+        nothing.
+        """
+        cfg, state = self.cfg, self.state
+        n = cfg.num_agents
+        if len(joint_action) != n:
+            raise ContractViolation(f"joint action needs {n} components")
+        if state.remaining_budget <= 0:
+            raise RejectedStepError("mission budget already spent")
+
+        for i, a in enumerate(joint_action):
+            mask = valid_actions(state, i, cfg)
+            if not (0 <= int(a) < NUM_ACTIONS) or not mask[int(a)]:
+                raise RejectedStepError(f"agent {i} chose masked action {Action(int(a)).name}")
+
+        new_positions = state.positions.copy()
+        committed_2d: set[tuple[int, int]] = set()
+        for i, a in enumerate(joint_action):  # ascending id: lower id wins contested cells
+            target = state.positions[i] + ACTION_DELTAS[int(a)]
+            if (int(target[0]), int(target[1])) not in committed_2d:
+                new_positions[i] = target
+            committed_2d.add((int(new_positions[i][0]), int(new_positions[i][1])))
+        state.positions = new_positions
+        for loc, pos in zip(self.locals, new_positions):
+            loc.position = pos.copy()
+
         self.step_index += 1
-        _, _, r, done = step(
-            self.state,
-            self.locals,
-            joint_action,
-            self.terrain,
-            self.cfg,
-            self.noise,
-            self.step_index,
-        )
-        return r, done
+        r = self._measure_and_fuse()
+        state.remaining_budget -= 1
+        for loc in self.locals:
+            loc.remaining_budget = state.remaining_budget
+        return r, state.remaining_budget == 0
+
+    def _measure_and_fuse(self) -> float:
+        """Sense at current positions, communicate, fuse; returns the step reward."""
+        cfg, state = self.cfg, self.state
+        positions_m = np.stack([cfg.position_m(p) for p in state.positions])
+        measurements = [
+            simulate_measurement(
+                self.terrain,
+                pos_m,
+                cfg.sensor,
+                self.noise.generator(self.step_index, i),
+                footprint_factor=cfg.footprint_factor,
+                agent_id=i,
+                step=self.step_index,
+            )
+            for i, pos_m in enumerate(positions_m)
+        ]
+
+        inboxes = exchange_messages(positions_m, measurements, cfg.comm_radius)
+        for loc, m, inbox in zip(self.locals, measurements, inboxes):
+            loc.last_measurement = m
+            loc.inbox = inbox
+            for heard in [m, *inbox]:  # own first; a sender's pose is where it measured
+                fuse_measurement(loc.local_map, heard)
+                loc.known_positions[heard.agent_id] = state.positions[heard.agent_id]
+
+        probs, cell_entropy = state.map_planes(cfg.weights)
+        h_before = float(cell_entropy.sum())
+        for m in measurements:
+            fuse_measurement(state.global_map, m)
+        for m in measurements:
+            cells = m.rect.slices
+            probs[cells] = state.global_map.probs_slice(cells)
+            cell_entropy[cells] = weighted_cell_entropy(probs[cells], cfg.weights)
+        h_after = float(cell_entropy.sum())
+        return reward(h_before, h_after, cfg.reward_alpha, cfg.reward_beta)
 
     def global_entropy(self) -> float:
         return float(self.state.map_planes(self.cfg.weights)[1].sum())

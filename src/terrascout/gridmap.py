@@ -387,7 +387,7 @@ def weighted_cell_entropy(p, w: ImportanceWeights):
     0 log 0 := 0.
     """
     arr = np.asarray(p, dtype=np.float64)
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
+    if arr.size and not (0.0 <= arr.min() and arr.max() <= 1.0):  # NaN fails both
         raise DomainError("cell probability outside [0, 1]")
     w_pos = np.where(arr > 0.5, w.w1, np.where(arr < 0.5, w.w2, 0.5))
     w_neg = np.where(arr > 0.5, w.w2, np.where(arr < 0.5, w.w1, 0.5))

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .environment import Action, AgentLocalState, EnvConfig, GlobalState, NUM_ACTIONS
-from .errors import ConfigurationError, ContractViolation, DataError
+from .errors import ConfigurationError, ContractViolation, DataError, DomainError
 from .gridmap import footprint, weighted_cell_entropy
 from . import nn
 from .nn import Conv2d, Linear, Tensor
@@ -185,14 +185,17 @@ def build_actor_features(local: AgentLocalState, cfg: EnvConfig,
     if fcfg.belief_map:
         planes.append(_pool(probs, factor))
     if fcfg.entropy_map:
-        planes.append(_pool(weighted_cell_entropy(probs, cfg.weights), factor))
+        try:  # a NaN belief fails the entropy's domain check before the stack check
+            planes.append(_pool(weighted_cell_entropy(probs, cfg.weights), factor))
+        except DomainError as exc:
+            raise ContractViolation("feature planes contain non-finite values") from exc
     if fcfg.measurement_entropy:
         planes.append(_measurement_entropy_plane(local, cfg))
     if fcfg.footprint_map:
         rects = []
         if local.last_measurement is not None:
             rects.append(local.last_measurement.rect)
-        rects += [msg.measurement.rect for msg in local.inbox]
+        rects += [m.rect for m in local.inbox]
         planes.append(_footprint_plane(rects, cfg))
     if fcfg.agent_id:
         planes.append(np.full((g, g), (local.agent_id + 1) / cfg.num_agents))

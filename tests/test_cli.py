@@ -365,6 +365,35 @@ def test_evaluate_terrain_shape_mismatch_is_data_error(smoke_config, tmp_path):
     assert rc == 3
 
 
+def test_evaluate_terrain_without_interest_is_data_error(smoke_config, tmp_path, capsys):
+    terrain = tmp_path / "gt.txt"
+    write_text_grid(terrain, np.zeros((40, 40)), 0.5)
+    out = tmp_path / "x"
+    rc = main(["evaluate", "--config", str(smoke_config), "--planner", "random",
+               "--missions", "2", "--terrain", str(terrain), "--out", str(out)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_coverage_altitude_off_the_lattice_rejects_only_coverage(smoke_config, tmp_path, capsys):
+    config = tmp_path / "alt7.cfg"
+    config.write_text(smoke_config.read_text() + "coverage_altitude = 7\n")
+    out = tmp_path / "coverage"
+    rc = main(["evaluate", "--config", str(config), "--planner", "coverage",
+               "--missions", "2", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+    assert "coverage_altitude" in err
+    assert not out.exists()
+    # a config that never runs the coverage planner stays valid
+    rc = main(["evaluate", "--config", str(config), "--planner", "greedy-ig",
+               "--missions", "2", "--out", str(tmp_path / "greedy")])
+    assert rc == 0
+
+
 def test_evaluate_agent_override(smoke_config, tmp_path):
     out = tmp_path / "agents"
     rc = main(["evaluate", "--config", str(smoke_config), "--planner", "random",
@@ -407,6 +436,17 @@ def test_ablate_unknown_plane_is_usage_error(smoke_config, tmp_path):
     rc = main(["ablate-features", "--config", str(smoke_config), "--out",
                str(tmp_path / "x"), "--toggles", "sharpness_map"])
     assert rc == 2
+
+
+@pytest.mark.parametrize("missions", ["0", "1"])
+def test_ablate_too_few_missions_is_usage_error(smoke_config, tmp_path, capsys, missions):
+    out = tmp_path / "x"
+    rc = main(["ablate-features", "--config", str(smoke_config), "--out", str(out),
+               "--toggles", "entropy_map", "--missions", missions])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_sweep_coverage_altitude(smoke_config, tmp_path):

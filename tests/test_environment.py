@@ -13,7 +13,6 @@ from terrascout.environment import (
     exchange_messages,
     generate_terrain,
     initial_columns,
-    initial_state,
     reward,
     valid_actions,
 )
@@ -99,7 +98,7 @@ def test_initial_columns_even_spacing():
 def test_initial_state_places_agents_south_at_min_altitude():
     cfg = default_cfg()
     gt = generate_terrain(np.random.default_rng(0), cfg)
-    state, locals_ = initial_state(cfg, gt, NoiseStreams(0))
+    state, locals_ = TerrainEnv(cfg, gt, NoiseStreams(0)).reset()
     np.testing.assert_array_equal(state.positions[:, 1], 0)
     np.testing.assert_array_equal(state.positions[:, 2], 0)
     assert list(state.positions[:, 0]) == [1, 3, 6, 8]
@@ -111,18 +110,18 @@ def test_initial_state_places_agents_south_at_min_altitude():
 def test_initial_measurement_already_fused():
     cfg = default_cfg()
     gt = generate_terrain(np.random.default_rng(0), cfg)
-    state, locals_ = initial_state(cfg, gt, NoiseStreams(0))
+    state, locals_ = TerrainEnv(cfg, gt, NoiseStreams(0)).reset()
     uniform_total = 0.5 * cfg.map_cells**2
     assert map_entropy(state.global_map, cfg.weights) < uniform_total
 
 
 def test_initial_state_too_many_agents():
     with pytest.raises(ConfigurationError):
-        initial_state(
+        TerrainEnv(
             small_cfg(num_agents=3),
             generate_terrain(np.random.default_rng(0), small_cfg()),
             NoiseStreams(0),
-        )
+        ).reset()
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +132,7 @@ def test_initial_state_too_many_agents():
 def test_mask_blocks_boundary_moves():
     cfg = default_cfg(num_agents=1)
     gt = generate_terrain(np.random.default_rng(0), cfg)
-    state, _ = initial_state(cfg, gt, NoiseStreams(0))
+    state, _ = TerrainEnv(cfg, gt, NoiseStreams(0)).reset()
     state.positions[0] = [0, 0, 0]  # west edge, south edge, min altitude
     mask = valid_actions(state, 0, cfg)
     assert not mask[Action.WEST]
@@ -145,7 +144,7 @@ def test_mask_blocks_boundary_moves():
 def test_mask_blocks_occupied_2d_cell_at_any_altitude():
     cfg = default_cfg(num_agents=2)
     gt = generate_terrain(np.random.default_rng(0), cfg)
-    state, _ = initial_state(cfg, gt, NoiseStreams(0))
+    state, _ = TerrainEnv(cfg, gt, NoiseStreams(0)).reset()
     state.positions[0] = [4, 4, 0]
     state.positions[1] = [4, 5, 2]  # one step north, different altitude
     mask = valid_actions(state, 0, cfg)
@@ -156,7 +155,7 @@ def test_mask_blocks_occupied_2d_cell_at_any_altitude():
 def test_mask_all_valid_in_open_interior():
     cfg = default_cfg(num_agents=1)
     gt = generate_terrain(np.random.default_rng(0), cfg)
-    state, _ = initial_state(cfg, gt, NoiseStreams(0))
+    state, _ = TerrainEnv(cfg, gt, NoiseStreams(0)).reset()
     state.positions[0] = [4, 4, 1]
     assert valid_actions(state, 0, cfg).all()
 
@@ -165,7 +164,7 @@ def test_trapped_agent_mask_raises():
     # one lattice cell and one altitude level: every move leaves the box
     cfg = EnvConfig(terrain_size=5.0, min_altitude=5.0, max_altitude=5.0, num_agents=1)
     gt = generate_terrain(np.random.default_rng(0), cfg)
-    state, _ = initial_state(cfg, gt, NoiseStreams(0))
+    state, _ = TerrainEnv(cfg, gt, NoiseStreams(0)).reset()
     with pytest.raises(ContractViolation, match="all-false"):
         valid_actions(state, 0, cfg)
 
@@ -175,50 +174,50 @@ def test_trapped_agent_mask_raises():
 # ---------------------------------------------------------------------------
 
 
-def fake_measurement(x, y, z):
+def fake_measurement(agent_id, x, y, z):
     return Measurement(
         np.array([x, y, z]),
         CellRect(0, 0, 0, 0),
         np.zeros((1, 1), dtype=np.uint8),
         0.9,
-        0,
+        agent_id,
         0,
     )
 
 
 def test_exchange_within_radius_is_mutual():
     pos = np.array([[0.0, 0.0, 5.0], [20.0, 0.0, 5.0]])
-    ms = [fake_measurement(*p) for p in pos]
+    ms = [fake_measurement(i, *p) for i, p in enumerate(pos)]
     inboxes = exchange_messages(pos, ms, 25.0)
-    assert len(inboxes[0]) == 1 and inboxes[0][0].sender_id == 1
-    assert len(inboxes[1]) == 1 and inboxes[1][0].sender_id == 0
+    assert len(inboxes[0]) == 1 and inboxes[0][0].agent_id == 1
+    assert len(inboxes[1]) == 1 and inboxes[1][0].agent_id == 0
 
 
 def test_exchange_zero_radius_silences_everyone():
     pos = np.array([[0.0, 0.0, 5.0], [20.0, 0.0, 5.0]])
-    ms = [fake_measurement(*p) for p in pos]
+    ms = [fake_measurement(i, *p) for i, p in enumerate(pos)]
     assert exchange_messages(pos, ms, 0.0) == [[], []]
 
 
 def test_exchange_collinear_chain():
     pos = np.array([[0.0, 0.0, 5.0], [20.0, 0.0, 5.0], [40.0, 0.0, 5.0]])
-    ms = [fake_measurement(*p) for p in pos]
+    ms = [fake_measurement(i, *p) for i, p in enumerate(pos)]
     inboxes = exchange_messages(pos, ms, 25.0)
-    assert [m.sender_id for m in inboxes[0]] == [1]
-    assert sorted(m.sender_id for m in inboxes[1]) == [0, 2]
-    assert [m.sender_id for m in inboxes[2]] == [1]
+    assert [m.agent_id for m in inboxes[0]] == [1]
+    assert sorted(m.agent_id for m in inboxes[1]) == [0, 2]
+    assert [m.agent_id for m in inboxes[2]] == [1]
 
 
 def test_exchange_infinite_radius_is_all_to_all():
     pos = np.array([[0.0, 0.0, 5.0], [20.0, 0.0, 5.0], [40.0, 0.0, 5.0]])
-    ms = [fake_measurement(*p) for p in pos]
+    ms = [fake_measurement(i, *p) for i, p in enumerate(pos)]
     inboxes = exchange_messages(pos, ms, math.inf)
     assert all(len(box) == 2 for box in inboxes)
 
 
 def test_exchange_uses_3d_distance():
     pos = np.array([[0.0, 0.0, 5.0], [24.0, 0.0, 15.0]])
-    ms = [fake_measurement(*p) for p in pos]
+    ms = [fake_measurement(i, *p) for i, p in enumerate(pos)]
     # 2D distance 24 <= 25 but 3D distance sqrt(24^2 + 10^2) = 26 > 25
     assert exchange_messages(pos, ms, 25.0) == [[], []]
 
@@ -284,6 +283,25 @@ def test_masked_action_rejected_naming_agent():
     env.reset()
     with pytest.raises(RejectedStepError, match="agent 0"):
         env.step([int(Action.SOUTH), int(Action.NORTH)])
+
+
+def test_rejected_step_changes_nothing():
+    cfg = default_cfg(num_agents=2, budget=3)
+    gt = generate_terrain(np.random.default_rng(4), cfg)
+    rejected, clean = (TerrainEnv(cfg, gt, NoiseStreams(4)) for _ in range(2))
+    rejected.reset()
+    clean.reset()
+    with pytest.raises(RejectedStepError):
+        rejected.step([int(Action.SOUTH), int(Action.NORTH)])
+    assert rejected.step_index == 0
+    assert rejected.state.remaining_budget == 3
+    # the next step draws the noise of step 1, as if nothing had been rejected
+    joint = [int(Action.NORTH), int(Action.NORTH)]
+    assert rejected.step(joint) == clean.step(joint)
+    assert rejected.step_index == 1
+    np.testing.assert_array_equal(
+        rejected.state.global_map.log_odds, clean.state.global_map.log_odds
+    )
 
 
 def test_simultaneous_collision_lower_id_wins():

@@ -354,6 +354,15 @@ def test_entropy_domain_error():
         weighted_cell_entropy(-0.1, W)
 
 
+def test_entropy_rejects_nan():
+    # NaN compares false against both bounds; it must not score as certain
+    with pytest.raises(DomainError):
+        weighted_cell_entropy(math.nan, W)
+    with pytest.raises(DomainError):
+        weighted_cell_entropy(np.array([[0.5, math.nan], [0.2, 0.9]]), W)
+    assert weighted_cell_entropy(np.empty((0, 3)), W).shape == (0, 3)
+
+
 @given(
     p=st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
     w1=st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
