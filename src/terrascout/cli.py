@@ -36,8 +36,9 @@ from .gridmap import (
     GroundTruthMap,
     ImportanceWeights,
     SensorModel,
-    fmt,
+    atomic_open,
     read_text_grid,
+    write_csv,
     write_text_grid,
 )
 from .planners import PLANNER_NAMES
@@ -221,7 +222,7 @@ def _start_run(args, config: dict, outputs: Sequence[str]) -> Path:
         "config": config,
         "outputs": [str(out / name) for name in outputs],
     }
-    with open(out / "manifest.json", "w", encoding="utf-8") as fh:
+    with atomic_open(out / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return out
@@ -364,10 +365,7 @@ def cmd_sweep_coverage_altitude(args) -> int:
             replace(cfg, coverage_altitude=alt), fcfg=fcfg,
         )["coverage"]
         rows.append((alt, stats.entropy_mean[-1], stats.f1_mean[-1]))
-    with open(out / "coverage_sweep.csv", "w", encoding="ascii") as fh:
-        fh.write("altitude,entropy_mean,f1_mean\n")
-        for row in rows:
-            fh.write(",".join(map(fmt, row)) + "\n")
+    write_csv(out / "coverage_sweep.csv", rows, ["altitude", "entropy_mean", "f1_mean"])
     best = min(rows, key=lambda r: r[1])
     print(f"best coverage altitude by final entropy: {best[0]} m")
     return 0

@@ -156,6 +156,11 @@ class GlobalState:
     # Anything that touches the map out of band must set them to None.
     probs: Optional[np.ndarray] = None
     cell_entropy: Optional[np.ndarray] = None
+    # The critic's pooled global planes, (4, G, G) in policy.CRITIC_GLOBAL_PLANES
+    # order, built once per step by policy.build_critic_features and dropped
+    # by every fusion. Code that writes global_map.log_odds or positions
+    # outside TerrainEnv must set it to None.
+    pooled: Optional[np.ndarray] = None
 
     def map_planes(self, w: ImportanceWeights) -> tuple[np.ndarray, np.ndarray]:
         """The cached (probs, cell_entropy) planes, rebuilt if either is None."""
@@ -176,6 +181,12 @@ class AgentLocalState:
     remaining_budget: int
     last_measurement: Optional[Measurement] = None
     inbox: list = field(default_factory=list)  # teammates' Measurements received this step
+    # The pooled (belief, weighted entropy) planes of local_map, (2, G, G),
+    # kept by policy.build_actor_features, and the band [lo, hi) of tile
+    # rows fused into since (None: no row). Code that writes
+    # local_map.log_odds outside TerrainEnv must set pooled to None.
+    pooled: Optional[np.ndarray] = None
+    dirty_rows: Optional[tuple[int, int]] = None
 
 
 class NoiseStreams:
@@ -426,13 +437,19 @@ class TerrainEnv:
         ]
 
         inboxes = exchange_messages(positions_m, measurements, cfg.comm_radius)
+        f = cfg.pool_factor
         for loc, m, inbox in zip(self.locals, measurements, inboxes):
             loc.last_measurement = m
             loc.inbox = inbox
             for heard in [m, *inbox]:  # own first; a sender's pose is where it measured
                 fuse_measurement(loc.local_map, heard)
                 loc.known_positions[heard.agent_id] = state.positions[heard.agent_id]
+                lo, hi = heard.rect.y_lo // f, heard.rect.y_hi // f + 1
+                if loc.dirty_rows is not None:
+                    lo, hi = min(lo, loc.dirty_rows[0]), max(hi, loc.dirty_rows[1])
+                loc.dirty_rows = (lo, hi)
 
+        state.pooled = None
         probs, cell_entropy = state.map_planes(cfg.weights)
         h_before = float(cell_entropy.sum())
         for m in measurements:

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import csv
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -423,6 +425,23 @@ def map_entropy(
 def fmt(v) -> str:
     """The one number format of every text output: floats at 12 significant digits."""
     return f"{v:.12g}" if isinstance(v, float) else str(v)
+
+
+@contextmanager
+def atomic_open(path, mode: str = "w", **kwargs):
+    """Open a sibling temporary file that replaces ``path`` once the block completes.
+
+    If the block raises, ``path`` keeps its previous contents and the
+    temporary file is removed, so no half-written file is ever left behind.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def write_csv(path, rows, header: Optional[Sequence[str]] = None) -> None:

@@ -31,6 +31,7 @@ from .errors import (
     TrainingDivergenceError,
     UsageError,
 )
+from .gridmap import atomic_open
 
 
 class DimensionError(TerrascoutError):
@@ -528,7 +529,7 @@ def save_checkpoint(path, named_params: Sequence[tuple[str, np.ndarray]],
         {"version": 1, "metadata": metadata or {}, "layers": layers},
         sort_keys=True,
     ).encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<I", len(header)))
         fh.write(header)

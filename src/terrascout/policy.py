@@ -115,22 +115,13 @@ def _pool(fine: np.ndarray, factor: int) -> np.ndarray:
     return fine.reshape(h // factor, factor, w // factor, factor).mean(axis=(1, 3))
 
 
-def _footprint_rects(positions, cfg: EnvConfig):
-    rects = []
-    for pos in positions:
-        pos_m = cfg.position_m(pos)
-        rects.append(
-            footprint(pos_m, cfg.footprint_factor, cfg.map_cells, cfg.map_cells,
-                      cfg.map_resolution)
-        )
-    return rects
-
-
 def _footprint_plane(rects, cfg: EnvConfig) -> np.ndarray:
-    fine = np.zeros((cfg.map_cells, cfg.map_cells))
+    """1 on every tile a rectangle touches, set from its bounds (exact: the plane is boolean)."""
+    f, g = cfg.pool_factor, cfg.lattice_cols
+    plane = np.zeros((g, g))
     for rect in rects:
-        fine[rect.slices] = 1.0
-    return (_pool(fine, cfg.pool_factor) > 0.0).astype(np.float64)
+        plane[rect.y_lo // f : rect.y_hi // f + 1, rect.x_lo // f : rect.x_hi // f + 1] = 1.0
+    return plane
 
 
 def _centred_position_plane(local: AgentLocalState, cfg: EnvConfig) -> np.ndarray:
@@ -164,31 +155,63 @@ def _global_position_plane(positions, cfg: EnvConfig) -> np.ndarray:
 
 
 def _measurement_entropy_plane(local: AgentLocalState, cfg: EnvConfig) -> np.ndarray:
-    fine = np.zeros((cfg.map_cells, cfg.map_cells))
+    """Pools only the full-width band of tile rows the measurement covers."""
+    f, g = cfg.pool_factor, cfg.lattice_cols
+    plane = np.zeros((g, g))
     m = local.last_measurement
     if m is not None:
+        lo, hi = m.rect.y_lo // f, m.rect.y_hi // f + 1
+        band = np.zeros(((hi - lo) * f, cfg.map_cells))
         p_obs = np.where(m.values == 1, m.accuracy, 1.0 - m.accuracy)
-        fine[m.rect.slices] = weighted_cell_entropy(p_obs, cfg.weights)
-    return _pool(fine, cfg.pool_factor)
+        band[m.rect.y_lo - lo * f : m.rect.y_hi + 1 - lo * f, m.rect.x_lo : m.rect.x_hi + 1] = (
+            weighted_cell_entropy(p_obs, cfg.weights)
+        )
+        plane[lo:hi] = _pool(band, f)
+    return plane
+
+
+def _local_planes(local: AgentLocalState, cfg: EnvConfig) -> np.ndarray:
+    """The agent's cached (2, G, G) pooled belief and weighted entropy.
+
+    The first call pools the whole local map; later calls re-pool only the
+    band of tile rows fused since (``local.dirty_rows``). A full-width band
+    pools bit for bit like the same rows of a full pool, where tile
+    sub-blocks would not, so the planes always equal a fresh build. Nothing
+    is written to the cache unless the whole refresh succeeds.
+    """
+    f = cfg.pool_factor
+    pooled = local.pooled
+    if pooled is None:
+        pooled = np.empty((2, cfg.lattice_rows, cfg.lattice_cols))
+        lo, hi = 0, cfg.lattice_rows
+    elif local.dirty_rows is None:
+        return pooled
+    else:
+        lo, hi = local.dirty_rows
+    probs = local.local_map.probs_slice((slice(lo * f, hi * f), slice(None)))
+    try:  # a NaN belief fails the entropy's domain check before the stack check
+        entropy = weighted_cell_entropy(probs, cfg.weights)
+    except DomainError as exc:
+        raise ContractViolation("feature planes contain non-finite values") from exc
+    belief, entropy = _pool(probs, f), _pool(entropy, f)
+    pooled[0, lo:hi], pooled[1, lo:hi] = belief, entropy
+    local.pooled, local.dirty_rows = pooled, None
+    return pooled
 
 
 def build_actor_features(local: AgentLocalState, cfg: EnvConfig,
                          fcfg: FeatureConfig = FeatureConfig()) -> FeatureStack:
     """Local planes (a)-(e) plus the constant id and budget planes."""
     g = cfg.lattice_cols
-    factor = cfg.pool_factor
     planes: list[np.ndarray] = []
     if fcfg.position_map:
         planes.append(_centred_position_plane(local, cfg))
     if fcfg.belief_map or fcfg.entropy_map:
-        probs = local.local_map.probs()
+        pooled = _local_planes(local, cfg)
     if fcfg.belief_map:
-        planes.append(_pool(probs, factor))
+        planes.append(pooled[0])
     if fcfg.entropy_map:
-        try:  # a NaN belief fails the entropy's domain check before the stack check
-            planes.append(_pool(weighted_cell_entropy(probs, cfg.weights), factor))
-        except DomainError as exc:
-            raise ContractViolation("feature planes contain non-finite values") from exc
+        planes.append(pooled[1])
     if fcfg.measurement_entropy:
         planes.append(_measurement_entropy_plane(local, cfg))
     if fcfg.footprint_map:
@@ -202,6 +225,24 @@ def build_actor_features(local: AgentLocalState, cfg: EnvConfig,
     if fcfg.budget:
         planes.append(np.full((g, g), local.remaining_budget / cfg.budget))
     return _finite(FeatureStack(np.stack(planes), actor_manifest(fcfg)))
+
+
+def _global_planes(state: GlobalState, cfg: EnvConfig) -> np.ndarray:
+    """The four global planes (f)-(i), built once per step and cached on ``state``."""
+    if state.pooled is None:
+        probs, cell_entropy = state.map_planes(cfg.weights)
+        rects = [
+            footprint(cfg.position_m(pos), cfg.footprint_factor, cfg.map_cells,
+                      cfg.map_cells, cfg.map_resolution)
+            for pos in state.positions
+        ]
+        state.pooled = np.stack([
+            _global_position_plane(state.positions, cfg),
+            _pool(probs, cfg.pool_factor),
+            _pool(cell_entropy, cfg.pool_factor),
+            _footprint_plane(rects, cfg),
+        ])
+    return state.pooled
 
 
 def build_critic_features(
@@ -222,17 +263,8 @@ def build_critic_features(
     """
     if mode == CRITIC_MODE_LOCAL:
         return base
-    planes = [base.planes]
-    factor = cfg.pool_factor
-    probs, cell_entropy = state.map_planes(cfg.weights)
-    if fcfg.global_position_map:
-        planes.append(_global_position_plane(state.positions, cfg)[None])
-    if fcfg.global_belief_map:
-        planes.append(_pool(probs, factor)[None])
-    if fcfg.global_entropy_map:
-        planes.append(_pool(cell_entropy, factor)[None])
-    if fcfg.global_footprint_map:
-        planes.append(_footprint_plane(_footprint_rects(state.positions, cfg), cfg)[None])
+    keep = [k for k, name in enumerate(CRITIC_GLOBAL_PLANES) if getattr(fcfg, name)]
+    planes = [base.planes, _global_planes(state, cfg)[keep]]
     if mode == CRITIC_MODE_FULL and fcfg.action_maps:
         others = [j for j in range(cfg.num_agents) if j != agent_id]
         if len(other_actions) != len(others):

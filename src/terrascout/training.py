@@ -417,6 +417,11 @@ def training_loop(
     init_actor_path = out_dir / "actor_init.ckpt"
     save_network(init_actor_path, actor, kind="actor", manifest=actor_manifest(fcfg), extra=meta)
 
+    log_path = out_dir / "training_log.csv"
+    log_fields = ["block", "missions_done", "env_interactions", "mean_return", "actor_loss",
+                  "critic_loss", "epsilon"]
+    write_csv(log_path, [], log_fields)  # streamed: a crash keeps the finished blocks' rows
+
     mission_returns: list[float] = []
     block_rows: list[dict] = []
     timing_rows: list[tuple[int, float]] = []
@@ -483,6 +488,7 @@ def training_loop(
         }
         block_rows.append(row)
         timing_rows.append((block, time.perf_counter() - t0))
+        write_csv(log_path, [[row[k] for k in log_fields]])
         if progress is not None:
             progress(row)
         if (block + 1) % tcfg.checkpoint_every_blocks == 0:
@@ -490,10 +496,6 @@ def training_loop(
         block += 1
 
     paths = _save_all(out_dir, actor, critic, vnet, fcfg, cfg, meta)
-    log_path = out_dir / "training_log.csv"
-    log_fields = ["block", "missions_done", "env_interactions", "mean_return", "actor_loss",
-                  "critic_loss", "epsilon"]
-    write_csv(log_path, ([row[k] for k in log_fields] for row in block_rows), log_fields)
     missions_path = out_dir / "missions.csv"
     write_csv(
         missions_path,

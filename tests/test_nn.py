@@ -359,3 +359,39 @@ def test_checkpoint_rejects_garbage(tmp_path):
     path.write_bytes(b"NOTACKPT anything")
     with pytest.raises(DataError):
         load_checkpoint(path)
+
+
+def test_failed_checkpoint_write_keeps_the_previous_file(tmp_path, monkeypatch):
+    import builtins
+
+    path = tmp_path / "actor.ckpt"
+    save_checkpoint(path, [("w", np.arange(4.0))], {"kind": "actor"})
+    real_open = builtins.open
+
+    class DiskFull:
+        """A file with room for 1000 bytes: the header fits, the 3200-byte blob does not."""
+
+        def __init__(self, fh):
+            self.fh, self.room = fh, 1000
+
+        def write(self, data):
+            if len(data) > self.room:
+                self.fh.write(data[: self.room])
+                raise OSError(28, "No space left on device")
+            self.room -= len(data)
+            return self.fh.write(data)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+    with monkeypatch.context() as m:
+        m.setattr(builtins, "open", lambda *a, **kw: DiskFull(real_open(*a, **kw)))
+        with pytest.raises(OSError):
+            save_checkpoint(path, [("w", np.arange(400.0))], {"kind": "actor"})
+    params, meta = load_checkpoint(path)
+    assert params["w"].tobytes() == np.arange(4.0).tobytes()
+    assert meta == {"kind": "actor"}
+    assert [p.name for p in tmp_path.iterdir()] == ["actor.ckpt"]

@@ -1,23 +1,30 @@
 """Feature-plane construction and network forward behaviour."""
 
 import math
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from terrascout import cli
 from terrascout.environment import (
+    NUM_ACTIONS,
     Action,
     EnvConfig,
     NoiseStreams,
     TerrainEnv,
     generate_terrain,
 )
-from terrascout.errors import ConfigurationError, ContractViolation
+from terrascout.errors import ConfigurationError, ContractViolation, DomainError
+from terrascout.gridmap import footprint, weighted_cell_entropy
 from terrascout.policy import (
     CRITIC_MODE_FULL,
     CRITIC_MODE_LOCAL,
     CRITIC_MODE_NO_ACTIONS,
     FeatureConfig,
+    FeatureStack,
     NetArch,
     actor_forward,
     actor_manifest,
@@ -30,9 +37,13 @@ from terrascout.policy import (
     make_critic,
     make_value_net,
     save_network,
+    _centred_position_plane,
+    _finite,
+    _global_position_plane,
 )
 
 FCFG = FeatureConfig()
+SMOKE_CFG = Path(__file__).resolve().parents[1] / "cfg" / "smoke.cfg"
 
 
 def cfg_(**kw):
@@ -349,3 +360,191 @@ def test_full_network_gradient_check():
             continue
         num = numeric_grad(lambda: float(loss().data), p.data)
         assert_grad_close(p.grad, num)
+
+
+# ---------------------------------------------------------------------------
+# cached planes against a full rebuild
+# ---------------------------------------------------------------------------
+
+# Reference: the builders as they were before pooled planes were cached, kept
+# verbatim. They rebuild every plane from the whole map on every call.
+
+
+def ref_pool(fine, factor):
+    h, w = fine.shape
+    if h % factor or w % factor:
+        raise ConfigurationError("map size is not divisible by the pooling factor")
+    return fine.reshape(h // factor, factor, w // factor, factor).mean(axis=(1, 3))
+
+
+def ref_footprint_rects(positions, cfg):
+    rects = []
+    for pos in positions:
+        pos_m = cfg.position_m(pos)
+        rects.append(
+            footprint(pos_m, cfg.footprint_factor, cfg.map_cells, cfg.map_cells,
+                      cfg.map_resolution)
+        )
+    return rects
+
+
+def ref_footprint_plane(rects, cfg):
+    fine = np.zeros((cfg.map_cells, cfg.map_cells))
+    for rect in rects:
+        fine[rect.slices] = 1.0
+    return (ref_pool(fine, cfg.pool_factor) > 0.0).astype(np.float64)
+
+
+def ref_measurement_entropy_plane(local, cfg):
+    fine = np.zeros((cfg.map_cells, cfg.map_cells))
+    m = local.last_measurement
+    if m is not None:
+        p_obs = np.where(m.values == 1, m.accuracy, 1.0 - m.accuracy)
+        fine[m.rect.slices] = weighted_cell_entropy(p_obs, cfg.weights)
+    return ref_pool(fine, cfg.pool_factor)
+
+
+def ref_build_actor_features(local, cfg, fcfg=FeatureConfig()):
+    g = cfg.lattice_cols
+    factor = cfg.pool_factor
+    planes = []
+    if fcfg.position_map:
+        planes.append(_centred_position_plane(local, cfg))
+    if fcfg.belief_map or fcfg.entropy_map:
+        probs = local.local_map.probs()
+    if fcfg.belief_map:
+        planes.append(ref_pool(probs, factor))
+    if fcfg.entropy_map:
+        try:  # a NaN belief fails the entropy's domain check before the stack check
+            planes.append(ref_pool(weighted_cell_entropy(probs, cfg.weights), factor))
+        except DomainError as exc:
+            raise ContractViolation("feature planes contain non-finite values") from exc
+    if fcfg.measurement_entropy:
+        planes.append(ref_measurement_entropy_plane(local, cfg))
+    if fcfg.footprint_map:
+        rects = []
+        if local.last_measurement is not None:
+            rects.append(local.last_measurement.rect)
+        rects += [m.rect for m in local.inbox]
+        planes.append(ref_footprint_plane(rects, cfg))
+    if fcfg.agent_id:
+        planes.append(np.full((g, g), (local.agent_id + 1) / cfg.num_agents))
+    if fcfg.budget:
+        planes.append(np.full((g, g), local.remaining_budget / cfg.budget))
+    return _finite(FeatureStack(np.stack(planes), actor_manifest(fcfg)))
+
+
+def ref_build_critic_features(state, base, agent_id, other_actions, cfg,
+                              fcfg=FeatureConfig(), mode=CRITIC_MODE_FULL):
+    if mode == CRITIC_MODE_LOCAL:
+        return base
+    planes = [base.planes]
+    factor = cfg.pool_factor
+    probs, cell_entropy = state.map_planes(cfg.weights)
+    if fcfg.global_position_map:
+        planes.append(_global_position_plane(state.positions, cfg)[None])
+    if fcfg.global_belief_map:
+        planes.append(ref_pool(probs, factor)[None])
+    if fcfg.global_entropy_map:
+        planes.append(ref_pool(cell_entropy, factor)[None])
+    if fcfg.global_footprint_map:
+        planes.append(ref_footprint_plane(ref_footprint_rects(state.positions, cfg), cfg)[None])
+    if mode == CRITIC_MODE_FULL and fcfg.action_maps:
+        others = [j for j in range(cfg.num_agents) if j != agent_id]
+        if len(other_actions) != len(others):
+            raise ContractViolation(
+                f"expected {len(others)} teammate actions, got {len(other_actions)}"
+            )
+        g = cfg.lattice_cols
+        onehots = np.zeros((len(others) * NUM_ACTIONS, g, g))
+        for k, (j, act) in enumerate(zip(others, other_actions)):
+            pos = state.positions[j]
+            onehots[k * NUM_ACTIONS + int(act), int(pos[1]), int(pos[0])] = 1.0
+        planes.append(onehots)
+    return _finite(
+        FeatureStack(np.concatenate(planes), critic_manifest(fcfg, cfg.num_agents, mode))
+    )
+
+
+def plane_test_cfg(scale: str, comm_radius: float) -> EnvConfig:
+    if scale == "smoke":
+        return replace(cli.build_env_config(cli.parse_config_file(SMOKE_CFG)),
+                       comm_radius=comm_radius)
+    # pool factor 1: one map cell per lattice tile
+    return EnvConfig(terrain_size=30.0, map_resolution=3.0, planning_resolution=3.0,
+                     num_agents=3, budget=6, comm_radius=comm_radius)
+
+
+def assert_stacks_identical(new, ref):
+    assert new.manifest == ref.manifest
+    assert new.planes.shape == ref.planes.shape
+    assert new.planes.tobytes() == ref.planes.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    scale=st.sampled_from(["smoke", "pool1"]),
+    comm_radius=st.sampled_from([0.0, 25.0, math.inf]),
+    toggles=st.lists(st.booleans(), min_size=len(fields(FeatureConfig)),
+                     max_size=len(fields(FeatureConfig))),
+    mode=st.sampled_from([CRITIC_MODE_FULL, CRITIC_MODE_NO_ACTIONS, CRITIC_MODE_LOCAL]),
+    seed=st.integers(0, 2**16),
+)
+def test_cached_planes_equal_full_rebuild_bit_for_bit(scale, comm_radius, toggles, mode, seed):
+    cfg = plane_test_cfg(scale, comm_radius)
+    fcfg = FeatureConfig(**{f.name: on for f, on in zip(fields(FeatureConfig), toggles)})
+    if not actor_manifest(fcfg):
+        fcfg = fcfg.with_toggle("budget", True)
+    env = TerrainEnv(cfg, generate_terrain(np.random.default_rng(seed), cfg), NoiseStreams(seed))
+    env.reset()
+    rng = np.random.default_rng(seed)
+    done = False
+    while not done:
+        actions = [int(rng.choice(np.flatnonzero(m))) for m in env.masks()]
+        if rng.random() < 0.8:  # skipped steps leave several fusions for one refresh
+            stacks = []
+            for loc in env.locals:
+                stacks.append(build_actor_features(loc, cfg, fcfg))
+                assert_stacks_identical(stacks[-1], ref_build_actor_features(loc, cfg, fcfg))
+            for i, stack in enumerate(stacks):
+                others = actions[:i] + actions[i + 1 :]
+                assert_stacks_identical(
+                    build_critic_features(env.state, stack, i, others, cfg, fcfg, mode),
+                    ref_build_critic_features(env.state, stack, i, others, cfg, fcfg, mode),
+                )
+        _, done = env.step(actions)
+
+
+def test_out_of_band_write_then_reset_matches_fresh_build():
+    env = fresh_env(seed=4)
+    loc = env.locals[0]
+    build_actor_features(loc, env.cfg, FCFG)
+    loc.local_map.log_odds[:7, :] = np.random.default_rng(0).normal(size=(7, 100))
+    loc.pooled = None  # the documented reset after an out-of-band write
+    assert_stacks_identical(
+        build_actor_features(loc, env.cfg, FCFG), ref_build_actor_features(loc, env.cfg, FCFG)
+    )
+    base = build_actor_features(env.locals[1], env.cfg, FCFG)
+    agent0_critic(env, [0])
+    env.state.global_map.log_odds[...] = 1.5
+    env.state.positions[1] = [9, 9, 2]
+    env.state.probs = env.state.pooled = None
+    assert_stacks_identical(
+        build_critic_features(env.state, base, 1, [0], env.cfg, FCFG),
+        ref_build_critic_features(env.state, base, 1, [0], env.cfg, FCFG),
+    )
+
+
+def test_failed_refresh_leaves_the_cache_as_it_was():
+    env = fresh_env(seed=5)
+    loc = env.locals[0]
+    build_actor_features(loc, env.cfg, FCFG)
+    before = loc.pooled.copy()
+    env.step([int(np.flatnonzero(m)[0]) for m in env.masks()])
+    band = loc.dirty_rows
+    row = band[0] * env.cfg.pool_factor
+    loc.local_map.log_odds[row, 0] = np.nan  # inside the band the next refresh reads
+    with pytest.raises(ContractViolation, match="non-finite"):
+        build_actor_features(loc, env.cfg, FCFG)
+    assert loc.pooled.tobytes() == before.tobytes()
+    assert loc.dirty_rows == band

@@ -480,3 +480,20 @@ def test_training_loop_variants_produce_checkpoints(tmp_path):
             "decentralised": 7,
         }[variant]
         assert critic.in_channels == expected_channels
+
+
+def test_training_log_is_streamed_per_block(tmp_path):
+    cfg = micro_cfg()
+    tcfg = micro_tcfg(rollout_block=6)  # one mission per block, four blocks
+    full = training_loop(cfg, tcfg, FCFG, seed=2, out_dir=tmp_path / "full")
+
+    def crash_after_block_1(row):
+        if row["block"] == 1:
+            raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        training_loop(cfg, tcfg, FCFG, seed=2, out_dir=tmp_path / "cut",
+                      progress=crash_after_block_1)
+    cut = (tmp_path / "cut" / "training_log.csv").read_bytes()
+    assert cut.splitlines() == full.log_path.read_bytes().splitlines()[:3]
+    assert full.log_path.read_bytes().startswith(cut)
