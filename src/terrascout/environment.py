@@ -242,7 +242,7 @@ def generate_terrain(
         lo, hi = proj.min() - 1.0, proj.max() + 1.0
         for _ in range(64):
             mid = 0.5 * (lo + hi)
-            if (proj >= mid).mean() > target:
+            if np.count_nonzero(proj >= mid) / proj.size > target:
                 lo = mid
             else:
                 hi = mid

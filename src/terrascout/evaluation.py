@@ -100,11 +100,13 @@ def roi_entropy(grid: OccupancyGrid, gt: GroundTruthMap, w: ImportanceWeights,
     """
     if grid.log_odds.shape != gt.cells.shape:
         raise ContractViolation("grid and ground truth dimensions differ")
-    roi = gt.cells == 1
-    count = int(roi.sum())
+    count = gt.roi_index.size
     if count == 0:
         raise DegenerateTerrainError("terrain has no interesting cells")
-    h = map_entropy(grid, w, roi) if cell_entropy is None else float(cell_entropy[roi].sum())
+    if cell_entropy is None:
+        h = map_entropy(grid, w, gt.cells == 1)
+    else:  # the same cells in the same order as a boolean gather, so the same sum
+        h = float(np.ravel(cell_entropy).take(gt.roi_index).sum())
     h0 = weighted_cell_entropy(0.5, w) * count
     return h / h0
 
@@ -117,10 +119,9 @@ def f1_score(grid: OccupancyGrid, gt: GroundTruthMap, *, probs=None) -> float:
     if grid.log_odds.shape != gt.cells.shape:
         raise ContractViolation("grid and ground truth dimensions differ")
     pred = (grid.probs() if probs is None else probs) > 0.5
-    truth = gt.cells == 1
-    tp = int((pred & truth).sum())
-    fp = int((pred & ~truth).sum())
-    fn = int((~pred & truth).sum())
+    tp = int(np.count_nonzero(pred & (gt.cells == 1)))
+    fp = int(np.count_nonzero(pred)) - tp
+    fn = gt.roi_index.size - tp
     if tp == 0:
         return 0.0
     precision = tp / (tp + fp)

@@ -19,6 +19,7 @@ import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -37,10 +38,21 @@ from .errors import (
 # read, so log-odds stay finite and fusion remains exactly commutative.
 PROB_FLOOR = 1e-4
 
+# Cells per band of the entropy kernel: its three float buffers stay in cache.
+_ENTROPY_BAND = 8192
+# The weighted class-term sum at p = 0.5: both terms are 0.5 * log2(0.5) and
+# both carry the weight 0.5, whatever w1 and w2 are.
+_T_HALF = 0.5 * math.log2(0.5)
+_SUM_AT_HALF = 0.5 * _T_HALF + 0.5 * _T_HALF
+
 
 @dataclass
 class GroundTruthMap:
-    """Binary reference terrain: 1 marks the interesting class."""
+    """Binary reference terrain: 1 marks the interesting class.
+
+    ``cells`` is never written after construction, which is what lets
+    :attr:`roi_index` be computed once.
+    """
 
     cells: np.ndarray  # (H, W), values in {0, 1}
     resolution: float  # metres per cell
@@ -49,10 +61,15 @@ class GroundTruthMap:
         self.cells = np.asarray(self.cells, dtype=np.uint8)
         if self.cells.ndim != 2 or self.cells.shape[0] < 1 or self.cells.shape[1] < 1:
             raise ConfigurationError("ground truth map needs a non-empty 2D cell grid")
-        if not np.isin(self.cells, (0, 1)).all():
+        if self.cells.max() > 1:  # uint8, so this is the {0, 1} check
             raise ConfigurationError("ground truth cells must be 0 or 1")
         if self.resolution <= 0:
             raise ConfigurationError("map resolution must be positive")
+
+    @cached_property
+    def roi_index(self) -> np.ndarray:
+        """Flat C-order indices of the interesting cells, ascending."""
+        return np.flatnonzero(self.cells)
 
     @property
     def height(self) -> int:
@@ -100,16 +117,23 @@ class OccupancyGrid:
 
     def probs(self) -> np.ndarray:
         """Clamped posterior probabilities, elementwise in (0, 1)."""
-        p = 1.0 / (1.0 + np.exp(-self.log_odds))
-        return np.clip(p, PROB_FLOOR, 1.0 - PROB_FLOOR)
+        return _posterior(self.log_odds)
 
     def probs_slice(self, slices: tuple[slice, slice]) -> np.ndarray:
         """Clamped posterior over a cell rectangle only (cheap for planners)."""
-        p = 1.0 / (1.0 + np.exp(-self.log_odds[slices]))
-        return np.clip(p, PROB_FLOOR, 1.0 - PROB_FLOOR)
+        return _posterior(self.log_odds[slices])
 
     def copy(self) -> "OccupancyGrid":
         return OccupancyGrid(self.log_odds.copy(), self.resolution)
+
+
+def _posterior(log_odds: np.ndarray) -> np.ndarray:
+    """``clip(1 / (1 + exp(-log_odds)))``, computed in place in one fresh buffer."""
+    p = np.negative(log_odds)
+    np.exp(p, out=p)
+    p += 1.0
+    np.divide(1.0, p, out=p)
+    return np.clip(p, PROB_FLOOR, 1.0 - PROB_FLOOR, out=p)
 
 
 @dataclass(frozen=True)
@@ -123,9 +147,10 @@ class SensorModel:
         accs = [p for _, p in self.table]
         if not alts:
             raise ConfigurationError("sensor table is empty")
-        if any(b <= a for a, b in zip(alts, alts[1:])):
-            raise ConfigurationError("sensor altitudes must be strictly increasing")
-        if any(not (0.5 < p <= 1.0) for p in accs):
+        # written so that NaN fails every comparison
+        if not (alts[0] > 0 and all(b > a for a, b in zip(alts, alts[1:]))):
+            raise ConfigurationError("sensor altitudes must be positive and strictly increasing")
+        if not all(0.5 < p <= 1.0 for p in accs):
             raise ConfigurationError("sensor accuracies must lie in (0.5, 1.0]")
 
     @classmethod
@@ -151,7 +176,8 @@ class ImportanceWeights:
     w2: float = 0.2
 
     def __post_init__(self) -> None:
-        if self.w1 < 0 or self.w2 < 0 or abs(self.w1 + self.w2 - 1.0) > 1e-12:
+        # written so that NaN fails every comparison
+        if not (self.w1 >= 0 and self.w2 >= 0 and abs(self.w1 + self.w2 - 1.0) <= 1e-12):
             raise ConfigurationError("importance weights must be nonnegative and sum to 1")
 
 
@@ -375,7 +401,7 @@ def fuse_measurement(grid: OccupancyGrid, m: Measurement) -> OccupancyGrid:
     # Accuracy 1.0 would give infinite log-odds; cap so arithmetic stays finite.
     acc = min(m.accuracy, 1.0 - 1e-9)
     delta = math.log(acc / (1.0 - acc))
-    patch = np.where(m.values == 1, delta, -delta)
+    patch = np.array([-delta, delta]).take(m.values == 1)
     grid.log_odds[m.rect.slices] += patch
     return grid
 
@@ -387,20 +413,49 @@ def weighted_cell_entropy(p, w: ImportanceWeights):
     posterior lies (w1 backs the interesting class when it is the likely
     one); both terms share the weight 0.5 exactly at p = 0.5, and
     0 log 0 := 0.
+
+    Cells are processed in cache-sized bands of a flat C-order view, with
+    the same IEEE operations per cell as the textbook formula.
     """
     arr = np.asarray(p, dtype=np.float64)
-    if arr.size and not (0.0 <= arr.min() and arr.max() <= 1.0):  # NaN fails both
+    if arr.size == 0:
+        return np.empty(arr.shape)
+    lo, hi = arr.min(), arr.max()
+    if not (0.0 <= lo and hi <= 1.0):  # NaN fails both
         raise DomainError("cell probability outside [0, 1]")
-    w_pos = np.where(arr > 0.5, w.w1, np.where(arr < 0.5, w.w2, 0.5))
-    w_neg = np.where(arr > 0.5, w.w2, np.where(arr < 0.5, w.w1, 0.5))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_pos = np.where(arr > 0.0, arr * np.log2(np.where(arr > 0.0, arr, 1.0)), 0.0)
-        q = 1.0 - arr
-        t_neg = np.where(q > 0.0, q * np.log2(np.where(q > 0.0, q, 1.0)), 0.0)
-    out = -(w_pos * t_pos + w_neg * t_neg)
+    x = arr.ravel()
+    out = np.empty(x.size)
+    n = min(x.size, _ENTROPY_BAND)
+    t_pos, t_neg, tmp = np.empty(n), np.empty(n), np.empty(n)
+    w1, w2 = w.w1, w.w2
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0 * log2(0), fixed below
+        for start in range(0, x.size, _ENTROPY_BAND):
+            xb = x[start:start + _ENTROPY_BAND]
+            ob = out[start:start + _ENTROPY_BAND]
+            k = xb.size
+            tp, tn, u = t_pos[:k], t_neg[:k], tmp[:k]
+            np.log2(xb, out=tp)
+            tp *= xb  # x log2 x
+            np.subtract(1.0, xb, out=u)
+            np.log2(u, out=tn)
+            tn *= u  # (1 - x) log2(1 - x)
+            if lo == 0.0:
+                tp[xb == 0.0] = 0.0
+            if hi == 1.0:
+                tn[xb == 1.0] = 0.0
+            # x < 0.5: w2 backs the positive term; x > 0.5: w1 does
+            np.multiply(tp, w2, out=ob)
+            np.multiply(tn, w1, out=u)
+            ob += u
+            tp *= w1
+            tn *= w2
+            tp += tn
+            np.copyto(ob, tp, where=xb > 0.5)
+            ob[xb == 0.5] = _SUM_AT_HALF
+    np.negative(out, out=out)
     if np.ndim(p) == 0:
-        return float(out)
-    return out
+        return float(out[0])
+    return out.reshape(arr.shape)
 
 
 def map_entropy(
@@ -447,9 +502,14 @@ def atomic_open(path, mode: str = "w", **kwargs):
 def write_csv(path, rows, header: Optional[Sequence[str]] = None) -> None:
     """Start a CSV with ``header`` and ``rows``, or append ``rows`` when ``header`` is None.
 
-    Values go through ``fmt``; lines end in the csv module's ``\\r\\n``.
+    Values go through ``fmt``; lines end in the csv module's ``\\r\\n``. A new
+    file is written atomically; appends (streamed logs) go to ``path`` itself.
     """
-    with open(path, "a" if header is None else "w", newline="", encoding="ascii") as fh:
+    if header is None:
+        target = open(path, "a", newline="", encoding="ascii")
+    else:
+        target = atomic_open(path, "w", newline="", encoding="ascii")
+    with target as fh:
         writer = csv.writer(fh)
         if header is not None:
             writer.writerow(header)
@@ -460,7 +520,7 @@ def write_text_grid(path, values: np.ndarray, resolution: float) -> None:
     """Write the documented text format: header ``W H r_M`` then W*H scalars."""
     values = np.asarray(values, dtype=np.float64)
     h, w = values.shape
-    with open(path, "w", encoding="ascii") as fh:
+    with atomic_open(path, "w", encoding="ascii") as fh:
         fh.write(f"{w} {h} {fmt(resolution)}\n")
         for row in values:
             fh.write(" ".join(map(fmt, row)) + "\n")
@@ -513,6 +573,6 @@ def load_grid(path) -> OccupancyGrid:
 def save_grid_pgm(path, grid: OccupancyGrid) -> None:
     """8-bit binary PGM of probability * 255, rounded."""
     pix = np.rint(grid.probs() * 255.0).astype(np.uint8)
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(f"P5\n{grid.width} {grid.height}\n255\n".encode("ascii"))
         fh.write(pix.tobytes())

@@ -7,7 +7,7 @@ per-agent sweep cursor; the learned planner wraps a frozen actor network.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -34,49 +34,56 @@ class RandomPlanner:
         return int(rng.choice(valid))
 
 
-def expected_entropy_reduction(probs: np.ndarray, accuracy: float,
-                               weights: ImportanceWeights) -> float:
-    """Expected weighted-entropy drop of cells after one noisy observation.
+def expected_entropy_reduction(patches: Sequence[np.ndarray], accuracy: float,
+                               weights: ImportanceWeights) -> list[float]:
+    """Expected weighted-entropy drop of each patch's cells after one noisy
+    observation at ``accuracy``.
 
     The expectation decomposes over cells because per-cell posteriors are
     independent: each cell sees label 1 with probability p*acc +
-    (1-p)*(1-acc) and is updated by Bayes either way.
+    (1-p)*(1-acc) and is updated by Bayes either way. All patches are
+    evaluated in one stacked pass; each gain is the sum of its patch's
+    contiguous block, which adds in the same order as the patch alone.
     """
-    p = np.asarray(probs, dtype=np.float64)
+    flat = [np.ravel(np.asarray(patch, dtype=np.float64)) for patch in patches]
+    p = np.concatenate(flat)
     q1 = p * accuracy + (1.0 - p) * (1.0 - accuracy)
     post1 = p * accuracy / q1
     post0 = p * (1.0 - accuracy) / (1.0 - q1)
     expected = q1 * weighted_cell_entropy(post1, weights) + (1.0 - q1) * weighted_cell_entropy(
         post0, weights
     )
-    return float((weighted_cell_entropy(p, weights) - expected).sum())
+    gain = weighted_cell_entropy(p, weights) - expected
+    blocks = np.split(gain, np.cumsum([f.size for f in flat])[:-1])
+    return [float(block.sum()) for block in blocks]
 
 
 class GreedyInfoGainPlanner:
     """Pick the move whose footprint promises the largest expected
     entropy reduction of the agent's local map; ties break in the fixed
-    action order (up, north, east, south, west, down)."""
+    action order (up, north, east, south, west, down).
+
+    Candidates at one altitude share a sensor accuracy, so they are
+    evaluated together, in one stacked call per altitude.
+    """
 
     def act(self, local: AgentLocalState, mask: np.ndarray, cfg: EnvConfig,
             step_index: int, rng: np.random.Generator) -> int:
         if not mask.any():
             raise ContractViolation("greedy planner needs at least one valid action")
         grid = local.local_map
-        best_action = -1
-        best_gain = -np.inf
-        for a in range(NUM_ACTIONS):
-            if not mask[a]:
-                continue
-            target = local.position + ACTION_DELTAS[a]
-            pos_m = cfg.position_m(target)
+        groups: dict[float, tuple[list[int], list[np.ndarray]]] = {}
+        for a in np.flatnonzero(mask):
+            pos_m = cfg.position_m(local.position + ACTION_DELTAS[a])
             rect = footprint(pos_m, cfg.footprint_factor, cfg.map_cells, cfg.map_cells,
                              cfg.map_resolution)
-            acc = cfg.sensor.accuracy_at(pos_m[2])
-            gain = expected_entropy_reduction(grid.probs_slice(rect.slices), acc, cfg.weights)
-            if gain > best_gain:
-                best_gain = gain
-                best_action = a
-        return best_action
+            actions, patches = groups.setdefault(cfg.sensor.accuracy_at(pos_m[2]), ([], []))
+            actions.append(int(a))
+            patches.append(grid.probs_slice(rect.slices))
+        gains = np.full(NUM_ACTIONS, -np.inf)
+        for acc, (actions, patches) in groups.items():
+            gains[actions] = expected_entropy_reduction(patches, acc, cfg.weights)
+        return int(np.argmax(gains))  # the first maximum: ties go to the earlier action
 
 
 class CoveragePlanner:

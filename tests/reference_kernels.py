@@ -1,0 +1,73 @@
+"""The textbook forms of the map kernels, kept as the references of the
+equality gates in ``test_gridmap``, ``test_planners`` and ``test_evaluation``.
+
+The package computes the same IEEE operations per cell in fewer passes; the
+gates require its outputs to equal these bit for bit.
+"""
+
+import numpy as np
+
+from terrascout.errors import DomainError
+from terrascout.gridmap import PROB_FLOOR, map_entropy
+
+
+def weighted_cell_entropy(p, w):
+    """Class-weighted binary entropy with scalar weights picked by ``np.where``."""
+    arr = np.asarray(p, dtype=np.float64)
+    if arr.size and not (0.0 <= arr.min() and arr.max() <= 1.0):  # NaN fails both
+        raise DomainError("cell probability outside [0, 1]")
+    w_pos = np.where(arr > 0.5, w.w1, np.where(arr < 0.5, w.w2, 0.5))
+    w_neg = np.where(arr > 0.5, w.w2, np.where(arr < 0.5, w.w1, 0.5))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_pos = np.where(arr > 0.0, arr * np.log2(np.where(arr > 0.0, arr, 1.0)), 0.0)
+        q = 1.0 - arr
+        t_neg = np.where(q > 0.0, q * np.log2(np.where(q > 0.0, q, 1.0)), 0.0)
+    out = -(w_pos * t_pos + w_neg * t_neg)
+    if np.ndim(p) == 0:
+        return float(out)
+    return out
+
+
+def probs(log_odds):
+    """Clamped posterior, one temporary per operation."""
+    p = 1.0 / (1.0 + np.exp(-log_odds))
+    return np.clip(p, PROB_FLOOR, 1.0 - PROB_FLOOR)
+
+
+def fusion_patch(values, delta):
+    return np.where(values == 1, delta, -delta)
+
+
+def expected_entropy_reduction(probs, accuracy, weights):
+    """One candidate footprint's expected weighted-entropy drop."""
+    p = np.asarray(probs, dtype=np.float64)
+    q1 = p * accuracy + (1.0 - p) * (1.0 - accuracy)
+    post1 = p * accuracy / q1
+    post0 = p * (1.0 - accuracy) / (1.0 - q1)
+    expected = q1 * weighted_cell_entropy(post1, weights) + (1.0 - q1) * weighted_cell_entropy(
+        post0, weights
+    )
+    return float((weighted_cell_entropy(p, weights) - expected).sum())
+
+
+def roi_entropy(grid, gt, w, *, cell_entropy=None):
+    """Normalized ROI entropy through a boolean gather of the ROI cells."""
+    roi = gt.cells == 1
+    count = int(roi.sum())
+    h = map_entropy(grid, w, roi) if cell_entropy is None else float(cell_entropy[roi].sum())
+    h0 = weighted_cell_entropy(0.5, w) * count
+    return h / h0
+
+
+def f1_score(grid, gt, *, probs=None):
+    """F1 of 'p > 0.5' predictions, every count a separate boolean pass."""
+    pred = (grid.probs() if probs is None else probs) > 0.5
+    truth = gt.cells == 1
+    tp = int((pred & truth).sum())
+    fp = int((pred & ~truth).sum())
+    fn = int((~pred & truth).sum())
+    if tp == 0:
+        return 0.0
+    precision = tp / (tp + fp)
+    recall = tp / (tp + fn)
+    return 2.0 * precision * recall / (precision + recall)

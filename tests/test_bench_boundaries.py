@@ -48,3 +48,34 @@ def test_mission_index_sits_where_the_tracer_reads_it(name, position):
     _, module_name, target = next(b for b in spans.BOUNDARIES if b[0] == name)
     params = list(inspect.signature(_resolve(module_name, target)).parameters)
     assert params[position] == "mission_index"
+
+
+@pytest.mark.parametrize("level, groups", [(1, 3), (0, 2)])
+def test_greedy_act_makes_one_stacked_call_per_altitude(level, groups):
+    """Six candidates at a middle altitude span three altitudes, five at the
+    lowest span two: one ``expected_entropy_reduction`` span per altitude,
+    each with three ``weighted_cell_entropy`` spans under it."""
+    import numpy as np
+
+    from terrascout.environment import AgentLocalState, EnvConfig
+    from terrascout.gridmap import OccupancyGrid
+    from terrascout.planners import GreedyInfoGainPlanner
+
+    cfg = EnvConfig(terrain_size=25.0, map_resolution=0.5, num_agents=1, budget=4)
+    n = cfg.map_cells
+    log_odds = np.random.default_rng(0).normal(size=(n, n))
+    local = AgentLocalState(0, OccupancyGrid(log_odds, 0.5), np.array([2, 2, level]),
+                            np.array([[2, 2, level]]), 4)
+    mask = np.array([True, True, True, True, True, level > 0])
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        GreedyInfoGainPlanner().act(local, mask, cfg, 1, np.random.default_rng(0))
+    finally:
+        tracer.uninstall()
+    names = [s[0] for s in tracer.spans]
+    stacked = [i for i, name in enumerate(names) if name == "planners.expected_entropy_reduction"]
+    assert len(stacked) == groups
+    for i in stacked:
+        children = [s[0] for s in tracer.spans if s[3] == i]
+        assert children == ["gridmap.weighted_cell_entropy"] * 3

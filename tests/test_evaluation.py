@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference_kernels as reference
 from terrascout import evaluation
 from terrascout.environment import EnvConfig, generate_terrain, terrain_rng
 from terrascout.errors import ContractViolation, DegenerateTerrainError
@@ -16,7 +19,12 @@ from terrascout.evaluation import (
     run_mission,
     write_benchmark_csv,
 )
-from terrascout.gridmap import GroundTruthMap, ImportanceWeights, OccupancyGrid
+from terrascout.gridmap import (
+    GroundTruthMap,
+    ImportanceWeights,
+    OccupancyGrid,
+    weighted_cell_entropy,
+)
 
 W = ImportanceWeights(0.8, 0.2)
 HALF = ImportanceWeights(0.5, 0.5)
@@ -87,6 +95,41 @@ def test_f1_all_positive_on_40pct_terrain():
 def test_f1_uniform_prior_is_zero_by_convention():
     gt = gt_fraction()
     assert f1_score(OccupancyGrid.uniform(10, 10, 0.5), gt) == 0.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.tuples(st.integers(1, 67), st.integers(1, 53)),
+    roi_share=st.sampled_from([0.02, 0.4, 1.0]),
+    weights=st.sampled_from([(0.8, 0.2), (0.7, 0.30000000000000004), (0.6, 0.4000000000005),
+                             (1.0, 0.0), (0.5, 0.5)]),
+    fortran=st.booleans(),
+)
+def test_roi_entropy_and_f1_equal_reference_bit_for_bit(seed, shape, roi_share, weights, fortran):
+    rng = np.random.default_rng(seed)
+    cells = (rng.random(shape) < roi_share).astype(np.uint8)
+    cells.flat[0] = 1  # a terrain with no interesting cell raises before any metric
+    gt = GroundTruthMap(cells, 0.5)
+    log_odds = rng.normal(0.0, 3.0, shape)
+    log_odds[rng.random(shape) < 0.3] = 0.0  # p = 0.5 exactly: not a positive prediction
+    log_odds[rng.random(shape) < 0.2] = 40.0
+    grid = OccupancyGrid(log_odds, 0.5)
+    w = ImportanceWeights(*weights)
+    probs = grid.probs()
+    cell_entropy = weighted_cell_entropy(probs, w)
+    if fortran:  # a caller's planes need not be C-ordered
+        probs, cell_entropy = np.asfortranarray(probs), np.asfortranarray(cell_entropy)
+    pairs = [
+        (roi_entropy(grid, gt, w), reference.roi_entropy(grid, gt, w)),
+        (roi_entropy(grid, gt, w, cell_entropy=cell_entropy),
+         reference.roi_entropy(grid, gt, w, cell_entropy=cell_entropy)),
+        (f1_score(grid, gt), reference.f1_score(grid, gt)),
+        (f1_score(grid, gt, probs=probs), reference.f1_score(grid, gt, probs=probs)),
+    ]
+    for got, want in pairs:
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 def test_checkpoint_steps():

@@ -34,7 +34,9 @@ from terrascout.gridmap import (
     upsample_factor,
     weighted_cell_entropy,
 )
-from terrascout.gridmap import _footprint_origin
+from terrascout.gridmap import PROB_FLOOR, _footprint_origin
+
+import reference_kernels as reference
 
 W = ImportanceWeights(0.8, 0.2)
 HALF = ImportanceWeights(0.5, 0.5)
@@ -449,3 +451,206 @@ def test_sensor_model_validation():
         SensorModel(((5.0, 0.4),))
     with pytest.raises(ConfigurationError):
         ImportanceWeights(0.7, 0.2)
+
+
+# ---------------------------------------------------------------------------
+# equality gates: the lean kernels against the textbook forms they replaced
+# ---------------------------------------------------------------------------
+
+# Weight pairs of the gates: w1 + w2 exactly 1, a w2 off 0.3 in its last bit,
+# a sum off 1 by less than the 1e-12 the weights allow (so the class terms
+# at p = 0.5 do not add to 0.5 unless fixed up), both one-sided pairs, and
+# the symmetric pair.
+GATE_WEIGHTS = [
+    ImportanceWeights(0.8, 0.2),
+    ImportanceWeights(0.7, 0.30000000000000004),
+    ImportanceWeights(0.6, 0.4000000000005),
+    ImportanceWeights(1.0, 0.0),
+    ImportanceWeights(0.0, 1.0),
+    ImportanceWeights(0.5, 0.5),
+]
+SPECIAL_PROBS = np.array([0.0, 1.0, 0.5, PROB_FLOOR, 1.0 - PROB_FLOOR])
+
+
+def gate_probs(seed, shape, special_share):
+    """Random probabilities with a share of exact 0, 1, 0.5 and clamp values."""
+    rng = np.random.default_rng(seed)
+    p = rng.uniform(0.0, 1.0, shape)
+    special = rng.random(shape) < special_share
+    p[special] = rng.choice(SPECIAL_PROBS, size=int(special.sum()))
+    return p
+
+
+def gate_view(a, kind):
+    """The array itself or a non-contiguous view of it."""
+    return {"c": a, "t": a.T, "step": a[::2, ::3], "flip": a[::-1, ::-1]}[kind]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.tuples(st.integers(1, 131), st.integers(1, 97)),
+    special_share=st.sampled_from([0.0, 0.05, 0.5, 1.0]),
+    view=st.sampled_from(["c", "t", "step", "flip"]),
+    w=st.sampled_from(GATE_WEIGHTS),
+)
+def test_entropy_kernel_equals_reference_bit_for_bit(seed, shape, special_share, view, w):
+    p = gate_view(gate_probs(seed, shape, special_share), view)
+    got = weighted_cell_entropy(p, w)
+    want = reference.weighted_cell_entropy(p, w)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()  # signed zeros included
+
+
+@pytest.mark.parametrize("w", GATE_WEIGHTS)
+def test_entropy_kernel_scalars_and_band_edges_equal_reference(w):
+    for p in [*SPECIAL_PROBS, 0.25, 0.75, np.float64(0.3), np.array(0.6)]:
+        got, want = weighted_cell_entropy(p, w), reference.weighted_cell_entropy(p, w)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    # planes that end exactly on, one short of and one past a band edge
+    for n in (8191, 8192, 8193, 3 * 8192):
+        p = gate_probs(n, (n,), 0.3)
+        want = reference.weighted_cell_entropy(p, w)
+        assert weighted_cell_entropy(p, w).tobytes() == want.tobytes()
+
+
+def test_entropy_kernel_rejects_nan_and_keeps_empty_shapes():
+    for bad in (math.nan, np.array([0.2, math.nan]), np.array([[math.nan]])):
+        with pytest.raises(DomainError):
+            weighted_cell_entropy(bad, W)
+    for shape in ((0,), (0, 3), (4, 0)):
+        out = weighted_cell_entropy(np.empty(shape), W)
+        assert out.shape == shape and out.dtype == np.float64
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.tuples(st.integers(1, 61), st.integers(1, 73)),
+    scale=st.sampled_from([0.0, 1.0, 12.0, 80.0]),
+    view=st.sampled_from(["c", "t", "step", "flip"]),
+    corner=st.tuples(st.integers(0, 60), st.integers(0, 72)),
+)
+def test_posterior_equals_reference_bit_for_bit(seed, shape, scale, view, corner):
+    log_odds = gate_view(np.random.default_rng(seed).normal(0.0, scale, shape), view)
+    grid = OccupancyGrid(log_odds, 0.1)
+    got, want = grid.probs(), reference.probs(log_odds)
+    assert got.strides == want.strides and got.tobytes() == want.tobytes()
+    y0, x0 = corner[0] % log_odds.shape[0], corner[1] % log_odds.shape[1]
+    slices = (slice(y0, y0 + 17), slice(x0, x0 + 23))  # clipped at the far edges
+    part, want = grid.probs_slice(slices), reference.probs(log_odds[slices])
+    assert part.strides == want.strides and part.tobytes() == want.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    size=st.integers(1, 40),
+    rect=st.tuples(st.integers(0, 39), st.integers(0, 39), st.integers(1, 40), st.integers(1, 40)),
+    accuracy=st.sampled_from([0.5000001, 0.625, 0.735, 0.99, 1.0]),
+)
+def test_fusion_patch_equals_reference_bit_for_bit(seed, size, rect, accuracy):
+    rng = np.random.default_rng(seed)
+    x_lo, y_lo = rect[0] % size, rect[1] % size
+    r = CellRect(x_lo, min(size - 1, x_lo + rect[2] - 1), y_lo, min(size - 1, y_lo + rect[3] - 1))
+    values = rng.integers(0, 2, (r.height, r.width))
+    m = Measurement(np.array([0.0, 0.0, 5.0]), r, values, accuracy, 0, 0)
+    start = rng.normal(0.0, 3.0, (size, size))
+    grid = fuse_measurement(OccupancyGrid(start.copy(), 0.1), m)
+    acc = min(accuracy, 1.0 - 1e-9)
+    delta = math.log(acc / (1.0 - acc))
+    want = start.copy()
+    want[r.slices] += reference.fusion_patch(m.values, delta)
+    assert grid.log_odds.tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# input validation that NaN must not slip through
+# ---------------------------------------------------------------------------
+
+
+def test_ground_truth_rejects_cells_other_than_zero_and_one():
+    cells = np.zeros((3, 4), dtype=np.uint8)
+    cells[1, 2] = 2
+    with pytest.raises(ConfigurationError):
+        GroundTruthMap(cells, 0.5)
+    with pytest.raises(ConfigurationError):
+        GroundTruthMap(np.full((2, 2), 255, dtype=np.uint8), 0.5)
+
+
+def test_roi_index_lists_interesting_cells_in_c_order():
+    gt = GroundTruthMap(np.eye(3, dtype=np.uint8), 0.5)
+    assert gt.roi_index.tolist() == [0, 4, 8]
+    assert gt.roi_index is gt.roi_index  # computed once
+
+
+def test_importance_weights_reject_nan():
+    for w1, w2 in ((math.nan, 0.2), (0.8, math.nan), (math.nan, math.nan)):
+        with pytest.raises(ConfigurationError):
+            ImportanceWeights(w1, w2)
+
+
+def test_sensor_model_rejects_nan():
+    for table in (
+        ((5.0, 0.99), (math.nan, 0.7)),
+        ((math.nan, 0.99),),
+        ((5.0, math.nan),),
+        ((5.0, 0.99), (10.0, math.nan)),
+    ):
+        with pytest.raises(ConfigurationError):
+            SensorModel(table)
+
+
+# ---------------------------------------------------------------------------
+# atomic writers
+# ---------------------------------------------------------------------------
+
+
+class FailingFile:
+    """A file whose ``fail_at``-th write raises, as a full disk would."""
+
+    def __init__(self, fh, fail_at):
+        self.fh, self.left = fh, fail_at - 1
+
+    def write(self, data):
+        if self.left == 0:
+            raise OSError("no space left on device")
+        self.left -= 1
+        return self.fh.write(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+@pytest.mark.parametrize("writer", ["csv", "text_grid", "pgm"])
+def test_a_write_that_fails_mid_file_leaves_the_previous_file_whole(tmp_path, monkeypatch, writer):
+    from terrascout import gridmap
+
+    grid = OccupancyGrid(np.random.default_rng(0).normal(size=(5, 4)), 0.25)
+    write = {
+        "csv": lambda path: gridmap.write_csv(path, [(1, 0.5), (2, 0.25), (3, 0.125)], ["a", "b"]),
+        "text_grid": lambda path: save_grid(path, grid),
+        "pgm": lambda path: save_grid_pgm(path, grid),
+    }[writer]
+    path = tmp_path / "out"
+    write(path)
+    before = path.read_bytes()
+    monkeypatch.setattr(gridmap, "open", lambda *a, **k: FailingFile(open(*a, **k), 2),
+                        raising=False)
+    with pytest.raises(OSError, match="no space"):
+        write(path)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+
+
+def test_csv_append_mode_extends_the_file_in_place(tmp_path):
+    from terrascout import gridmap
+
+    path = tmp_path / "log.csv"
+    gridmap.write_csv(path, [(1, 0.5)], ["step", "value"])
+    gridmap.write_csv(path, [(2, 0.25)])
+    assert path.read_bytes() == b"step,value\r\n1,0.5\r\n2,0.25\r\n"

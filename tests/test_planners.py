@@ -4,16 +4,27 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference_kernels as reference
 from terrascout.environment import (
+    ACTION_DELTAS,
     Action,
+    AgentLocalState,
     EnvConfig,
     NoiseStreams,
     TerrainEnv,
     generate_terrain,
 )
 from terrascout.errors import ContractViolation
-from terrascout.gridmap import ImportanceWeights, SensorModel, weighted_cell_entropy
+from terrascout.gridmap import (
+    ImportanceWeights,
+    OccupancyGrid,
+    SensorModel,
+    footprint,
+    weighted_cell_entropy,
+)
 from terrascout.nn import Tensor
 from terrascout.planners import (
     CoveragePlanner,
@@ -119,7 +130,7 @@ def test_cellwise_reduction_matches_enumeration():
         k = int(rng.integers(1, 5))
         probs = rng.uniform(0.01, 0.99, size=k)
         acc = float(rng.uniform(0.55, 0.99))
-        fast = expected_entropy_reduction(probs, acc, W)
+        fast = expected_entropy_reduction([probs], acc, W)[0]
         slow = exhaustive_expected_reduction(probs, acc, W)
         assert fast == pytest.approx(slow, abs=1e-12)
 
@@ -189,6 +200,72 @@ def test_greedy_tie_break_is_fixed_action_order():
     planner = GreedyInfoGainPlanner()
     # single altitude: valid actions are north/east; north precedes east
     assert planner.act(loc, mask, env.cfg, 1, np.random.default_rng(0)) == int(Action.NORTH)
+
+
+GATE_WEIGHTS = [(0.8, 0.2), (0.7, 0.30000000000000004), (0.6, 0.4000000000005),
+                (1.0, 0.0), (0.0, 1.0), (0.5, 0.5)]
+GATE_SENSORS = [SensorModel.default(), SensorModel(((5.0, 1.0), (10.0, 0.8), (15.0, 0.6)))]
+
+
+def candidate_patches(local, mask, cfg):
+    """(action, sensor accuracy, footprint patch) of each valid candidate."""
+    out = []
+    for a in np.flatnonzero(mask):
+        pos_m = cfg.position_m(local.position + ACTION_DELTAS[a])
+        rect = footprint(pos_m, cfg.footprint_factor, cfg.map_cells, cfg.map_cells,
+                         cfg.map_resolution)
+        out.append((int(a), cfg.sensor.accuracy_at(pos_m[2]),
+                    local.local_map.probs_slice(rect.slices)))
+    return out
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    resolution=st.sampled_from([0.5, 0.625]),
+    factor=st.sampled_from([1.0, 0.9, 1.3]),
+    weights=st.sampled_from(GATE_WEIGHTS),
+    sensor=st.sampled_from(GATE_SENSORS),
+    certain_share=st.sampled_from([0.0, 0.3, 1.0]),
+    position=st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 2)),
+    mask_bits=st.integers(1, 63),
+)
+def test_stacked_greedy_equals_per_candidate_reference(seed, resolution, factor, weights, sensor,
+                                                       certain_share, position, mask_bits):
+    cfg = EnvConfig(terrain_size=25.0, map_resolution=resolution, num_agents=1, budget=4,
+                    footprint_factor=factor, sensor=sensor, weights=ImportanceWeights(*weights))
+    rng = np.random.default_rng(seed)
+    n = cfg.map_cells
+    log_odds = rng.normal(0.0, 2.0, (n, n))
+    log_odds[rng.random((n, n)) < 0.3] = 0.0  # unexplored cells, p = 0.5 exactly
+    log_odds[rng.random((n, n)) < certain_share] = 40.0  # clamped at 1 - PROB_FLOOR
+    local = AgentLocalState(0, OccupancyGrid(log_odds, resolution), np.array(position),
+                            np.array([position]), 4)
+    lattice = np.array([[cfg.lattice_cols, cfg.lattice_rows, cfg.altitude_levels]])
+    targets = local.position + ACTION_DELTAS
+    inside = ((targets >= 0) & (targets < lattice)).all(axis=1)
+    mask = inside & np.array([bool(mask_bits >> a & 1) for a in range(6)])
+    if not mask.any():
+        mask = inside
+
+    candidates = candidate_patches(local, mask, cfg)
+    want = {a: reference.expected_entropy_reduction(patch, acc, cfg.weights)
+            for a, acc, patch in candidates}
+    for acc in {acc for _, acc, _ in candidates}:
+        group = [(a, patch) for a, a_acc, patch in candidates if a_acc == acc]
+        got = expected_entropy_reduction([patch for _, patch in group], acc, cfg.weights)
+        assert np.array(got).tobytes() == np.array([want[a] for a, _ in group]).tobytes()
+    best = max(want, key=lambda a: (want[a], -a))  # the first of equal maxima
+    assert GreedyInfoGainPlanner().act(local, mask, cfg, 1, rng) == best
+
+
+def test_stacked_gains_are_the_standalone_sums():
+    rng = np.random.default_rng(5)
+    shapes = ((7, 13), (1, 1), (150, 149), (3, 1))
+    patches = [rng.uniform(1e-4, 1 - 1e-4, shape) for shape in shapes]
+    got = expected_entropy_reduction(patches, 0.735, W)
+    want = [reference.expected_entropy_reduction(p, 0.735, W) for p in patches]
+    assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 # ---------------------------------------------------------------------------
