@@ -182,11 +182,19 @@ class AgentLocalState:
     last_measurement: Optional[Measurement] = None
     inbox: list = field(default_factory=list)  # teammates' Measurements received this step
     # The pooled (belief, weighted entropy) planes of local_map, (2, G, G),
-    # kept by policy.build_actor_features, and the band [lo, hi) of tile
-    # rows fused into since (None: no row). Code that writes
+    # and their row-tile sums, (2, H, G), kept by policy.build_actor_features;
+    # and the boxes fused into since, each (y_lo, y_hi, c_lo, c_hi): cell rows
+    # [y_lo, y_hi) by tile columns [c_lo, c_hi). Code that writes
     # local_map.log_odds outside TerrainEnv must set pooled to None.
     pooled: Optional[np.ndarray] = None
-    dirty_rows: Optional[tuple[int, int]] = None
+    row_sums: Optional[np.ndarray] = None
+    dirty_boxes: list = field(default_factory=list)
+
+    def fuse(self, m: Measurement, pool_factor: int) -> None:
+        """Fuse ``m`` into the local map and note its box for the pooled planes."""
+        fuse_measurement(self.local_map, m)
+        r, f = m.rect, pool_factor
+        self.dirty_boxes.append((r.y_lo, r.y_hi + 1, r.x_lo // f, r.x_hi // f + 1))
 
 
 class NoiseStreams:
@@ -437,17 +445,12 @@ class TerrainEnv:
         ]
 
         inboxes = exchange_messages(positions_m, measurements, cfg.comm_radius)
-        f = cfg.pool_factor
         for loc, m, inbox in zip(self.locals, measurements, inboxes):
             loc.last_measurement = m
             loc.inbox = inbox
             for heard in [m, *inbox]:  # own first; a sender's pose is where it measured
-                fuse_measurement(loc.local_map, heard)
+                loc.fuse(heard, cfg.pool_factor)
                 loc.known_positions[heard.agent_id] = state.positions[heard.agent_id]
-                lo, hi = heard.rect.y_lo // f, heard.rect.y_hi // f + 1
-                if loc.dirty_rows is not None:
-                    lo, hi = min(lo, loc.dirty_rows[0]), max(hi, loc.dirty_rows[1])
-                loc.dirty_rows = (lo, hi)
 
         state.pooled = None
         probs, cell_entropy = state.map_planes(cfg.weights)

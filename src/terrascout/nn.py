@@ -20,9 +20,12 @@ from __future__ import annotations
 import json
 import math
 import struct
-from typing import Callable, Optional, Sequence
+from contextlib import contextmanager
+from contextvars import ContextVar
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     ContractViolation,
@@ -138,8 +141,28 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
 
 
+_recording: ContextVar[bool] = ContextVar("recording", default=True)
+
+
+@contextmanager
+def no_grad() -> Iterator[None]:
+    """Run ops without recording a tape: outputs keep no parents and no closure.
+
+    ``Linear`` also switches to one vector-matrix product per row inside it,
+    so a batch-N forward reproduces N batch-1 forwards bit for bit. The
+    previous mode comes back on exit, exceptions included.
+    """
+    token = _recording.set(False)
+    try:
+        yield
+    finally:
+        _recording.reset(token)
+
+
 def _make(data: np.ndarray, parents: Sequence[Tensor], backward: Callable) -> Tensor:
     out = Tensor(data)
+    if not _recording.get():
+        return out
     needy = tuple(p for p in parents if p._needs_grad)
     if needy:
         out._parents = needy
@@ -367,12 +390,14 @@ def conv2d(x, weight, bias, stride: int = 1, padding: int = 0) -> Tensor:
     oh = (hp - kh) // stride + 1
     ow = (wp - kw) // stride + 1
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    cols = np.empty((bsz, cin, kh, kw, oh, ow))
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, i, j] = xp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride]
-    cols2 = cols.reshape(bsz, cin * kh * kw, oh * ow)
+    xp = x.data
+    if padding:
+        xp = np.zeros((bsz, cin, hp, wp))
+        xp[:, :, padding : padding + h, padding : padding + w] = x.data
+    taps = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+    cols2 = np.ascontiguousarray(taps.transpose(0, 1, 4, 5, 2, 3)).reshape(
+        bsz, cin * kh * kw, oh * ow
+    )
     w2 = weight.data.reshape(cout, cin * kh * kw)
     out = np.matmul(w2, cols2).reshape(bsz, cout, oh, ow) + bias.data.reshape(1, cout, 1, 1)
 
@@ -383,7 +408,7 @@ def conv2d(x, weight, bias, stride: int = 1, padding: int = 0) -> Tensor:
         grads.add(weight, gw.reshape(weight.data.shape))
         if x._needs_grad:
             gcols = np.matmul(w2.T, g2).reshape(bsz, cin, kh, kw, oh, ow)
-            gxp = np.zeros_like(xp)
+            gxp = np.zeros((bsz, cin, hp, wp))
             for i in range(kh):
                 for j in range(kw):
                     gxp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride] += gcols[
@@ -419,7 +444,7 @@ def masked_bounded_softmax(logits, mask: np.ndarray, epsilon) -> Tensor:
     if (valid_counts == 0).any():
         raise ContractViolation("masked softmax needs at least one valid entry per row")
     eps = np.asarray(epsilon, dtype=np.float64)
-    if (eps < 0).any() or (eps > 1).any():
+    if not ((0.0 <= eps) & (eps <= 1.0)).all():  # NaN fails both comparisons
         raise ContractViolation("epsilon must lie in [0, 1]")
 
     shift = np.max(np.where(mask, logits.data, -np.inf), axis=-1, keepdims=True)
@@ -459,7 +484,11 @@ class Linear:
         self.bias = Tensor(np.zeros(out_features), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return add(matmul(x, self.weight), self.bias)
+        if _recording.get():
+            return add(matmul(x, self.weight), self.bias)
+        # A batch-N gemm sums in another order than batch 1; one vector-matrix
+        # product per row keeps every row's bits whatever the batch size.
+        return Tensor(np.matmul(x.data[:, None, :], self.weight.data)[:, 0] + self.bias.data)
 
 
 class Adam:

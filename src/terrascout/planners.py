@@ -193,7 +193,7 @@ class LearnedPlanner:
     def act(self, local: AgentLocalState, mask: np.ndarray, cfg: EnvConfig,
             step_index: int, rng: np.random.Generator) -> int:
         stack = build_actor_features(local, cfg, self.fcfg)
-        probs = actor_forward(self.actor, stack, mask, 0.0)
+        probs = actor_forward(self.actor, [stack], [mask], 0.0)[0]
         if self.mode == "argmax":
             return int(np.argmax(probs))
         return int(rng.choice(NUM_ACTIONS, p=probs))

@@ -108,11 +108,31 @@ def critic_manifest(fcfg: FeatureConfig, num_agents: int,
     return tuple(names)
 
 
-def _pool(fine: np.ndarray, factor: int) -> np.ndarray:
-    h, w = fine.shape
-    if h % factor or w % factor:
+def _row_tile_sums(fine: np.ndarray, factor: int) -> np.ndarray:
+    """(..., H, W) -> (..., H, W / factor): each cell row summed over each tile's columns."""
+    if fine.shape[-1] % factor:
         raise ConfigurationError("map size is not divisible by the pooling factor")
-    return fine.reshape(h // factor, factor, w // factor, factor).mean(axis=(1, 3))
+    return fine.reshape(*fine.shape[:-1], fine.shape[-1] // factor, factor).sum(axis=-1)
+
+
+def _pool_row_tile_sums(sums: np.ndarray, factor: int) -> np.ndarray:
+    """(..., H, G) row-tile sums -> (..., H / factor, G) tile means."""
+    *lead, h, g = sums.shape
+    if h % factor:
+        raise ConfigurationError("map size is not divisible by the pooling factor")
+    return sums.reshape(*lead, h // factor, factor, g).sum(axis=-2) / (factor * factor)
+
+
+def _pool(fine: np.ndarray, factor: int) -> np.ndarray:
+    """Tile means in two steps, row sums then column sums.
+
+    For G >= 2 tile columns this equals ``mean(axis=(1, 3))`` of the
+    (g, f, G, f) view bit for bit, and the row-tile sums of any cell rows
+    and tile columns sum like the same entries of a full pass, which lets
+    ``_local_planes`` refresh footprint-sized boxes. At G = 1 numpy merges
+    the two reduced axes of ``mean``, and the last bit may differ.
+    """
+    return _pool_row_tile_sums(_row_tile_sums(fine, factor), factor)
 
 
 def _footprint_plane(rects, cfg: EnvConfig) -> np.ndarray:
@@ -173,30 +193,39 @@ def _measurement_entropy_plane(local: AgentLocalState, cfg: EnvConfig) -> np.nda
 def _local_planes(local: AgentLocalState, cfg: EnvConfig) -> np.ndarray:
     """The agent's cached (2, G, G) pooled belief and weighted entropy.
 
-    The first call pools the whole local map; later calls re-pool only the
-    band of tile rows fused since (``local.dirty_rows``). A full-width band
-    pools bit for bit like the same rows of a full pool, where tile
-    sub-blocks would not, so the planes always equal a fresh build. Nothing
-    is written to the cache unless the whole refresh succeeds.
+    The first call takes the row-tile sums (``local.row_sums``) of the whole
+    local map. Later calls recompute them only on the boxes fused since
+    (``local.dirty_boxes``). Either way the tile rows the boxes touch are
+    then re-pooled. The row-tile sums of a box equal the same entries of a
+    full pass (see ``_pool``), so the planes always equal a fresh build.
+    Every box is computed before anything is written, so a failed refresh
+    leaves the cache as it was.
     """
     f = cfg.pool_factor
-    pooled = local.pooled
-    if pooled is None:
-        pooled = np.empty((2, cfg.lattice_rows, cfg.lattice_cols))
-        lo, hi = 0, cfg.lattice_rows
-    elif local.dirty_rows is None:
-        return pooled
+    if local.pooled is None:
+        boxes = [(0, cfg.map_cells, 0, cfg.lattice_cols)]
+    elif not local.dirty_boxes:
+        return local.pooled
     else:
-        lo, hi = local.dirty_rows
-    probs = local.local_map.probs_slice((slice(lo * f, hi * f), slice(None)))
-    try:  # a NaN belief fails the entropy's domain check before the stack check
-        entropy = weighted_cell_entropy(probs, cfg.weights)
-    except DomainError as exc:
-        raise ContractViolation("feature planes contain non-finite values") from exc
-    belief, entropy = _pool(probs, f), _pool(entropy, f)
-    pooled[0, lo:hi], pooled[1, lo:hi] = belief, entropy
-    local.pooled, local.dirty_rows = pooled, None
-    return pooled
+        boxes = local.dirty_boxes
+    fresh = []
+    for y_lo, y_hi, c_lo, c_hi in boxes:
+        probs = local.local_map.probs_slice((slice(y_lo, y_hi), slice(c_lo * f, c_hi * f)))
+        try:  # a NaN belief fails the entropy's domain check before the stack check
+            entropy = weighted_cell_entropy(probs, cfg.weights)
+        except DomainError as exc:
+            raise ContractViolation("feature planes contain non-finite values") from exc
+        fresh.append(np.stack([_row_tile_sums(probs, f), _row_tile_sums(entropy, f)]))
+    if local.pooled is None:
+        local.row_sums = np.empty((2, cfg.map_cells, cfg.lattice_cols))
+        local.pooled = np.empty((2, cfg.lattice_rows, cfg.lattice_cols))
+    for (y_lo, y_hi, c_lo, c_hi), sums in zip(boxes, fresh):
+        local.row_sums[:, y_lo:y_hi, c_lo:c_hi] = sums
+    lo = min(box[0] for box in boxes) // f
+    hi = -(-max(box[1] for box in boxes) // f)
+    local.pooled[:, lo:hi] = _pool_row_tile_sums(local.row_sums[:, lo * f : hi * f], f)
+    local.dirty_boxes = []
+    return local.pooled
 
 
 def build_actor_features(local: AgentLocalState, cfg: EnvConfig,
@@ -397,17 +426,14 @@ def make_value_net(cfg: EnvConfig, fcfg: FeatureConfig, rng: np.random.Generator
     return PolicyNet(channels, cfg.lattice_cols, 1, rng, arch)
 
 
-def actor_forward(net: PolicyNet, features: FeatureStack, mask: np.ndarray,
+def actor_forward(net: PolicyNet, stacks: Sequence[FeatureStack], masks: Sequence[np.ndarray],
                   epsilon: float) -> np.ndarray:
-    """Masked bounded-softmax policy vector for one agent (no grad kept)."""
-    logits = net.forward(features.planes[None])
-    probs = nn.masked_bounded_softmax(logits, np.asarray(mask, dtype=bool)[None], epsilon)
-    return probs.data[0]
-
-
-def critic_forward(net: PolicyNet, features: FeatureStack) -> np.ndarray:
-    """Raw Q (or V) values for one state; length equals the net's out_dim."""
-    return net.forward(features.planes[None]).data[0]
+    """(N, A) masked bounded-softmax policy rows of N agents, from one tape-free
+    forward; each row equals that agent's batch-1 forward bit for bit."""
+    with nn.no_grad():
+        logits = net.forward(np.stack([s.planes for s in stacks]))
+        probs = nn.masked_bounded_softmax(logits, np.asarray(masks, dtype=bool), epsilon)
+    return probs.data
 
 
 # ---------------------------------------------------------------------------
@@ -444,4 +470,7 @@ def load_network(path) -> tuple[PolicyNet, dict]:
         net.load_state(params)
     except (KeyError, TypeError, ValueError, ConfigurationError) as exc:
         raise DataError(f"{path}: not a network checkpoint ({exc!r})") from exc
+    bad = [name for name, value in params.items() if not np.isfinite(value).all()]
+    if bad:
+        raise DataError(f"{path}: non-finite parameters in {', '.join(bad)}")
     return net, meta

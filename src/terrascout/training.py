@@ -192,11 +192,13 @@ def _forward(net: PolicyNet, features: np.ndarray) -> nn.Tensor:
     return net.forward(features[:, : net.in_channels])
 
 
-def actor_update(batch: Rollout, actor: PolicyNet, advantages: np.ndarray,
+def actor_update(batch: Rollout, probs: nn.Tensor, actor: PolicyNet, advantages: np.ndarray,
                  optimizer: nn.Adam, grad_clip: float) -> float:
-    """One Adam step on mean(-log pi(u|omega) * A); advantages are constants."""
-    logits = _forward(actor, batch.features)
-    probs = nn.masked_bounded_softmax(logits, batch.masks, batch.epsilons[:, None])
+    """One Adam step on mean(-log pi(u|omega) * A); advantages are constants.
+
+    ``probs`` is the taped policy of ``batch`` under the actor's current
+    parameters (``_actor_probs``); its backward reaches the actor.
+    """
     logp = nn.log(nn.gather_last(probs, batch.actions))
     loss = nn.mean(nn.mul(logp, nn.Tensor(-np.asarray(advantages))))
     optimizer.zero_grad()
@@ -204,6 +206,12 @@ def actor_update(batch: Rollout, actor: PolicyNet, advantages: np.ndarray,
     nn.clip_grad_norm(actor.parameters(), grad_clip)
     optimizer.step()
     return float(loss.data)
+
+
+def _actor_probs(batch: Rollout, actor: PolicyNet) -> nn.Tensor:
+    """The taped masked bounded-softmax policy of every row of ``batch``."""
+    logits = _forward(actor, batch.features)
+    return nn.masked_bounded_softmax(logits, batch.masks, batch.epsilons[:, None])
 
 
 def critic_update(batch: Rollout, critic: PolicyNet, targets: np.ndarray,
@@ -259,10 +267,7 @@ def run_training_mission(
     while not done:
         step_masks = env.masks()
         stacks = [build_actor_features(loc, cfg, fcfg) for loc in env.locals]
-        pis = [
-            actor_forward(actor, stacks[i], step_masks[i], epsilon)
-            for i in range(cfg.num_agents)
-        ]
+        pis = actor_forward(actor, stacks, step_masks, epsilon)
         step_actions = [int(rng.choice(NUM_ACTIONS, p=pi)) for pi in pis]
         for i, stack in enumerate(stacks):
             others = step_actions[:i] + step_actions[i + 1 :]
@@ -285,21 +290,6 @@ def run_training_mission(
         np.full(len(actions), epsilon),
     )
     return rollout, mission_return
-
-
-def evaluate_policy_returns(
-    actor: PolicyNet,
-    cfg: EnvConfig,
-    fcfg: FeatureConfig,
-    seed: int,
-    mission_indices: Sequence[int],
-    epsilon: float,
-) -> list[float]:
-    """Returns of the given policy on the exact seeded training missions."""
-    return [
-        run_training_mission(actor, cfg, fcfg, seed, m, epsilon, CRITIC_MODE_FULL)[1]
-        for m in mission_indices
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -344,19 +334,40 @@ def _fill_block_targets(block: Rollout, target_critic: PolicyNet,
 
 
 def _batch_advantages(batch: Rollout, actor: PolicyNet, critic: PolicyNet,
-                      vnet: Optional[PolicyNet], variant: str) -> np.ndarray:
-    """Advantages from the current critic and current policy, grad-free."""
+                      vnet: Optional[PolicyNet], variant: str) -> tuple[np.ndarray, nn.Tensor]:
+    """Advantages from the current critic and current policy, and that policy's
+    taped rows (``_actor_probs``) for the actor step.
+
+    The critic's tapes are dropped before the actor's is built, so only one
+    network's tape is alive at a time.
+    """
     q_rows = _forward(critic, batch.features).data
-    logits = _forward(actor, batch.features)
-    pis = nn.masked_bounded_softmax(logits, batch.masks, batch.epsilons[:, None]).data
     v_values = None
     if variant == "central-qv":
         v_values = _forward(vnet, batch.features).data.reshape(-1)
+    probs = _actor_probs(batch, actor)
     out = np.empty(len(batch))
     for i, action in enumerate(batch.actions):
         v = float(v_values[i]) if v_values is not None else None
-        out[i] = advantage_variant(variant, q_rows[i], pis[i], int(action), v)
-    return out
+        out[i] = advantage_variant(variant, q_rows[i], probs.data[i], int(action), v)
+    return out, probs
+
+
+def _optimise_minibatch(batch: Rollout, actor: PolicyNet, critic: PolicyNet,
+                        vnet: Optional[PolicyNet], opts: tuple, tcfg: TrainConfig
+                        ) -> tuple[float, float]:
+    """Critic (and V) step, then one actor step; returns (actor loss, critic loss).
+
+    One taped actor forward feeds both the advantages and the actor's
+    backward: the actor's parameters do not change between the two. Its
+    tape dies with this scope, before the next minibatch's critic step.
+    """
+    opt_actor, opt_critic, opt_vnet = opts
+    closs = critic_update(batch, critic, batch.targets, opt_critic, tcfg.grad_clip)
+    if vnet is not None:
+        _value_update(batch, vnet, opt_vnet, tcfg.grad_clip)
+    advantages, probs = _batch_advantages(batch, actor, critic, vnet, tcfg.variant)
+    return actor_update(batch, probs, actor, advantages, opt_actor, tcfg.grad_clip), closs
 
 
 def training_loop(
@@ -390,9 +401,11 @@ def training_loop(
         target_vnet = make_value_net(cfg, fcfg, init_rng, tcfg.arch)
         target_vnet.copy_from(vnet)
 
-    opt_actor = nn.Adam(actor.parameters(), tcfg.actor_lr)
-    opt_critic = nn.Adam(critic.parameters(), tcfg.critic_lr)
-    opt_vnet = nn.Adam(vnet.parameters(), tcfg.critic_lr) if vnet is not None else None
+    opts = (
+        nn.Adam(actor.parameters(), tcfg.actor_lr),
+        nn.Adam(critic.parameters(), tcfg.critic_lr),
+        nn.Adam(vnet.parameters(), tcfg.critic_lr) if vnet is not None else None,
+    )
 
     meta = {
         "feature_config": {k: getattr(fcfg, k) for k in fcfg.__dataclass_fields__},
@@ -459,11 +472,7 @@ def training_loop(
             perm = shuffle_rng.permutation(rows)
             for lo in range(0, rows, tcfg.batch_size):
                 batch = rollout.take(perm[lo : lo + tcfg.batch_size])
-                closs = critic_update(batch, critic, batch.targets, opt_critic, tcfg.grad_clip)
-                if vnet is not None:
-                    _value_update(batch, vnet, opt_vnet, tcfg.grad_clip)
-                advantages = _batch_advantages(batch, actor, critic, vnet, variant)
-                aloss = actor_update(batch, actor, advantages, opt_actor, tcfg.grad_clip)
+                aloss, closs = _optimise_minibatch(batch, actor, critic, vnet, opts, tcfg)
                 if not (np.isfinite(aloss) and np.isfinite(closs)):
                     raise TrainingDivergenceError(
                         f"non-finite loss in block {block} (actor {aloss}, critic {closs})"

@@ -1,7 +1,8 @@
-"""The textbook forms of the map kernels, kept as the references of the
-equality gates in ``test_gridmap``, ``test_planners`` and ``test_evaluation``.
+"""The textbook forms of the map and network kernels, kept as the references
+of the equality gates in ``test_gridmap``, ``test_planners``,
+``test_evaluation`` and ``test_nn``.
 
-The package computes the same IEEE operations per cell in fewer passes; the
+The package computes the same IEEE operations per value in fewer passes; the
 gates require its outputs to equal these bit for bit.
 """
 
@@ -9,6 +10,7 @@ import numpy as np
 
 from terrascout.errors import DomainError
 from terrascout.gridmap import PROB_FLOOR, map_entropy
+from terrascout.nn import DimensionError, Tensor, _make, as_tensor
 
 
 def weighted_cell_entropy(p, w):
@@ -71,3 +73,47 @@ def f1_score(grid, gt, *, probs=None):
     precision = tp / (tp + fp)
     recall = tp / (tp + fn)
     return 2.0 * precision * recall / (precision + recall)
+
+
+def conv2d(x, weight, bias, stride: int = 1, padding: int = 0) -> Tensor:
+    """im2col through ``np.pad`` and one strided copy per kernel tap."""
+    x, weight, bias = as_tensor(x), as_tensor(weight), as_tensor(bias)
+    bsz, cin, h, w = x.data.shape
+    cout, cin_w, kh, kw = weight.data.shape
+    if cin != cin_w:
+        raise DimensionError(f"conv2d channels mismatch: input {cin} vs kernel {cin_w}")
+    hp, wp = h + 2 * padding, w + 2 * padding
+    if kh > hp or kw > wp:
+        raise DimensionError("conv2d kernel larger than the padded input")
+    oh = (hp - kh) // stride + 1
+    ow = (wp - kw) // stride + 1
+
+    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    cols = np.empty((bsz, cin, kh, kw, oh, ow))
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, :, i, j] = xp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride]
+    cols2 = cols.reshape(bsz, cin * kh * kw, oh * ow)
+    w2 = weight.data.reshape(cout, cin * kh * kw)
+    out = np.matmul(w2, cols2).reshape(bsz, cout, oh, ow) + bias.data.reshape(1, cout, 1, 1)
+
+    def backward(g, grads):
+        g2 = g.reshape(bsz, cout, oh * ow)
+        grads.add(bias, g.sum(axis=(0, 2, 3)))
+        gw = np.einsum("bop,bkp->ok", g2, cols2)
+        grads.add(weight, gw.reshape(weight.data.shape))
+        if x._needs_grad:
+            gcols = np.matmul(w2.T, g2).reshape(bsz, cin, kh, kw, oh, ow)
+            gxp = np.zeros_like(xp)
+            for i in range(kh):
+                for j in range(kw):
+                    gxp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride] += gcols[
+                        :, :, i, j
+                    ]
+            if padding:
+                gx = gxp[:, :, padding:-padding, padding:-padding]
+            else:
+                gx = gxp
+            grads.add(x, gx)
+
+    return _make(out, (x, weight, bias), backward)

@@ -17,6 +17,7 @@ from terrascout.evaluation import PlannerSpec, benchmark_final_metrics, run_miss
 from terrascout.gridmap import ImportanceWeights, weighted_cell_entropy, write_text_grid
 from terrascout.planners import GreedyInfoGainPlanner
 from terrascout.policy import (
+    CRITIC_MODE_FULL,
     FeatureConfig,
     NetArch,
     build_actor_features,
@@ -28,12 +29,20 @@ from terrascout.policy import (
 from terrascout.training import (
     TrainConfig,
     counterfactual_advantage,
-    evaluate_policy_returns,
+    run_training_mission,
     td_lambda_targets,
     training_loop,
 )
 
 FCFG = FeatureConfig()
+
+
+def evaluate_policy_returns(actor, cfg, fcfg, seed, mission_indices, epsilon):
+    """Returns of the given policy on the exact seeded training missions."""
+    return [
+        run_training_mission(actor, cfg, fcfg, seed, m, epsilon, CRITIC_MODE_FULL)[1]
+        for m in mission_indices
+    ]
 
 
 def _report(criterion: int, text: str) -> None:

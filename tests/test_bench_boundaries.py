@@ -79,3 +79,65 @@ def test_greedy_act_makes_one_stacked_call_per_altitude(level, groups):
     for i in stacked:
         children = [s[0] for s in tracer.spans if s[3] == i]
         assert children == ["gridmap.weighted_cell_entropy"] * 3
+
+
+def _traced(fn, *args):
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        fn(*args)
+    finally:
+        tracer.uninstall()
+    return tracer.spans
+
+
+def _training_fixture():
+    import numpy as np
+
+    from terrascout.environment import EnvConfig
+    from terrascout.policy import FeatureConfig, NetArch, make_actor, make_critic
+
+    cfg = EnvConfig(terrain_size=20.0, map_resolution=0.5, planning_resolution=5.0,
+                    num_agents=3, budget=3)
+    arch = NetArch(conv_channels=(3, 4), conv_strides=(1, 2), mlp_sizes=(12,))
+    fcfg = FeatureConfig()
+    rng = np.random.default_rng(0)
+    return cfg, fcfg, make_actor(cfg, fcfg, rng, arch), make_critic(cfg, fcfg, rng, arch)
+
+
+def test_a_rollout_step_makes_one_batched_actor_call():
+    """One ``policy.actor_forward`` span per step, and under it one
+    ``nn.conv2d_fwd`` span per conv layer, each with the whole team as batch."""
+    from terrascout.policy import CRITIC_MODE_FULL
+    from terrascout.training import run_training_mission
+
+    cfg, fcfg, actor, _ = _training_fixture()
+    recorded = _traced(run_training_mission, actor, cfg, fcfg, 0, 0, 0.5, CRITIC_MODE_FULL)
+
+    def under_actor_forward(span):
+        while span[3] >= 0:
+            span = recorded[span[3]]
+            if span[0] == "policy.actor_forward":
+                return True
+        return False
+
+    names = [s[0] for s in recorded]
+    assert names.count("policy.actor_forward") == names.count("environment.step") == cfg.budget
+    convs = [s for s in recorded if s[0] == "nn.conv2d_fwd"]
+    assert all(under_actor_forward(s) for s in convs)
+    assert [s[6] for s in convs] == [cfg.num_agents] * (cfg.budget * len(actor.convs))
+
+
+def test_a_minibatch_runs_the_actor_forward_once():
+    """Per minibatch: the critic step's forward, the advantages' critic and
+    actor forwards, and no forward inside the actor step."""
+    from terrascout import nn
+    from terrascout.policy import CRITIC_MODE_FULL
+    from terrascout.training import TrainConfig, _optimise_minibatch, run_training_mission
+
+    cfg, fcfg, actor, critic = _training_fixture()
+    batch, _ = run_training_mission(actor, cfg, fcfg, 0, 0, 0.5, CRITIC_MODE_FULL)
+    opts = (nn.Adam(actor.parameters(), 1e-3), nn.Adam(critic.parameters(), 1e-3), None)
+    recorded = _traced(_optimise_minibatch, batch, actor, critic, None, opts, TrainConfig())
+    parents = sorted(recorded[s[3]][0] for s in recorded if s[0] == "policy.net_forward")
+    assert parents == ["training.advantages", "training.advantages", "training.critic_update"]

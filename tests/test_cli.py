@@ -619,6 +619,25 @@ def test_evaluate_checkpoint_with_a_bad_arch_is_data_error(smoke_config, tmp_pat
     assert capsys.readouterr().err.startswith("data error: ")
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_evaluate_checkpoint_with_non_finite_parameters_is_data_error(
+        smoke_config, tmp_path, capsys, value):
+    from terrascout.nn import save_checkpoint
+
+    ckpt = _toy_actor_checkpoint(smoke_config, tmp_path / "actor.ckpt")
+    params, meta = load_checkpoint(ckpt)
+    params["head.bias"][0] = value
+    save_checkpoint(ckpt, list(params.items()), meta)
+    out = tmp_path / "x"
+    rc = main(["evaluate", "--config", str(smoke_config), "--planner", "learned",
+               "--actor-weights", str(ckpt), "--missions", "2", "--out", str(out)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and err.count("\n") == 1
+    assert "head.bias" in err
+    assert not out.exists()
+
+
 def test_evaluate_missing_checkpoint_is_usage_error(smoke_config, tmp_path):
     rc = main(["evaluate", "--config", str(smoke_config), "--planner", "learned",
                "--actor-weights", str(tmp_path / "none.ckpt"), "--missions", "2",

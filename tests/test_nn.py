@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+import reference_kernels as reference
 from terrascout import nn
 from terrascout.errors import ContractViolation, DataError, TrainingDivergenceError
 from terrascout.nn import (
@@ -247,6 +249,77 @@ def test_bounded_softmax_sums_to_one_with_zeros_on_masked():
 def test_bounded_softmax_rejects_all_masked():
     with pytest.raises(ContractViolation):
         masked_bounded_softmax(Tensor(np.zeros(6)), np.zeros(6, dtype=bool), 0.1)
+
+
+@pytest.mark.parametrize("epsilon", [math.nan, -0.1, 1.5, np.array([[0.1], [math.nan]])],
+                         ids=["nan", "negative", "above-one", "nan-row"])
+def test_bounded_softmax_rejects_epsilon_outside_unit_interval(epsilon):
+    with pytest.raises(ContractViolation, match="epsilon"):
+        masked_bounded_softmax(Tensor(np.zeros((2, 6))), np.ones((2, 6), dtype=bool), epsilon)
+
+
+# ---------------------------------------------------------------------------
+# tape-free mode and the im2col kernel against their references
+# ---------------------------------------------------------------------------
+
+
+def test_no_grad_records_no_tape():
+    x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+    layer = Linear(3, 2, np.random.default_rng(0))
+    kernel = Tensor(np.ones((1, 1, 2, 2)), requires_grad=True)
+    bias = Tensor(np.zeros(1), requires_grad=True)
+    with nn.no_grad():
+        outs = [x * 2.0, relu(x), layer(x), conv2d(x.data[None, None], kernel, bias)]
+    for out in outs:
+        assert out._parents == () and out._backward is None and not out._needs_grad
+    taped = x * 2.0
+    assert taped._parents == (x,) and taped._backward is not None
+
+
+def test_no_grad_restores_recording_after_an_exception():
+    with pytest.raises(DimensionError):
+        with nn.no_grad():
+            matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
+    x = Tensor(np.ones(2), requires_grad=True)
+    assert (x * 3.0)._backward is not None
+    with nn.no_grad():
+        with nn.no_grad():
+            pass
+        assert (x * 3.0)._backward is None  # the inner exit restores the outer state
+    assert (x * 3.0)._backward is not None
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    bsz=st.integers(1, 4),
+    cin=st.integers(1, 3),
+    cout=st.integers(1, 3),
+    h=st.integers(1, 9),
+    w=st.integers(1, 9),
+    ksize=st.integers(1, 4),
+    stride=st.integers(1, 3),
+    padding=st.integers(0, 2),
+    seed=st.integers(0, 2**16),
+)
+def test_conv2d_equals_the_reference_forward_and_backward(bsz, cin, cout, h, w, ksize, stride,
+                                                          padding, seed):
+    assume(ksize <= min(h, w) + 2 * padding)
+    rng = np.random.default_rng(seed)
+    x0 = rng.normal(size=(bsz, cin, h, w))
+    w0 = rng.normal(size=(cout, cin, ksize, ksize))
+    b0 = rng.normal(size=cout)
+    upstream = None
+    results = []
+    for kernel in (conv2d, reference.conv2d):
+        x, weight, bias = (Tensor(a.copy(), requires_grad=True) for a in (x0, w0, b0))
+        out = kernel(x, weight, bias, stride, padding)
+        if upstream is None:
+            upstream = rng.normal(size=out.data.shape)
+        tsum(out * Tensor(upstream)).backward()
+        results.append([out.data, x.grad, weight.grad, bias.grad])
+    for new, old in zip(*results):
+        assert new.shape == old.shape
+        assert new.tobytes() == old.tobytes()
 
 
 # ---------------------------------------------------------------------------

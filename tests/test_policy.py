@@ -8,29 +8,37 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from terrascout import cli
+from terrascout import cli, nn
 from terrascout.environment import (
     NUM_ACTIONS,
     Action,
+    AgentLocalState,
     EnvConfig,
     NoiseStreams,
     TerrainEnv,
     generate_terrain,
 )
 from terrascout.errors import ConfigurationError, ContractViolation, DomainError
-from terrascout.gridmap import footprint, weighted_cell_entropy
+from terrascout.gridmap import (
+    CellRect,
+    Measurement,
+    OccupancyGrid,
+    footprint,
+    weighted_cell_entropy,
+)
 from terrascout.policy import (
+    ACTOR_PLANES,
     CRITIC_MODE_FULL,
     CRITIC_MODE_LOCAL,
     CRITIC_MODE_NO_ACTIONS,
     FeatureConfig,
     FeatureStack,
     NetArch,
+    PolicyNet,
     actor_forward,
     actor_manifest,
     build_actor_features,
     build_critic_features,
-    critic_forward,
     critic_manifest,
     load_network,
     make_actor,
@@ -40,6 +48,8 @@ from terrascout.policy import (
     _centred_position_plane,
     _finite,
     _global_position_plane,
+    _local_planes,
+    _pool,
 )
 
 FCFG = FeatureConfig()
@@ -245,12 +255,17 @@ def test_critic_stack_starts_with_the_actor_stack():
 TOY_ARCH = NetArch(conv_channels=(4, 4), conv_strides=(1, 2), mlp_sizes=(16,))
 
 
+def critic_forward(net, features):
+    """Raw Q (or V) values for one state; length equals the net's out_dim."""
+    return net.forward(features.planes[None]).data[0]
+
+
 def test_actor_forward_respects_epsilon_floor_and_mask():
     env = fresh_env()
     actor = make_actor(env.cfg, FCFG, np.random.default_rng(0), TOY_ARCH)
     stack = build_actor_features(env.locals[0], env.cfg, FCFG)
     mask = env.masks()[0]
-    probs = actor_forward(actor, stack, mask, 0.5)
+    probs = actor_forward(actor, [stack], [mask], 0.5)[0]
     n_valid = int(mask.sum())
     assert (probs[mask] >= 0.5 / n_valid - 1e-12).all()
     assert (probs[~mask] == 0.0).all()
@@ -263,7 +278,7 @@ def test_point_mass_with_single_valid_action():
     stack = build_actor_features(env.locals[0], env.cfg, FCFG)
     mask = np.zeros(6, dtype=bool)
     mask[2] = True
-    probs = actor_forward(actor, stack, mask, 0.0)
+    probs = actor_forward(actor, [stack], [mask], 0.0)[0]
     np.testing.assert_allclose(probs, np.eye(6)[2], atol=1e-15)
 
 
@@ -539,12 +554,94 @@ def test_failed_refresh_leaves_the_cache_as_it_was():
     env = fresh_env(seed=5)
     loc = env.locals[0]
     build_actor_features(loc, env.cfg, FCFG)
-    before = loc.pooled.copy()
+    before = loc.pooled.copy(), loc.row_sums.copy()
     env.step([int(np.flatnonzero(m)[0]) for m in env.masks()])
-    band = loc.dirty_rows
-    row = band[0] * env.cfg.pool_factor
-    loc.local_map.log_odds[row, 0] = np.nan  # inside the band the next refresh reads
+    boxes = list(loc.dirty_boxes)
+    y_lo, _, c_lo, _ = boxes[-1]
+    loc.local_map.log_odds[y_lo, c_lo * env.cfg.pool_factor] = np.nan  # in the last box read
     with pytest.raises(ContractViolation, match="non-finite"):
         build_actor_features(loc, env.cfg, FCFG)
-    assert loc.pooled.tobytes() == before.tobytes()
-    assert loc.dirty_rows == band
+    assert loc.pooled.tobytes() == before[0].tobytes()
+    assert loc.row_sums.tobytes() == before[1].tobytes()
+    assert loc.dirty_boxes == boxes
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    factor=st.integers(1, 64),
+    tile_rows=st.integers(1, 6),
+    tile_cols=st.integers(2, 12),
+    seed=st.integers(0, 2**16),
+)
+def test_two_step_pool_equals_the_one_step_mean(factor, tile_rows, tile_cols, seed):
+    fine = np.random.default_rng(seed).random((tile_rows * factor, tile_cols * factor))
+    fine[:, ::3] = 0.5
+    assert _pool(fine, factor).tobytes() == ref_pool(fine, factor).tobytes()
+
+
+# (terrain_size, map_resolution, planning_resolution): pool factors 10, 20 and 1
+BOX_SCALES = [(50.0, 0.5, 5.0), (30.0, 0.5, 10.0), (30.0, 3.0, 3.0)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(scale=st.sampled_from(BOX_SCALES), seed=st.integers(0, 2**16))
+def test_box_refresh_equals_a_fresh_full_build(scale, seed):
+    """Random fusion sequences: footprints clipped at the map's edges and
+    footprints narrower than one tile, several fused between refreshes."""
+    terrain, res, planning = scale
+    cfg = EnvConfig(terrain_size=terrain, map_resolution=res, planning_resolution=planning,
+                    num_agents=1, budget=4)
+    n, f = cfg.map_cells, cfg.pool_factor
+    rng = np.random.default_rng(seed)
+    loc = AgentLocalState(0, OccupancyGrid.uniform(n, n, res), np.zeros(3, dtype=int),
+                          np.zeros((1, 3), dtype=int), cfg.budget)
+    for _ in range(8):
+        for _ in range(int(rng.integers(0, 4))):
+            side = int(rng.integers(1, f + 1)) if rng.random() < 0.5 else int(rng.integers(1, n))
+            cx, cy = rng.integers(-side // 2, n + side // 2, size=2)
+            x_lo, y_lo = max(0, int(cx) - side // 2), max(0, int(cy) - side // 2)
+            x_hi, y_hi = min(n - 1, int(cx) + side // 2), min(n - 1, int(cy) + side // 2)
+            if x_lo > x_hi or y_lo > y_hi:
+                continue
+            rect = CellRect(x_lo, x_hi, y_lo, y_hi)
+            values = rng.integers(0, 2, (rect.height, rect.width))
+            loc.fuse(Measurement(np.zeros(3), rect, values, float(rng.uniform(0.55, 0.95)), 0, 0),
+                     f)
+        if rng.random() < 0.7:
+            planes = _local_planes(loc, cfg)
+            probs = loc.local_map.probs()
+            entropy = weighted_cell_entropy(probs, cfg.weights)
+            expected = np.stack([ref_pool(probs, f), ref_pool(entropy, f)])
+            assert planes.tobytes() == expected.tobytes()
+            assert loc.dirty_boxes == []
+
+
+# the default and the desk-scale architectures, and one with stride-2 layers only
+# and no padding
+FORWARD_ARCHS = [
+    NetArch(),
+    NetArch(conv_channels=(8, 16), conv_strides=(1, 2), mlp_sizes=(64,)),
+    NetArch(conv_channels=(3, 5), conv_strides=(2, 2), padding=0, mlp_sizes=(12, 7)),
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    arch=st.sampled_from(FORWARD_ARCHS),
+    agents=st.integers(1, 8),
+    epsilon=st.sampled_from([0.0, 0.02, 0.5, 1.0]),
+    seed=st.integers(0, 2**16),
+)
+def test_batched_actor_forward_rows_equal_taped_batch_one_forwards(arch, agents, epsilon, seed):
+    rng = np.random.default_rng(seed)
+    net = PolicyNet(len(ACTOR_PLANES), 10, NUM_ACTIONS, rng, arch)
+    planes = rng.normal(size=(agents, len(ACTOR_PLANES), 10, 10))
+    masks = rng.random((agents, NUM_ACTIONS)) < 0.6
+    masks[np.arange(agents), rng.integers(0, NUM_ACTIONS, agents)] = True
+    rows = actor_forward(net, [FeatureStack(p, ACTOR_PLANES) for p in planes], masks, epsilon)
+    assert rows.shape == (agents, NUM_ACTIONS)
+    for i in range(agents):
+        logits = net.forward(planes[i][None])
+        assert logits._backward is not None  # the reference keeps its tape
+        ref = nn.masked_bounded_softmax(logits, masks[i][None], epsilon).data[0]
+        assert rows[i].tobytes() == ref.tobytes()

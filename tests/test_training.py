@@ -30,6 +30,7 @@ from terrascout.policy import (
 from terrascout.training import (
     Rollout,
     TrainConfig,
+    _actor_probs,
     _fill_block_targets,
     actor_update,
     advantage_variant,
@@ -212,7 +213,7 @@ def test_actor_update_zero_advantages_keep_parameters():
     rng = np.random.default_rng(1)
     batch = fake_rollout(cfg, rng, actions=range(6))
     opt = nn.Adam(actor.parameters(), lr=1e-3)
-    actor_update(batch, actor, np.zeros(6), opt, grad_clip=10.0)
+    actor_update(batch, _actor_probs(batch, actor), actor, np.zeros(6), opt, grad_clip=10.0)
     for p, b in zip(actor.parameters(), before):
         assert np.abs(p.data - b).max() < 1e-12
 
@@ -231,7 +232,7 @@ def test_actor_update_moves_probability_with_advantage_sign():
             return float(probs.data[0, 2])
 
         before = taken_prob()
-        actor_update(tr, actor, np.array([sign]), opt, grad_clip=10.0)
+        actor_update(tr, _actor_probs(tr, actor), actor, np.array([sign]), opt, grad_clip=10.0)
         after = taken_prob()
         if sign > 0:
             assert after > before
@@ -248,7 +249,7 @@ def test_actor_update_does_not_touch_critic_gradients():
     rng = np.random.default_rng(3)
     batch = fake_rollout(cfg, rng, actions=[0] * 4)
     opt = nn.Adam(actor.parameters(), lr=1e-3)
-    actor_update(batch, actor, np.ones(4), opt, grad_clip=10.0)
+    actor_update(batch, _actor_probs(batch, actor), actor, np.ones(4), opt, grad_clip=10.0)
     for p in critic.parameters():
         assert (p.grad == 0.0).all()
 
