@@ -92,6 +92,9 @@ class EnvConfig:
         cols = self.terrain_size / self.planning_resolution
         if not math.isfinite(cols) or abs(cols - round(cols)) > 1e-9 or round(cols) < 1:
             raise ConfigurationError("terrain side must be a multiple of the planning resolution")
+        fac = self.planning_resolution / self.map_resolution
+        if not math.isfinite(fac) or abs(fac - round(fac)) > 1e-9 or round(fac) < 1:
+            raise ConfigurationError("planning resolution must be a multiple of map resolution")
         levels = (self.max_altitude - self.min_altitude) / self.altitude_step
         if (not math.isfinite(levels) or abs(levels - round(levels)) > 1e-9
                 or self.max_altitude < self.min_altitude):
@@ -123,10 +126,7 @@ class EnvConfig:
 
     @property
     def pool_factor(self) -> int:
-        fac = self.planning_resolution / self.map_resolution
-        if abs(fac - round(fac)) > 1e-9:
-            raise ConfigurationError("planning resolution must be a multiple of map resolution")
-        return round(fac)
+        return round(self.planning_resolution / self.map_resolution)
 
     def altitude_of_level(self, level: int) -> float:
         return self.min_altitude + level * self.altitude_step
@@ -150,23 +150,30 @@ class GlobalState:
     global_map: OccupancyGrid
     positions: np.ndarray  # (N, 3) lattice indices (col, row, level)
     remaining_budget: int
-    # global_map.probs() and its per-cell weighted entropy, equal bit for bit
-    # to a fresh full-map computation. A step refreshes them only on the
-    # rectangles it fuses, since log-odds fusion changes no other cell.
-    # Anything that touches the map out of band must set them to None.
+    # Planes derived from global_map, each with the number of global_map.fused
+    # entries it includes (see OccupancyGrid): probs() and its per-cell
+    # weighted entropy (map_planes), and the row-tile sums behind the critic's
+    # pooled planes (policy.build_critic_features).
     probs: Optional[np.ndarray] = None
     cell_entropy: Optional[np.ndarray] = None
-    # The critic's pooled global planes, (4, G, G) in policy.CRITIC_GLOBAL_PLANES
-    # order, built once per step by policy.build_critic_features and dropped
-    # by every fusion. Code that writes global_map.log_odds or positions
-    # outside TerrainEnv must set it to None.
-    pooled: Optional[np.ndarray] = None
+    seen: int = 0
+    row_sums: Optional[np.ndarray] = None
+    row_sums_seen: int = 0
 
     def map_planes(self, w: ImportanceWeights) -> tuple[np.ndarray, np.ndarray]:
-        """The cached (probs, cell_entropy) planes, rebuilt if either is None."""
+        """(probs, cell_entropy) of the global map, equal bit for bit to a fresh
+        full-map computation: built when either is None, otherwise refreshed
+        on each rectangle fused since the last call."""
+        fused = self.global_map.fused
         if self.probs is None or self.cell_entropy is None:
             self.probs = self.global_map.probs()
             self.cell_entropy = weighted_cell_entropy(self.probs, w)
+        else:
+            for rect in fused[self.seen:]:
+                cells = rect.slices
+                self.probs[cells] = self.global_map.probs_slice(cells)
+                self.cell_entropy[cells] = weighted_cell_entropy(self.probs[cells], w)
+        self.seen = len(fused)
         return self.probs, self.cell_entropy
 
 
@@ -181,20 +188,11 @@ class AgentLocalState:
     remaining_budget: int
     last_measurement: Optional[Measurement] = None
     inbox: list = field(default_factory=list)  # teammates' Measurements received this step
-    # The pooled (belief, weighted entropy) planes of local_map, (2, G, G),
-    # and their row-tile sums, (2, H, G), kept by policy.build_actor_features;
-    # and the boxes fused into since, each (y_lo, y_hi, c_lo, c_hi): cell rows
-    # [y_lo, y_hi) by tile columns [c_lo, c_hi). Code that writes
-    # local_map.log_odds outside TerrainEnv must set pooled to None.
-    pooled: Optional[np.ndarray] = None
+    # The row-tile sums behind the pooled local planes and the number of
+    # local_map.fused entries they include (see OccupancyGrid), kept by
+    # policy.build_actor_features.
     row_sums: Optional[np.ndarray] = None
-    dirty_boxes: list = field(default_factory=list)
-
-    def fuse(self, m: Measurement, pool_factor: int) -> None:
-        """Fuse ``m`` into the local map and note its box for the pooled planes."""
-        fuse_measurement(self.local_map, m)
-        r, f = m.rect, pool_factor
-        self.dirty_boxes.append((r.y_lo, r.y_hi + 1, r.x_lo // f, r.x_hi // f + 1))
+    row_sums_seen: int = 0
 
 
 class NoiseStreams:
@@ -268,35 +266,26 @@ def initial_columns(cols: int, n_agents: int) -> list[int]:
     return [(2 * k + 1) * cols // (2 * n_agents) for k in range(n_agents)]
 
 
-def valid_actions(state: GlobalState, agent_id: int, cfg: EnvConfig) -> np.ndarray:
-    """Boolean mask over the action set for one agent.
+def valid_actions(state: GlobalState, cfg: EnvConfig) -> np.ndarray:
+    """(N, A) boolean action masks of the team, one row per agent.
 
     An action is invalid if it leaves the lattice box or if its target 2D
     cell is currently held by another agent.
     """
-    if not (0 <= agent_id < len(state.positions)):
-        raise ContractViolation(f"unknown agent id {agent_id}")
-    pos = state.positions[agent_id]
-    others_2d = {
-        (int(p[0]), int(p[1]))
-        for i, p in enumerate(state.positions)
-        if i != agent_id
-    }
-    mask = np.zeros(NUM_ACTIONS, dtype=bool)
-    for a in range(NUM_ACTIONS):
-        t = pos + ACTION_DELTAS[a]
-        if not (0 <= t[0] < cfg.lattice_cols and 0 <= t[1] < cfg.lattice_rows):
-            continue
-        if not (0 <= t[2] < cfg.altitude_levels):
-            continue
-        if (int(t[0]), int(t[1])) in others_2d:
-            continue
-        mask[a] = True
+    pos = np.asarray(state.positions)
+    targets = pos[:, None, :] + ACTION_DELTAS  # (N, A, 3)
+    upper = (cfg.lattice_cols, cfg.lattice_rows, cfg.altitude_levels)
+    mask = ((targets >= 0) & (targets < upper)).all(axis=2)
+    # (N, A, N): the action's target 2D cell is held by agent k, k != i
+    held = (targets[:, :, None, :2] == pos[:, :2]).all(axis=3)
+    held &= ~np.eye(len(pos), dtype=bool)[:, None, :]
+    mask &= ~held.any(axis=2)
     # Vertical moves always stay free with two or more altitude levels; with
     # one, an agent whose lateral neighbours are all off the lattice or taken
     # is trapped.
-    if not mask.any():
-        raise ContractViolation(f"action mask of agent {agent_id} came out all-false")
+    free = mask.any(axis=1)
+    if not free.all():
+        raise ContractViolation(f"action mask of agent {int(np.argmin(free))} came out all-false")
     return mask
 
 
@@ -383,8 +372,8 @@ class TerrainEnv:
         self._measure_and_fuse()
         return self.state, self.locals
 
-    def masks(self) -> list[np.ndarray]:
-        return [valid_actions(self.state, i, self.cfg) for i in range(self.cfg.num_agents)]
+    def masks(self) -> np.ndarray:
+        return valid_actions(self.state, self.cfg)
 
     def step(self, joint_action: Sequence[int]) -> tuple[float, bool]:
         """Advance one synchronized decision step; returns (reward, done).
@@ -404,9 +393,9 @@ class TerrainEnv:
         if state.remaining_budget <= 0:
             raise RejectedStepError("mission budget already spent")
 
+        masks = valid_actions(state, cfg)
         for i, a in enumerate(joint_action):
-            mask = valid_actions(state, i, cfg)
-            if not (0 <= int(a) < NUM_ACTIONS) or not mask[int(a)]:
+            if not (0 <= int(a) < NUM_ACTIONS) or not masks[i, int(a)]:
                 raise RejectedStepError(f"agent {i} chose masked action {Action(int(a)).name}")
 
         new_positions = state.positions.copy()
@@ -449,19 +438,13 @@ class TerrainEnv:
             loc.last_measurement = m
             loc.inbox = inbox
             for heard in [m, *inbox]:  # own first; a sender's pose is where it measured
-                loc.fuse(heard, cfg.pool_factor)
+                fuse_measurement(loc.local_map, heard)
                 loc.known_positions[heard.agent_id] = state.positions[heard.agent_id]
 
-        state.pooled = None
-        probs, cell_entropy = state.map_planes(cfg.weights)
-        h_before = float(cell_entropy.sum())
+        h_before = self.global_entropy()
         for m in measurements:
             fuse_measurement(state.global_map, m)
-        for m in measurements:
-            cells = m.rect.slices
-            probs[cells] = state.global_map.probs_slice(cells)
-            cell_entropy[cells] = weighted_cell_entropy(probs[cells], cfg.weights)
-        h_after = float(cell_entropy.sum())
+        h_after = self.global_entropy()
         return reward(h_before, h_after, cfg.reward_alpha, cfg.reward_beta)
 
     def global_entropy(self) -> float:

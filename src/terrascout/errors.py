@@ -21,6 +21,10 @@ class InvalidMeasurementError(TerrascoutError):
     """A measurement does not fit the map it is fused into."""
 
 
+class DimensionError(TerrascoutError):
+    """Operand shapes cannot be combined."""
+
+
 class ContractViolation(TerrascoutError):
     """A caller broke an operation precondition (empty mask, bad lengths, ...)."""
 

@@ -18,7 +18,7 @@ import csv
 import math
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import Optional, Sequence
@@ -90,10 +90,18 @@ class OccupancyGrid:
     The fusion state is kept as raw (unclamped) log-odds so that fusing
     measurements in any order yields bit-comparable results; the clamp to
     ``[PROB_FLOOR, 1 - PROB_FLOOR]`` is applied by :meth:`probs`.
+
+    ``fused`` logs the rectangle of every :func:`fuse_measurement`, in
+    order. A fusion changes only the cells under its rectangle, so every
+    plane derived from the map (``GlobalState.map_planes``, the policy's
+    pooled planes) records how many entries it includes and catches up on
+    the rest. Code that writes ``log_odds`` any other way must drop the
+    planes derived from this map.
     """
 
     log_odds: np.ndarray  # (H, W) float64
     resolution: float
+    fused: list = field(default_factory=list, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.log_odds = np.asarray(self.log_odds, dtype=np.float64)
@@ -394,7 +402,8 @@ def _virtual_uniforms(
 
 
 def fuse_measurement(grid: OccupancyGrid, m: Measurement) -> OccupancyGrid:
-    """Bayesian log-odds update of the grid with one measurement, in place."""
+    """Bayesian log-odds update of the grid with one measurement, in place,
+    logged in ``grid.fused``."""
     bounds = CellRect(0, grid.width - 1, 0, grid.height - 1)
     if not bounds.contains(m.rect):
         raise InvalidMeasurementError("measurement footprint outside the grid")
@@ -403,6 +412,7 @@ def fuse_measurement(grid: OccupancyGrid, m: Measurement) -> OccupancyGrid:
     delta = math.log(acc / (1.0 - acc))
     patch = np.array([-delta, delta]).take(m.values == 1)
     grid.log_odds[m.rect.slices] += patch
+    grid.fused.append(m.rect)
     return grid
 
 

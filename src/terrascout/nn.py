@@ -30,15 +30,11 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import (
     ContractViolation,
     DataError,
-    TerrascoutError,
+    DimensionError,
     TrainingDivergenceError,
     UsageError,
 )
 from .gridmap import atomic_open
-
-
-class DimensionError(TerrascoutError):
-    """Operand shapes cannot be combined."""
 
 
 class Tensor:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .environment import Action, AgentLocalState, EnvConfig, GlobalState, NUM_ACTIONS
 from .errors import ConfigurationError, ContractViolation, DataError, DomainError
-from .gridmap import footprint, weighted_cell_entropy
+from .gridmap import OccupancyGrid, footprint, weighted_cell_entropy
 from . import nn
 from .nn import Conv2d, Linear, Tensor
 
@@ -116,23 +116,46 @@ def _row_tile_sums(fine: np.ndarray, factor: int) -> np.ndarray:
 
 
 def _pool_row_tile_sums(sums: np.ndarray, factor: int) -> np.ndarray:
-    """(..., H, G) row-tile sums -> (..., H / factor, G) tile means."""
+    """(..., H, G) row-tile sums -> (..., H / factor, G) tile means.
+
+    Applied to ``_row_tile_sums`` of a plane this equals ``mean(axis=(1, 3))``
+    of its (g, f, G, f) view bit for bit when G >= 2, and the row-tile sums
+    of any cell rows by whole tile columns equal the same entries of a full
+    pass, so sums kept per box pool like a fresh build. Pool at full width:
+    at G = 1 numpy merges the two reduced axes, and the last bit may differ.
+    """
     *lead, h, g = sums.shape
     if h % factor:
         raise ConfigurationError("map size is not divisible by the pooling factor")
     return sums.reshape(*lead, h // factor, factor, g).sum(axis=-2) / (factor * factor)
 
 
-def _pool(fine: np.ndarray, factor: int) -> np.ndarray:
-    """Tile means in two steps, row sums then column sums.
+def _pooled_planes(owner, grid: OccupancyGrid, cfg: EnvConfig, fine) -> np.ndarray:
+    """The (2, G, G) pooled belief and weighted entropy of ``grid``.
 
-    For G >= 2 tile columns this equals ``mean(axis=(1, 3))`` of the
-    (g, f, G, f) view bit for bit, and the row-tile sums of any cell rows
-    and tile columns sum like the same entries of a full pass, which lets
-    ``_local_planes`` refresh footprint-sized boxes. At G = 1 numpy merges
-    the two reduced axes of ``mean``, and the last bit may differ.
+    ``owner.row_sums`` keeps the (2, H, G) row-tile sums of both planes and
+    ``owner.row_sums_seen`` the number of ``grid.fused`` entries they
+    include. A call takes them over the whole map when ``row_sums`` is None,
+    otherwise over the cell rows by whole tile columns of each later entry;
+    ``fine(cells)`` returns the (belief, entropy) of a box. Every box is
+    computed before any is written, so a failed refresh changes nothing.
     """
-    return _pool_row_tile_sums(_row_tile_sums(fine, factor), factor)
+    f, fused = cfg.pool_factor, grid.fused
+    if owner.row_sums is None:
+        boxes = [(slice(0, cfg.map_cells), slice(0, cfg.lattice_cols))]
+    else:
+        boxes = [(slice(r.y_lo, r.y_hi + 1), slice(r.x_lo // f, r.x_hi // f + 1))
+                 for r in fused[owner.row_sums_seen:]]
+    fresh = []
+    for rows, tiles in boxes:
+        belief, entropy = fine((rows, slice(tiles.start * f, tiles.stop * f)))
+        fresh.append(np.stack([_row_tile_sums(belief, f), _row_tile_sums(entropy, f)]))
+    if owner.row_sums is None:
+        owner.row_sums = np.empty((2, cfg.map_cells, cfg.lattice_cols))
+    for (rows, tiles), sums in zip(boxes, fresh):
+        owner.row_sums[:, rows, tiles] = sums
+    owner.row_sums_seen = len(fused)
+    return _pool_row_tile_sums(owner.row_sums, f)
 
 
 def _footprint_plane(rects, cfg: EnvConfig) -> np.ndarray:
@@ -175,57 +198,35 @@ def _global_position_plane(positions, cfg: EnvConfig) -> np.ndarray:
 
 
 def _measurement_entropy_plane(local: AgentLocalState, cfg: EnvConfig) -> np.ndarray:
-    """Pools only the full-width band of tile rows the measurement covers."""
+    """Row-tile sums of the footprint's whole tiles only, pooled at full width."""
     f, g = cfg.pool_factor, cfg.lattice_cols
     plane = np.zeros((g, g))
     m = local.last_measurement
     if m is not None:
-        lo, hi = m.rect.y_lo // f, m.rect.y_hi // f + 1
-        band = np.zeros(((hi - lo) * f, cfg.map_cells))
+        r = m.rect
+        lo, hi, c_lo, c_hi = r.y_lo // f, r.y_hi // f + 1, r.x_lo // f, r.x_hi // f + 1
+        box = np.zeros(((hi - lo) * f, (c_hi - c_lo) * f))
         p_obs = np.where(m.values == 1, m.accuracy, 1.0 - m.accuracy)
-        band[m.rect.y_lo - lo * f : m.rect.y_hi + 1 - lo * f, m.rect.x_lo : m.rect.x_hi + 1] = (
+        box[r.y_lo - lo * f : r.y_hi + 1 - lo * f, r.x_lo - c_lo * f : r.x_hi + 1 - c_lo * f] = (
             weighted_cell_entropy(p_obs, cfg.weights)
         )
-        plane[lo:hi] = _pool(band, f)
+        sums = np.zeros(((hi - lo) * f, g))
+        sums[:, c_lo:c_hi] = _row_tile_sums(box, f)
+        plane[lo:hi] = _pool_row_tile_sums(sums, f)
     return plane
 
 
 def _local_planes(local: AgentLocalState, cfg: EnvConfig) -> np.ndarray:
-    """The agent's cached (2, G, G) pooled belief and weighted entropy.
+    """The agent's (2, G, G) pooled belief and weighted entropy (``_pooled_planes``)."""
 
-    The first call takes the row-tile sums (``local.row_sums``) of the whole
-    local map. Later calls recompute them only on the boxes fused since
-    (``local.dirty_boxes``). Either way the tile rows the boxes touch are
-    then re-pooled. The row-tile sums of a box equal the same entries of a
-    full pass (see ``_pool``), so the planes always equal a fresh build.
-    Every box is computed before anything is written, so a failed refresh
-    leaves the cache as it was.
-    """
-    f = cfg.pool_factor
-    if local.pooled is None:
-        boxes = [(0, cfg.map_cells, 0, cfg.lattice_cols)]
-    elif not local.dirty_boxes:
-        return local.pooled
-    else:
-        boxes = local.dirty_boxes
-    fresh = []
-    for y_lo, y_hi, c_lo, c_hi in boxes:
-        probs = local.local_map.probs_slice((slice(y_lo, y_hi), slice(c_lo * f, c_hi * f)))
+    def fine(cells):
+        probs = local.local_map.probs_slice(cells)
         try:  # a NaN belief fails the entropy's domain check before the stack check
-            entropy = weighted_cell_entropy(probs, cfg.weights)
+            return probs, weighted_cell_entropy(probs, cfg.weights)
         except DomainError as exc:
             raise ContractViolation("feature planes contain non-finite values") from exc
-        fresh.append(np.stack([_row_tile_sums(probs, f), _row_tile_sums(entropy, f)]))
-    if local.pooled is None:
-        local.row_sums = np.empty((2, cfg.map_cells, cfg.lattice_cols))
-        local.pooled = np.empty((2, cfg.lattice_rows, cfg.lattice_cols))
-    for (y_lo, y_hi, c_lo, c_hi), sums in zip(boxes, fresh):
-        local.row_sums[:, y_lo:y_hi, c_lo:c_hi] = sums
-    lo = min(box[0] for box in boxes) // f
-    hi = -(-max(box[1] for box in boxes) // f)
-    local.pooled[:, lo:hi] = _pool_row_tile_sums(local.row_sums[:, lo * f : hi * f], f)
-    local.dirty_boxes = []
-    return local.pooled
+
+    return _pooled_planes(local, local.local_map, cfg, fine)
 
 
 def build_actor_features(local: AgentLocalState, cfg: EnvConfig,
@@ -257,21 +258,20 @@ def build_actor_features(local: AgentLocalState, cfg: EnvConfig,
 
 
 def _global_planes(state: GlobalState, cfg: EnvConfig) -> np.ndarray:
-    """The four global planes (f)-(i), built once per step and cached on ``state``."""
-    if state.pooled is None:
-        probs, cell_entropy = state.map_planes(cfg.weights)
-        rects = [
-            footprint(cfg.position_m(pos), cfg.footprint_factor, cfg.map_cells,
-                      cfg.map_cells, cfg.map_resolution)
-            for pos in state.positions
-        ]
-        state.pooled = np.stack([
-            _global_position_plane(state.positions, cfg),
-            _pool(probs, cfg.pool_factor),
-            _pool(cell_entropy, cfg.pool_factor),
-            _footprint_plane(rects, cfg),
-        ])
-    return state.pooled
+    """The four global planes (f)-(i); the pooled two come from ``state.map_planes``."""
+    probs, cell_entropy = state.map_planes(cfg.weights)
+    pooled = _pooled_planes(state, state.global_map, cfg,
+                            lambda cells: (probs[cells], cell_entropy[cells]))
+    rects = [
+        footprint(cfg.position_m(pos), cfg.footprint_factor, cfg.map_cells,
+                  cfg.map_cells, cfg.map_resolution)
+        for pos in state.positions
+    ]
+    return np.stack([
+        _global_position_plane(state.positions, cfg),
+        *pooled,
+        _footprint_plane(rects, cfg),
+    ])
 
 
 def build_critic_features(

@@ -159,27 +159,35 @@ def td_lambda_targets(rewards: Sequence[float], taken_qs: Sequence[float],
     return out
 
 
-def counterfactual_advantage(q_row: np.ndarray, pi: np.ndarray, action: int) -> float:
-    """Q of the taken action minus the policy-marginalised Q baseline."""
+def counterfactual_advantage(q_row, pi, action):
+    """Q of the taken action minus the policy-marginalised Q baseline.
+
+    Takes one row (``q_row`` and ``pi`` of shape (A,), an int ``action``;
+    returns a float) or B stacked rows ((B, A), (B, A) and (B,); returns
+    (B,)). Each row's baseline is the same vector product as ``pi @ q_row``.
+    """
+    return advantage_variant("coma", q_row, pi, action)
+
+
+def advantage_variant(variant: str, q_row, pi, action, v_value=None):
+    """Per-variant advantage of one row or of stacked rows (see
+    ``counterfactual_advantage``); central-qv needs the V-critic's values."""
     q_row = np.asarray(q_row, dtype=np.float64)
-    pi = np.asarray(pi, dtype=np.float64)
-    if not np.isfinite(q_row).all():
-        raise ContractViolation("non-finite Q values")
-    if abs(float(pi.sum()) - 1.0) > 1e-6 or (pi < 0).any():
-        raise ContractViolation("policy vector is not a distribution")
-    return float(q_row[action] - pi @ q_row)
-
-
-def advantage_variant(variant: str, q_row: np.ndarray, pi: np.ndarray, action: int,
-                      v_value: Optional[float] = None) -> float:
-    """Per-variant advantage; central-qv needs the V-critic's value."""
     if variant in ("coma", "actor-independent", "decentralised"):
-        return counterfactual_advantage(q_row, pi, action)
-    if variant == "central-qv":
+        pi = np.asarray(pi, dtype=np.float64)
+        if not np.isfinite(q_row).all():
+            raise ContractViolation("non-finite Q values")
+        if (np.abs(pi.sum(axis=-1) - 1.0) > 1e-6).any() or (pi < 0).any():
+            raise ContractViolation("policy vector is not a distribution")
+        baseline = np.matmul(pi[..., None, :], q_row[..., :, None])[..., 0, 0]
+    elif variant == "central-qv":
         if v_value is None:
             raise ConfigurationError("central-qv advantage needs a state value")
-        return float(np.asarray(q_row)[action] - v_value)
-    raise ConfigurationError(f"unknown training variant '{variant}'")
+        baseline = v_value
+    else:
+        raise ConfigurationError(f"unknown training variant '{variant}'")
+    out = np.take_along_axis(q_row, np.asarray(action)[..., None], axis=-1)[..., 0] - baseline
+    return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +285,7 @@ def run_training_mission(
             features.append(cstack.planes)
         r, done = env.step(step_actions)
         mission_return += r
-        masks += step_masks
+        masks.extend(step_masks)
         actions += step_actions
         rewards += [r] * cfg.num_agents
     if len(actions) != cfg.budget * cfg.num_agents:
@@ -346,11 +354,7 @@ def _batch_advantages(batch: Rollout, actor: PolicyNet, critic: PolicyNet,
     if variant == "central-qv":
         v_values = _forward(vnet, batch.features).data.reshape(-1)
     probs = _actor_probs(batch, actor)
-    out = np.empty(len(batch))
-    for i, action in enumerate(batch.actions):
-        v = float(v_values[i]) if v_values is not None else None
-        out[i] = advantage_variant(variant, q_rows[i], probs.data[i], int(action), v)
-    return out, probs
+    return advantage_variant(variant, q_rows, probs.data, batch.actions, v_values), probs
 
 
 def _optimise_minibatch(batch: Rollout, actor: PolicyNet, critic: PolicyNet,

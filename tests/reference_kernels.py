@@ -3,12 +3,14 @@ of the equality gates in ``test_gridmap``, ``test_planners``,
 ``test_evaluation`` and ``test_nn``.
 
 The package computes the same IEEE operations per value in fewer passes; the
-gates require its outputs to equal these bit for bit.
+gates require its outputs to equal these bit for bit. ``batch_advantages`` is
+the per-row advantage loop, the reference of the stacked advantages in
+``test_training``.
 """
 
 import numpy as np
 
-from terrascout.errors import DomainError
+from terrascout.errors import ConfigurationError, ContractViolation, DomainError
 from terrascout.gridmap import PROB_FLOOR, map_entropy
 from terrascout.nn import DimensionError, Tensor, _make, as_tensor
 
@@ -117,3 +119,34 @@ def conv2d(x, weight, bias, stride: int = 1, padding: int = 0) -> Tensor:
             grads.add(x, gx)
 
     return _make(out, (x, weight, bias), backward)
+
+
+def counterfactual_advantage(q_row, pi, action):
+    """Q of the taken action minus the policy-marginalised Q baseline."""
+    q_row = np.asarray(q_row, dtype=np.float64)
+    pi = np.asarray(pi, dtype=np.float64)
+    if not np.isfinite(q_row).all():
+        raise ContractViolation("non-finite Q values")
+    if abs(float(pi.sum()) - 1.0) > 1e-6 or (pi < 0).any():
+        raise ContractViolation("policy vector is not a distribution")
+    return float(q_row[action] - pi @ q_row)
+
+
+def advantage_variant(variant, q_row, pi, action, v_value=None):
+    """Per-variant advantage; central-qv needs the V-critic's value."""
+    if variant in ("coma", "actor-independent", "decentralised"):
+        return counterfactual_advantage(q_row, pi, action)
+    if variant == "central-qv":
+        if v_value is None:
+            raise ConfigurationError("central-qv advantage needs a state value")
+        return float(np.asarray(q_row)[action] - v_value)
+    raise ConfigurationError(f"unknown training variant '{variant}'")
+
+
+def batch_advantages(variant, q_rows, probs, actions, v_values=None):
+    """One ``advantage_variant`` call per row."""
+    out = np.empty(len(actions))
+    for i, action in enumerate(actions):
+        v = float(v_values[i]) if v_values is not None else None
+        out[i] = advantage_variant(variant, q_rows[i], probs[i], int(action), v)
+    return out

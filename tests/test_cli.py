@@ -164,6 +164,19 @@ def test_zero_override_is_usage_error(smoke_config, tmp_path, capsys, argv):
     assert not out.exists()
 
 
+def test_non_integer_pool_factor_is_usage_error(smoke_config, tmp_path, capsys):
+    # evaluate --planner random never pools a map, so only the config check catches it
+    config = tmp_path / "pool.cfg"
+    config.write_text(smoke_config.read_text() + "map_resolution = 0.3\n")
+    out = tmp_path / "out"
+    rc = main(["evaluate", "--config", str(config), "--planner", "random",
+               "--missions", "2", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == "usage error: planning resolution must be a multiple of map resolution\n"
+    assert not out.exists()
+
+
 def _configs(raw):
     return build_env_config(raw), build_feature_config(raw), build_train_config(raw)
 

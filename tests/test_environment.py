@@ -134,7 +134,7 @@ def test_mask_blocks_boundary_moves():
     gt = generate_terrain(np.random.default_rng(0), cfg)
     state, _ = TerrainEnv(cfg, gt, NoiseStreams(0)).reset()
     state.positions[0] = [0, 0, 0]  # west edge, south edge, min altitude
-    mask = valid_actions(state, 0, cfg)
+    mask = valid_actions(state, cfg)[0]
     assert not mask[Action.WEST]
     assert not mask[Action.SOUTH]
     assert not mask[Action.DOWN]
@@ -147,7 +147,7 @@ def test_mask_blocks_occupied_2d_cell_at_any_altitude():
     state, _ = TerrainEnv(cfg, gt, NoiseStreams(0)).reset()
     state.positions[0] = [4, 4, 0]
     state.positions[1] = [4, 5, 2]  # one step north, different altitude
-    mask = valid_actions(state, 0, cfg)
+    mask = valid_actions(state, cfg)[0]
     assert not mask[Action.NORTH]
     assert mask[Action.EAST] and mask[Action.SOUTH] and mask[Action.WEST]
 
@@ -157,7 +157,7 @@ def test_mask_all_valid_in_open_interior():
     gt = generate_terrain(np.random.default_rng(0), cfg)
     state, _ = TerrainEnv(cfg, gt, NoiseStreams(0)).reset()
     state.positions[0] = [4, 4, 1]
-    assert valid_actions(state, 0, cfg).all()
+    assert valid_actions(state, cfg)[0].all()
 
 
 def test_trapped_agent_mask_raises():
@@ -165,8 +165,8 @@ def test_trapped_agent_mask_raises():
     cfg = EnvConfig(terrain_size=5.0, min_altitude=5.0, max_altitude=5.0, num_agents=1)
     gt = generate_terrain(np.random.default_rng(0), cfg)
     state, _ = TerrainEnv(cfg, gt, NoiseStreams(0)).reset()
-    with pytest.raises(ContractViolation, match="all-false"):
-        valid_actions(state, 0, cfg)
+    with pytest.raises(ContractViolation, match="agent 0 came out all-false"):
+        valid_actions(state, cfg)
 
 
 # ---------------------------------------------------------------------------

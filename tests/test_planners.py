@@ -426,7 +426,7 @@ def test_every_planner_respects_masks_over_randomized_states():
                 loc.local_map.log_odds[...] = mask_rng.normal(
                     scale=2.0, size=loc.local_map.log_odds.shape
                 )
-                loc.pooled = None  # an out-of-band write invalidates the cached planes
+                loc.row_sums = None  # an out-of-band write invalidates the cached planes
             a = planner.act(loc, mask, env.cfg, 1, mask_rng)
             assert mask[a]
             checked += 1

@@ -14,6 +14,7 @@ from terrascout.environment import (
     Action,
     AgentLocalState,
     EnvConfig,
+    GlobalState,
     NoiseStreams,
     TerrainEnv,
     generate_terrain,
@@ -24,6 +25,7 @@ from terrascout.gridmap import (
     Measurement,
     OccupancyGrid,
     footprint,
+    fuse_measurement,
     weighted_cell_entropy,
 )
 from terrascout.policy import (
@@ -48,8 +50,11 @@ from terrascout.policy import (
     _centred_position_plane,
     _finite,
     _global_position_plane,
+    _global_planes,
     _local_planes,
-    _pool,
+    _measurement_entropy_plane,
+    _pool_row_tile_sums,
+    _row_tile_sums,
 )
 
 FCFG = FeatureConfig()
@@ -535,7 +540,7 @@ def test_out_of_band_write_then_reset_matches_fresh_build():
     loc = env.locals[0]
     build_actor_features(loc, env.cfg, FCFG)
     loc.local_map.log_odds[:7, :] = np.random.default_rng(0).normal(size=(7, 100))
-    loc.pooled = None  # the documented reset after an out-of-band write
+    loc.row_sums = None  # the documented reset after an out-of-band write
     assert_stacks_identical(
         build_actor_features(loc, env.cfg, FCFG), ref_build_actor_features(loc, env.cfg, FCFG)
     )
@@ -543,7 +548,7 @@ def test_out_of_band_write_then_reset_matches_fresh_build():
     agent0_critic(env, [0])
     env.state.global_map.log_odds[...] = 1.5
     env.state.positions[1] = [9, 9, 2]
-    env.state.probs = env.state.pooled = None
+    env.state.probs = env.state.row_sums = None
     assert_stacks_identical(
         build_critic_features(env.state, base, 1, [0], env.cfg, FCFG),
         ref_build_critic_features(env.state, base, 1, [0], env.cfg, FCFG),
@@ -554,16 +559,14 @@ def test_failed_refresh_leaves_the_cache_as_it_was():
     env = fresh_env(seed=5)
     loc = env.locals[0]
     build_actor_features(loc, env.cfg, FCFG)
-    before = loc.pooled.copy(), loc.row_sums.copy()
+    before = loc.row_sums.copy(), loc.row_sums_seen
     env.step([int(np.flatnonzero(m)[0]) for m in env.masks()])
-    boxes = list(loc.dirty_boxes)
-    y_lo, _, c_lo, _ = boxes[-1]
-    loc.local_map.log_odds[y_lo, c_lo * env.cfg.pool_factor] = np.nan  # in the last box read
+    last = loc.local_map.fused[-1]
+    loc.local_map.log_odds[last.y_lo, last.x_lo] = np.nan  # in the last box read
     with pytest.raises(ContractViolation, match="non-finite"):
         build_actor_features(loc, env.cfg, FCFG)
-    assert loc.pooled.tobytes() == before[0].tobytes()
-    assert loc.row_sums.tobytes() == before[1].tobytes()
-    assert loc.dirty_boxes == boxes
+    assert loc.row_sums.tobytes() == before[0].tobytes()
+    assert loc.row_sums_seen == before[1] < len(loc.local_map.fused)
 
 
 @settings(max_examples=200, deadline=None)
@@ -576,7 +579,8 @@ def test_failed_refresh_leaves_the_cache_as_it_was():
 def test_two_step_pool_equals_the_one_step_mean(factor, tile_rows, tile_cols, seed):
     fine = np.random.default_rng(seed).random((tile_rows * factor, tile_cols * factor))
     fine[:, ::3] = 0.5
-    assert _pool(fine, factor).tobytes() == ref_pool(fine, factor).tobytes()
+    pooled = _pool_row_tile_sums(_row_tile_sums(fine, factor), factor)
+    assert pooled.tobytes() == ref_pool(fine, factor).tobytes()
 
 
 # (terrain_size, map_resolution, planning_resolution): pool factors 10, 20 and 1
@@ -586,8 +590,10 @@ BOX_SCALES = [(50.0, 0.5, 5.0), (30.0, 0.5, 10.0), (30.0, 3.0, 3.0)]
 @settings(max_examples=60, deadline=None)
 @given(scale=st.sampled_from(BOX_SCALES), seed=st.integers(0, 2**16))
 def test_box_refresh_equals_a_fresh_full_build(scale, seed):
-    """Random fusion sequences: footprints clipped at the map's edges and
-    footprints narrower than one tile, several fused between refreshes."""
+    """Random fusion sequences: footprints clipped at the map's edges,
+    footprints narrower than one tile and footprints exactly one tile wide,
+    several fused between refreshes. The local and the global map catch up
+    at different times."""
     terrain, res, planning = scale
     cfg = EnvConfig(terrain_size=terrain, map_resolution=res, planning_resolution=planning,
                     num_agents=1, budget=4)
@@ -595,25 +601,44 @@ def test_box_refresh_equals_a_fresh_full_build(scale, seed):
     rng = np.random.default_rng(seed)
     loc = AgentLocalState(0, OccupancyGrid.uniform(n, n, res), np.zeros(3, dtype=int),
                           np.zeros((1, 3), dtype=int), cfg.budget)
+    state = GlobalState(OccupancyGrid.uniform(n, n, res), np.zeros((1, 3), dtype=int), cfg.budget)
     for _ in range(8):
         for _ in range(int(rng.integers(0, 4))):
-            side = int(rng.integers(1, f + 1)) if rng.random() < 0.5 else int(rng.integers(1, n))
-            cx, cy = rng.integers(-side // 2, n + side // 2, size=2)
-            x_lo, y_lo = max(0, int(cx) - side // 2), max(0, int(cy) - side // 2)
-            x_hi, y_hi = min(n - 1, int(cx) + side // 2), min(n - 1, int(cy) + side // 2)
-            if x_lo > x_hi or y_lo > y_hi:
-                continue
-            rect = CellRect(x_lo, x_hi, y_lo, y_hi)
+            kind = rng.random()
+            if kind < 0.25:  # whole tile columns [k f, (k + 1) f), any rows
+                x_lo = int(rng.integers(0, n // f)) * f
+                y_lo, y_hi = np.sort(rng.integers(0, n, size=2))
+                rect = CellRect(x_lo, x_lo + f - 1, int(y_lo), int(y_hi))
+            else:
+                side = int(rng.integers(1, f + 1)) if kind < 0.6 else int(rng.integers(1, n))
+                cx, cy = rng.integers(-side // 2, n + side // 2, size=2)
+                x_lo, y_lo = max(0, int(cx) - side // 2), max(0, int(cy) - side // 2)
+                x_hi, y_hi = min(n - 1, int(cx) + side // 2), min(n - 1, int(cy) + side // 2)
+                if x_lo > x_hi or y_lo > y_hi:
+                    continue
+                rect = CellRect(x_lo, x_hi, y_lo, y_hi)
             values = rng.integers(0, 2, (rect.height, rect.width))
-            loc.fuse(Measurement(np.zeros(3), rect, values, float(rng.uniform(0.55, 0.95)), 0, 0),
-                     f)
+            m = Measurement(np.zeros(3), rect, values, float(rng.uniform(0.55, 0.95)), 0, 0)
+            fuse_measurement(loc.local_map, m)
+            fuse_measurement(state.global_map, m)
+            loc.last_measurement = m
+            assert (_measurement_entropy_plane(loc, cfg).tobytes()
+                    == ref_measurement_entropy_plane(loc, cfg).tobytes())
         if rng.random() < 0.7:
             planes = _local_planes(loc, cfg)
             probs = loc.local_map.probs()
             entropy = weighted_cell_entropy(probs, cfg.weights)
             expected = np.stack([ref_pool(probs, f), ref_pool(entropy, f)])
             assert planes.tobytes() == expected.tobytes()
-            assert loc.dirty_boxes == []
+            assert loc.row_sums_seen == len(loc.local_map.fused)
+        if rng.random() < 0.5:
+            planes = _global_planes(state, cfg)
+            probs = state.global_map.probs()
+            entropy = weighted_cell_entropy(probs, cfg.weights)
+            assert state.probs.tobytes() == probs.tobytes()
+            assert state.cell_entropy.tobytes() == entropy.tobytes()
+            expected = np.stack([ref_pool(probs, f), ref_pool(entropy, f)])
+            assert planes[1:3].tobytes() == expected.tobytes()
 
 
 # the default and the desk-scale architectures, and one with stride-2 layers only

@@ -4,6 +4,7 @@ import filecmp
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from terrascout.environment import (
     EnvConfig,
@@ -28,6 +29,7 @@ from terrascout.policy import (
     make_value_net,
 )
 from terrascout.training import (
+    VARIANTS,
     Rollout,
     TrainConfig,
     _actor_probs,
@@ -41,6 +43,8 @@ from terrascout.training import (
     training_loop,
 )
 from terrascout import training
+
+import reference_kernels as reference
 
 TOY_ARCH = NetArch(conv_channels=(3, 4), conv_strides=(1, 2), mlp_sizes=(12,))
 FCFG = FeatureConfig()
@@ -181,6 +185,30 @@ def test_variant_actor_independent_point_mass():
     pi = np.zeros(6)
     pi[2] = 1.0
     assert advantage_variant("actor-independent", np.arange(6.0), pi, 2) == 0.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    variant=st.sampled_from(VARIANTS),
+    rows=st.integers(1, 64),
+    scale=st.sampled_from([1e-6, 1.0, 1e6]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_advantages_equal_the_per_row_loop(variant, rows, scale, seed):
+    rng = np.random.default_rng(seed)
+    q = rng.normal(scale=scale, size=(rows, NUM_ACTIONS))
+    actions = rng.integers(0, NUM_ACTIONS, size=rows)
+    keep = rng.random((rows, NUM_ACTIONS)) >= 0.2  # some actions masked out
+    keep[np.arange(rows), actions] = True
+    pi = rng.dirichlet(np.ones(NUM_ACTIONS), size=rows) * keep
+    pi /= pi.sum(axis=1, keepdims=True)
+    v = rng.normal(scale=scale, size=rows) if variant == "central-qv" else None
+    got = advantage_variant(variant, q, pi, actions, v)
+    want = reference.batch_advantages(variant, q, pi, actions, v)
+    assert got.tobytes() == want.tobytes()
+    for i in range(rows):  # one row still gives the parent's float
+        v_i = None if v is None else float(v[i])
+        assert advantage_variant(variant, q[i], pi[i], int(actions[i]), v_i) == want[i]
 
 
 def test_coma_equals_actor_independent_on_action_blind_critic():
