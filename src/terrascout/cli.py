@@ -277,6 +277,8 @@ def cmd_evaluate(args) -> int:
     cfg, fcfg, _ = _load_configs(args)
     if args.missions < 2:
         raise UsageError("--missions must be at least 2")
+    if args.threads < 1:
+        raise UsageError("--threads must be at least 1")
     specs = _planner_specs(args, fcfg)
     if "coverage" in args.planner:
         try:
@@ -286,10 +288,13 @@ def cmd_evaluate(args) -> int:
     terrain = load_ground_truth(args.terrain) if args.terrain else None
     if terrain is not None:
         expected = cfg.map_cells
-        if terrain.cells.shape != (expected, expected):
+        # the text format keeps 12 significant digits of the resolution
+        if terrain.cells.shape != (expected, expected) or not math.isclose(
+            terrain.resolution, cfg.map_resolution, rel_tol=1e-9
+        ):
             raise DataError(
-                f"terrain grid {terrain.cells.shape} does not match the configured "
-                f"{expected}x{expected} map"
+                f"terrain grid {terrain.cells.shape} at {terrain.resolution} m does not match "
+                f"the configured {expected}x{expected} map at map_resolution {cfg.map_resolution} m"
             )
         if not terrain.cells.any():
             raise DataError(f"{args.terrain}: terrain has no interesting cells")
@@ -342,6 +347,8 @@ def cmd_ablate_features(args) -> int:
 
 
 def cmd_ingest(args) -> int:
+    if not math.isfinite(args.threshold):
+        raise UsageError(f"--threshold must be a finite number, got {args.threshold}")
     out = _start_run(args, {"input": str(args.input), "threshold": args.threshold},
                      ["ground_truth.txt"])
     gt, fraction = ingest_raster(args.input, args.threshold)

@@ -196,22 +196,21 @@ class AgentLocalState:
 
 
 class NoiseStreams:
-    """Measurement-noise generators keyed by (mission key, step, agent).
+    """Measurement-noise seeds keyed by (mission key, step, agent).
 
     Keying by step and agent, and by cell through the virtual full-map
     uniform field that ``simulate_measurement`` reads, makes sensor noise
     independent of planner decisions: different planners on the same
     seeded mission see the same noise wherever they measure the same
-    cells. Each generator wraps Philox, whose ``advance`` lets
-    ``simulate_measurement`` draw only the cells a footprint reads.
+    cells. ``simulate_measurement`` builds its own Philox generator from
+    the seed, so no caller can hand it a stream that was already used.
     """
 
     def __init__(self, *key: int) -> None:
         self.key = tuple(int(k) for k in key)
 
-    def generator(self, step: int, agent_id: int) -> np.random.Generator:
-        seq = np.random.SeedSequence([*self.key, _TAG_NOISE, int(step), int(agent_id)])
-        return np.random.Generator(np.random.Philox(seq))
+    def seed(self, step: int, agent_id: int) -> np.random.SeedSequence:
+        return np.random.SeedSequence([*self.key, _TAG_NOISE, int(step), int(agent_id)])
 
 
 def terrain_rng(*key: int) -> np.random.Generator:
@@ -425,7 +424,7 @@ class TerrainEnv:
                 self.terrain,
                 pos_m,
                 cfg.sensor,
-                self.noise.generator(self.step_index, i),
+                self.noise.seed(self.step_index, i),
                 footprint_factor=cfg.footprint_factor,
                 agent_id=i,
                 step=self.step_index,

@@ -27,7 +27,6 @@ import numpy as np
 
 from .errors import (
     ConfigurationError,
-    ContractViolation,
     DataError,
     DomainError,
     InvalidMeasurementError,
@@ -289,7 +288,7 @@ def simulate_measurement(
     gt: GroundTruthMap,
     position: np.ndarray,
     sensor: SensorModel,
-    rng: np.random.Generator,
+    seed: np.random.SeedSequence,
     *,
     footprint_factor: float = 1.0,
     agent_id: int = 0,
@@ -304,13 +303,11 @@ def simulate_measurement(
     coarse cell carry the same value.
 
     The noise is a virtual uniform field covering the whole map, indexed by
-    absolute cell: cell (y, x) reads the value that ``rng.random((H, W))``
-    would put at ``[y, x]``, so two planners measuring the same cells at
-    the same (step, agent) key see identical noise. Only the anchor cells
-    are drawn (see :func:`_virtual_uniforms`), and ``rng`` is left in
-    exactly the state that the full H*W draw would leave it in. ``rng``
-    must wrap a Philox, PCG64 or PCG64DXSM bit generator; any other raises
-    :class:`ContractViolation`.
+    absolute cell: cell (y, x) reads the value that
+    ``Generator(Philox(seed)).random((H, W))`` would put at ``[y, x]``, so
+    two planners measuring the same cells under the same (mission, step,
+    agent) ``seed`` see identical noise. Only the anchor cells are drawn
+    (see :func:`_virtual_uniforms`).
     """
     alt = float(position[2])
     acc = sensor.accuracy_at(alt)
@@ -336,7 +333,7 @@ def simulate_measurement(
 
     anchor_y = np.clip(y_lo0 + (np.arange(n_by) + by_min) * fac, 0, gt.height - 1)
     anchor_x = np.clip(x_lo0 + (np.arange(n_bx) + bx_min) * fac, 0, gt.width - 1)
-    flips = _virtual_uniforms(rng, anchor_y, anchor_x, gt.width, gt.height * gt.width) >= acc
+    flips = _virtual_uniforms(seed, anchor_y, anchor_x, gt.width) >= acc
     observed = truth ^ flips
 
     values = observed[(by - by_min)[:, None], (bx - bx_min)[None, :]].astype(np.uint8)
@@ -344,60 +341,33 @@ def simulate_measurement(
 
 
 def _virtual_uniforms(
-    rng: np.random.Generator,
+    seed: np.random.SeedSequence,
     rows: np.ndarray,
     cols: np.ndarray,
     width: int,
-    size: int,
 ) -> np.ndarray:
-    """``rng.random(size).reshape(-1, width)[rows][:, cols]``, drawing only what it reads.
+    """``Generator(Philox(seed)).random((H, W))[rows][:, cols]``, drawing only what it reads.
 
-    Each double of ``rng.random`` comes from the next output of the bit
-    generator, and ``advance(d)`` skips ``d * stride`` outputs. So for each
-    row the generator jumps to the block holding the row's first wanted
+    Philox makes its doubles in blocks of four, and ``advance(d)`` moves
+    its counter by ``d`` blocks and drops any buffered ones. So for each
+    row the generator moves to the block holding the row's first wanted
     cell, draws that cell's offset within the block plus the span of
-    ``cols``, and drops the offset. Steps are counted relative to the
-    state at the call, and a negative ``advance`` re-reads a block the
-    previous draw already passed. Finally the generator is set to the
-    state the full ``size`` draw would have left it in: it jumps to the
-    last cell and draws it, and any pending 32-bit half is put back
-    (``advance`` clears it; double draws never touch it).
+    ``cols``, and drops the offset. ``drawn`` is the counter after the
+    previous row, so the step is negative when a row starts in a block
+    already passed (rows sharing a block, or repeated by edge clipping).
     """
-    bitgen = rng.bit_generator
-    # Doubles per ``advance`` step. Looked up here, not at import, because
-    # numpy loads ``np.random`` lazily on first use.
-    strides = {np.random.Philox: 4, np.random.PCG64: 1, np.random.PCG64DXSM: 1}
-    stride = strides.get(type(bitgen))
-    if stride is None:
-        raise ContractViolation(
-            "sliced noise needs a Philox, PCG64 or PCG64DXSM bit generator, "
-            f"got {type(bitgen).__name__}"
-        )
-    start = bitgen.state
-    # outputs of the current block already used (Philox buffers one block)
-    phase = start.get("buffer_pos", stride)
-    steps = 0  # advance steps taken since the call
-
-    def draw(k: int, n: int) -> np.ndarray:
-        nonlocal steps
-        t = phase + k
-        skip = t // stride - steps - 1
-        bitgen.advance(skip)
-        lead = t % stride
-        steps += skip + -(-(lead + n) // stride)
-        return rng.random(lead + n)[lead:]
-
+    bitgen = np.random.Philox(seed)
+    rng = np.random.Generator(bitgen)
     c0 = int(cols.min())
     offsets = cols - c0
     span = int(offsets.max()) + 1
     out = np.empty((len(rows), len(cols)))
+    drawn = 0
     for i, y in enumerate(rows):
-        out[i] = draw(int(y) * width + c0, span)[offsets]
-    draw(size - 1, 1)
-    if start["has_uint32"]:
-        state = bitgen.state
-        state["has_uint32"], state["uinteger"] = start["has_uint32"], start["uinteger"]
-        bitgen.state = state
+        block, lead = divmod(int(y) * width + c0, 4)
+        bitgen.advance(block - drawn)
+        out[i] = rng.random(lead + span)[lead + offsets]
+        drawn = block + -(-(lead + span) // 4)
     return out
 
 

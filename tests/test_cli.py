@@ -378,6 +378,22 @@ def test_evaluate_terrain_shape_mismatch_is_data_error(smoke_config, tmp_path):
     assert rc == 3
 
 
+def test_evaluate_terrain_resolution_mismatch_is_data_error(smoke_config, tmp_path, capsys):
+    # a 40x40 grid matches the 20 m config's cell count only at 0.5 m
+    terrain = tmp_path / "gt.txt"
+    cells = np.zeros((40, 40))
+    cells[:20] = 1.0
+    write_text_grid(terrain, cells, 1.0)
+    out = tmp_path / "x"
+    rc = main(["evaluate", "--config", str(smoke_config), "--planner", "random",
+               "--missions", "2", "--terrain", str(terrain), "--out", str(out)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and err.count("\n") == 1
+    assert "map_resolution" in err
+    assert not out.exists()
+
+
 def test_evaluate_terrain_without_interest_is_data_error(smoke_config, tmp_path, capsys):
     terrain = tmp_path / "gt.txt"
     write_text_grid(terrain, np.zeros((40, 40)), 0.5)
@@ -432,6 +448,18 @@ def test_ingest_parse_error_exit_code(tmp_path):
     rc = main(["ingest", "--input", str(raster), "--threshold", "25.0",
                "--out", str(tmp_path / "x")])
     assert rc == 3
+
+
+@pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
+def test_ingest_non_finite_threshold_is_usage_error(tmp_path, capsys, threshold):
+    raster = tmp_path / "raster.txt"
+    write_text_grid(raster, np.array([[30.0, 10.0], [26.0, 24.0]]), 0.5)
+    out = tmp_path / "ing"
+    rc = main(["ingest", "--input", str(raster), f"--threshold={threshold}", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_ablate_features_channel_bookkeeping(smoke_config, tmp_path):
@@ -549,6 +577,18 @@ def test_evaluate_threads_write_the_serial_files(smoke_config, tmp_path):
     serial = _files(tmp_path / "serial")
     assert len(serial) == 1 + 2 + 2 * 3 * 2
     assert serial == _files(tmp_path / "pool")
+
+
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_evaluate_threads_below_one_is_usage_error(smoke_config, tmp_path, capsys, threads):
+    out = tmp_path / "t"
+    rc = main(["evaluate", "--config", str(smoke_config), "--planner", "random",
+               "--missions", "2", "--threads", threads, "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+    assert "--threads" in err
+    assert not out.exists()
 
 
 def test_threads_is_an_evaluate_option_only(smoke_config, tmp_path, capsys):

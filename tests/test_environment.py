@@ -19,6 +19,7 @@ from terrascout.environment import (
 from terrascout.errors import ConfigurationError, ContractViolation, RejectedStepError
 from terrascout.gridmap import (
     CellRect,
+    GroundTruthMap,
     Measurement,
     SensorModel,
     map_entropy,
@@ -302,6 +303,38 @@ def test_rejected_step_changes_nothing():
     np.testing.assert_array_equal(
         rejected.state.global_map.log_odds, clean.state.global_map.log_odds
     )
+
+
+def test_teams_on_one_noise_key_see_the_same_noise_on_shared_cells():
+    # Two teams on one mission key take different joint actions; at step 2
+    # each agent measures at 10 m from poses 5 m apart in x and in y. The
+    # 50-cell shift keeps the 2-cell sensor blocks aligned, so on the flat
+    # terrain every shared cell must carry the same noisy label.
+    cfg = default_cfg(num_agents=2, budget=3)
+    n = cfg.map_cells
+    gt = GroundTruthMap(np.ones((n, n), dtype=np.uint8), cfg.map_resolution)
+    a, b = (TerrainEnv(cfg, gt, NoiseStreams(11)) for _ in range(2))
+    a.reset()
+    b.reset()
+    up, north, east = int(Action.UP), int(Action.NORTH), int(Action.EAST)
+    a.step([up, up])
+    a.step([east, east])
+    b.step([north, north])
+    b.step([up, up])
+    for loc_a, loc_b in zip(a.locals, b.locals):
+        ma, mb = loc_a.last_measurement, loc_b.last_measurement
+        assert ma.step == mb.step == 2 and ma.accuracy == mb.accuracy
+        np.testing.assert_array_equal(ma.position - mb.position, [5.0, -5.0, 0.0])
+        ys = slice(max(ma.rect.y_lo, mb.rect.y_lo), min(ma.rect.y_hi, mb.rect.y_hi) + 1)
+        xs = slice(max(ma.rect.x_lo, mb.rect.x_lo), min(ma.rect.x_hi, mb.rect.x_hi) + 1)
+        va = np.zeros((n, n), dtype=np.uint8)
+        vb = np.zeros((n, n), dtype=np.uint8)
+        va[ma.rect.slices] = ma.values
+        vb[mb.rect.slices] = mb.values
+        shared = va[ys, xs]
+        assert shared.shape == (50, 50)
+        np.testing.assert_array_equal(shared, vb[ys, xs])
+        assert 0 < (shared == 0).sum() < shared.size  # the shared cells carry noise
 
 
 def test_simultaneous_collision_lower_id_wins():
