@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .environment import EnvConfig
+from .environment import EnvConfig, check_terrain
 from .errors import (
     ConfigurationError,
     DataError,
@@ -287,15 +287,10 @@ def cmd_evaluate(args) -> int:
             raise UsageError(f"coverage_altitude: {exc}") from exc
     terrain = load_ground_truth(args.terrain) if args.terrain else None
     if terrain is not None:
-        expected = cfg.map_cells
-        # the text format keeps 12 significant digits of the resolution
-        if terrain.cells.shape != (expected, expected) or not math.isclose(
-            terrain.resolution, cfg.map_resolution, rel_tol=1e-9
-        ):
-            raise DataError(
-                f"terrain grid {terrain.cells.shape} at {terrain.resolution} m does not match "
-                f"the configured {expected}x{expected} map at map_resolution {cfg.map_resolution} m"
-            )
+        try:
+            check_terrain(terrain, cfg)
+        except ConfigurationError as exc:
+            raise DataError(str(exc)) from exc
         if not terrain.cells.any():
             raise DataError(f"{args.terrain}: terrain has no interesting cells")
     out = _start_run(args, _config_record(cfg, fcfg), ["benchmark.csv"])

@@ -162,18 +162,19 @@ class GlobalState:
 
     def map_planes(self, w: ImportanceWeights) -> tuple[np.ndarray, np.ndarray]:
         """(probs, cell_entropy) of the global map, equal bit for bit to a fresh
-        full-map computation: built when either is None, otherwise refreshed
-        on each rectangle fused since the last call."""
-        fused = self.global_map.fused
+        full-map computation: filled from the prior cell when either is None,
+        then refreshed on each rectangle logged since."""
+        grid = self.global_map
         if self.probs is None or self.cell_entropy is None:
-            self.probs = self.global_map.probs()
-            self.cell_entropy = weighted_cell_entropy(self.probs, w)
-        else:
-            for rect in fused[self.seen:]:
-                cells = rect.slices
-                self.probs[cells] = self.global_map.probs_slice(cells)
-                self.cell_entropy[cells] = weighted_cell_entropy(self.probs[cells], w)
-        self.seen = len(fused)
+            p, h = grid.prior_cell(w)
+            self.probs = np.full(grid.log_odds.shape, p[0, 0])
+            self.cell_entropy = np.full(grid.log_odds.shape, h[0, 0])
+            self.seen = 0
+        for rect in grid.fused[self.seen:]:
+            cells = rect.slices
+            self.probs[cells] = grid.probs_slice(cells)
+            self.cell_entropy[cells] = weighted_cell_entropy(self.probs[cells], w)
+        self.seen = len(grid.fused)
         return self.probs, self.cell_entropy
 
 
@@ -245,9 +246,19 @@ def generate_terrain(
         target = min(max(target, 0.3), 0.6)
         proj = math.cos(theta) * xs + math.sin(theta) * ys
         lo, hi = proj.min() - 1.0, proj.max() + 1.0
+        # count(proj >= mid) / size > target holds exactly when mid <= v, the
+        # k-th largest value of proj for the smallest count k above the target
+        size, v = proj.size, -math.inf  # no count is above a NaN target
+        if target == target:
+            k = int(target * size)
+            while k > 0 and (k - 1) / size > target:
+                k -= 1
+            while k / size <= target:
+                k += 1
+            v = np.partition(proj, size - k, axis=None)[size - k]
         for _ in range(64):
             mid = 0.5 * (lo + hi)
-            if np.count_nonzero(proj >= mid) / proj.size > target:
+            if mid <= v:
                 lo = mid
             else:
                 hi = mid
@@ -258,6 +269,19 @@ def generate_terrain(
         if angle is not None and fraction is not None:
             break  # forced parameters: return best effort below
     return GroundTruthMap(cells.astype(np.uint8), res)
+
+
+def check_terrain(terrain: GroundTruthMap, cfg: EnvConfig) -> None:
+    """Reject a terrain whose cell grid or resolution differs from the configured map."""
+    n = cfg.map_cells
+    # the text format keeps 12 significant digits of the resolution
+    if terrain.cells.shape != (n, n) or not math.isclose(
+        terrain.resolution, cfg.map_resolution, rel_tol=1e-9
+    ):
+        raise ConfigurationError(
+            f"terrain grid {terrain.cells.shape} at {terrain.resolution} m does not match "
+            f"the configured {n}x{n} map at map_resolution {cfg.map_resolution} m"
+        )
 
 
 def initial_columns(cols: int, n_agents: int) -> list[int]:
@@ -327,6 +351,7 @@ class TerrainEnv:
     """
 
     def __init__(self, cfg: EnvConfig, terrain: GroundTruthMap, noise: NoiseStreams):
+        check_terrain(terrain, cfg)
         self.cfg = cfg
         self.terrain = terrain
         self.noise = noise

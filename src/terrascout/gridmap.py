@@ -90,17 +90,22 @@ class OccupancyGrid:
     measurements in any order yields bit-comparable results; the clamp to
     ``[PROB_FLOOR, 1 - PROB_FLOOR]`` is applied by :meth:`probs`.
 
-    ``fused`` logs the rectangle of every :func:`fuse_measurement`, in
-    order. A fusion changes only the cells under its rectangle, so every
-    plane derived from the map (``GlobalState.map_planes``, the policy's
-    pooled planes) records how many entries it includes and catches up on
-    the rest. Code that writes ``log_odds`` any other way must drop the
-    planes derived from this map.
+    One invalidation rule covers every plane derived from the map
+    (``GlobalState.map_planes``, the policy's pooled planes): writers log
+    what they wrote, readers start from ``prior`` and catch up. ``prior`` is
+    the log-odds every cell held before the first entry of ``fused``, and
+    ``fused`` logs, in order, the rectangle of every write: each
+    :func:`fuse_measurement`, and one whole-map rectangle for a grid built
+    from non-uniform log-odds. A derived plane fills its constants from one
+    cell at the prior, records how many entries it includes and recomputes
+    the cells under the rest. Code that writes ``log_odds`` any other way
+    must log the rectangle it wrote.
     """
 
     log_odds: np.ndarray  # (H, W) float64
     resolution: float
     fused: list = field(default_factory=list, repr=False, compare=False)
+    prior: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.log_odds = np.asarray(self.log_odds, dtype=np.float64)
@@ -108,6 +113,12 @@ class OccupancyGrid:
             raise ConfigurationError("occupancy grid must be 2D")
         if self.resolution <= 0:
             raise ConfigurationError("map resolution must be positive")
+        first = self.log_odds.flat[0] if self.log_odds.size else 0.0
+        if (self.log_odds == first).all():  # NaN fails it
+            self.prior = float(first)
+        else:
+            self.prior = 0.0
+            self.fused.append(CellRect(0, self.width - 1, 0, self.height - 1))
 
     @classmethod
     def uniform(cls, width: int, height: int, resolution: float) -> "OccupancyGrid":
@@ -132,6 +143,12 @@ class OccupancyGrid:
 
     def copy(self) -> "OccupancyGrid":
         return OccupancyGrid(self.log_odds.copy(), self.resolution)
+
+    def prior_cell(self, w: "ImportanceWeights") -> tuple[np.ndarray, np.ndarray]:
+        """(probs, weighted cell entropy) of one cell at ``prior``, each shaped (1, 1):
+        the same kernels on the same value as any cell of a full-map build."""
+        probs = _posterior(np.full((1, 1), self.prior))
+        return probs, weighted_cell_entropy(probs, w)
 
 
 def _posterior(log_odds: np.ndarray) -> np.ndarray:
@@ -234,6 +251,14 @@ class Measurement:
         self.values = np.asarray(self.values, dtype=np.uint8)
         if self.values.shape != (self.rect.height, self.rect.width):
             raise InvalidMeasurementError("measurement values do not match the footprint")
+
+    @cached_property
+    def log_odds_patch(self) -> np.ndarray:
+        """Per-cell log-odds increment, built once for every map it is fused into."""
+        # Accuracy 1.0 would give infinite log-odds; cap so arithmetic stays finite.
+        acc = min(self.accuracy, 1.0 - 1e-9)
+        delta = math.log(acc / (1.0 - acc))
+        return np.array([-delta, delta]).take(self.values == 1)
 
 
 def footprint(
@@ -377,11 +402,7 @@ def fuse_measurement(grid: OccupancyGrid, m: Measurement) -> OccupancyGrid:
     bounds = CellRect(0, grid.width - 1, 0, grid.height - 1)
     if not bounds.contains(m.rect):
         raise InvalidMeasurementError("measurement footprint outside the grid")
-    # Accuracy 1.0 would give infinite log-odds; cap so arithmetic stays finite.
-    acc = min(m.accuracy, 1.0 - 1e-9)
-    delta = math.log(acc / (1.0 - acc))
-    patch = np.array([-delta, delta]).take(m.values == 1)
-    grid.log_odds[m.rect.slices] += patch
+    grid.log_odds[m.rect.slices] += m.log_odds_patch
     grid.fused.append(m.rect)
     return grid
 

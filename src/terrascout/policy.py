@@ -135,23 +135,24 @@ def _pooled_planes(owner, grid: OccupancyGrid, cfg: EnvConfig, fine) -> np.ndarr
 
     ``owner.row_sums`` keeps the (2, H, G) row-tile sums of both planes and
     ``owner.row_sums_seen`` the number of ``grid.fused`` entries they
-    include. A call takes them over the whole map when ``row_sums`` is None,
-    otherwise over the cell rows by whole tile columns of each later entry;
-    ``fine(cells)`` returns the (belief, entropy) of a box. Every box is
-    computed before any is written, so a failed refresh changes nothing.
+    include. When ``row_sums`` is None they are filled from
+    ``grid.prior_cell`` and include no entry. A call then takes them over
+    the cell rows by whole tile columns of each later entry; ``fine(cells)``
+    returns the (belief, entropy) of a box. Every box is computed before any
+    is written, so a failed refresh changes nothing.
     """
     f, fused = cfg.pool_factor, grid.fused
-    if owner.row_sums is None:
-        boxes = [(slice(0, cfg.map_cells), slice(0, cfg.lattice_cols))]
-    else:
-        boxes = [(slice(r.y_lo, r.y_hi + 1), slice(r.x_lo // f, r.x_hi // f + 1))
-                 for r in fused[owner.row_sums_seen:]]
+    seen = 0 if owner.row_sums is None else owner.row_sums_seen
+    boxes = [(slice(r.y_lo, r.y_hi + 1), slice(r.x_lo // f, r.x_hi // f + 1))
+             for r in fused[seen:]]
     fresh = []
     for rows, tiles in boxes:
         belief, entropy = fine((rows, slice(tiles.start * f, tiles.stop * f)))
         fresh.append(np.stack([_row_tile_sums(belief, f), _row_tile_sums(entropy, f)]))
     if owner.row_sums is None:
-        owner.row_sums = np.empty((2, cfg.map_cells, cfg.lattice_cols))
+        cell = grid.prior_cell(cfg.weights)
+        tile = np.stack([_row_tile_sums(np.repeat(c, f, axis=1), f) for c in cell])
+        owner.row_sums = np.broadcast_to(tile, (2, cfg.map_cells, cfg.lattice_cols)).copy()
     for (rows, tiles), sums in zip(boxes, fresh):
         owner.row_sums[:, rows, tiles] = sums
     owner.row_sums_seen = len(fused)
@@ -198,7 +199,12 @@ def _global_position_plane(positions, cfg: EnvConfig) -> np.ndarray:
 
 
 def _measurement_entropy_plane(local: AgentLocalState, cfg: EnvConfig) -> np.ndarray:
-    """Row-tile sums of the footprint's whole tiles only, pooled at full width."""
+    """Row-tile sums of the footprint's whole tiles only, pooled at full width.
+
+    A patch holds two observation probabilities, ``1 - acc`` for label 0 and
+    ``acc`` for label 1, so the entropy kernel runs on those two and each
+    cell gathers its label's value.
+    """
     f, g = cfg.pool_factor, cfg.lattice_cols
     plane = np.zeros((g, g))
     m = local.last_measurement
@@ -206,9 +212,9 @@ def _measurement_entropy_plane(local: AgentLocalState, cfg: EnvConfig) -> np.nda
         r = m.rect
         lo, hi, c_lo, c_hi = r.y_lo // f, r.y_hi // f + 1, r.x_lo // f, r.x_hi // f + 1
         box = np.zeros(((hi - lo) * f, (c_hi - c_lo) * f))
-        p_obs = np.where(m.values == 1, m.accuracy, 1.0 - m.accuracy)
+        by_label = weighted_cell_entropy(np.array([1.0 - m.accuracy, m.accuracy]), cfg.weights)
         box[r.y_lo - lo * f : r.y_hi + 1 - lo * f, r.x_lo - c_lo * f : r.x_hi + 1 - c_lo * f] = (
-            weighted_cell_entropy(p_obs, cfg.weights)
+            by_label.take(m.values == 1)
         )
         sums = np.zeros(((hi - lo) * f, g))
         sums[:, c_lo:c_hi] = _row_tile_sums(box, f)
@@ -257,8 +263,9 @@ def build_actor_features(local: AgentLocalState, cfg: EnvConfig,
     return _finite(FeatureStack(np.stack(planes), actor_manifest(fcfg)))
 
 
-def _global_planes(state: GlobalState, cfg: EnvConfig) -> np.ndarray:
-    """The four global planes (f)-(i); the pooled two come from ``state.map_planes``."""
+def critic_global_planes(state: GlobalState, cfg: EnvConfig) -> np.ndarray:
+    """The four global planes (f)-(i), the same for every agent of a step; the
+    pooled two come from ``state.map_planes``."""
     probs, cell_entropy = state.map_planes(cfg.weights)
     pooled = _pooled_planes(state, state.global_map, cfg,
                             lambda cells: (probs[cells], cell_entropy[cells]))
@@ -282,18 +289,22 @@ def build_critic_features(
     cfg: EnvConfig,
     fcfg: FeatureConfig = FeatureConfig(),
     mode: str = CRITIC_MODE_FULL,
+    *,
+    global_planes: Optional[np.ndarray],
 ) -> FeatureStack:
     """The agent's actor stack ``base`` followed by centralised planes (f)-(j).
 
     ``other_actions`` lists the actions of the N-1 teammates ordered by
     agent id (skipping ``agent_id``); each marks a one-hot plane at that
-    teammate's current cell. Under the local mode the critic stack is
-    ``base`` itself.
+    teammate's current cell. ``global_planes`` is the step's
+    ``critic_global_planes(state, cfg)``, built once for all its agents.
+    Under the local mode the critic stack is ``base`` itself, and
+    ``global_planes`` may be None.
     """
     if mode == CRITIC_MODE_LOCAL:
         return base
     keep = [k for k, name in enumerate(CRITIC_GLOBAL_PLANES) if getattr(fcfg, name)]
-    planes = [base.planes, _global_planes(state, cfg)[keep]]
+    planes = [base.planes, global_planes[keep]]
     if mode == CRITIC_MODE_FULL and fcfg.action_maps:
         others = [j for j in range(cfg.num_agents) if j != agent_id]
         if len(other_actions) != len(others):

@@ -45,6 +45,7 @@ from .policy import (
     actor_manifest,
     build_actor_features,
     build_critic_features,
+    critic_global_planes,
     critic_manifest,
     make_actor,
     make_critic,
@@ -277,10 +278,11 @@ def run_training_mission(
         stacks = [build_actor_features(loc, cfg, fcfg) for loc in env.locals]
         pis = actor_forward(actor, stacks, step_masks, epsilon)
         step_actions = [int(rng.choice(NUM_ACTIONS, p=pi)) for pi in pis]
+        shared = None if critic_mode == CRITIC_MODE_LOCAL else critic_global_planes(env.state, cfg)
         for i, stack in enumerate(stacks):
             others = step_actions[:i] + step_actions[i + 1 :]
             cstack = build_critic_features(
-                env.state, stack, i, others, cfg, fcfg, mode=critic_mode
+                env.state, stack, i, others, cfg, fcfg, mode=critic_mode, global_planes=shared
             )
             features.append(cstack.planes)
         r, done = env.step(step_actions)

@@ -5,13 +5,16 @@ of the equality gates in ``test_gridmap``, ``test_planners``,
 The package computes the same IEEE operations per value in fewer passes; the
 gates require its outputs to equal these bit for bit. ``batch_advantages`` is
 the per-row advantage loop, the reference of the stacked advantages in
-``test_training``.
+``test_training``, and ``generate_terrain`` the full-map bisection, the
+reference of the terrain generator in ``test_environment``.
 """
+
+import math
 
 import numpy as np
 
 from terrascout.errors import ConfigurationError, ContractViolation, DomainError
-from terrascout.gridmap import PROB_FLOOR, map_entropy
+from terrascout.gridmap import PROB_FLOOR, GroundTruthMap, map_entropy
 from terrascout.nn import DimensionError, Tensor, _make, as_tensor
 
 
@@ -150,3 +153,31 @@ def batch_advantages(variant, q_rows, probs, actions, v_values=None):
         v = float(v_values[i]) if v_values is not None else None
         out[i] = advantage_variant(variant, q_rows[i], probs[i], int(action), v)
     return out
+
+
+def generate_terrain(rng, cfg, *, angle=None, fraction=None):
+    """Half-plane terrain whose offset bisection counts the whole map at every step."""
+    n = cfg.map_cells
+    res = cfg.map_resolution
+    centers = (np.arange(n) + 0.5) * res
+    xs, ys = np.meshgrid(centers, centers)
+
+    for _ in range(16):
+        theta = rng.uniform(0.0, 2.0 * math.pi) if angle is None else angle
+        target = rng.uniform(0.3, 0.6) if fraction is None else fraction
+        target = min(max(target, 0.3), 0.6)
+        proj = math.cos(theta) * xs + math.sin(theta) * ys
+        lo, hi = proj.min() - 1.0, proj.max() + 1.0
+        for _ in range(64):
+            mid = 0.5 * (lo + hi)
+            if np.count_nonzero(proj >= mid) / proj.size > target:
+                lo = mid
+            else:
+                hi = mid
+        cells = proj >= hi
+        frac = cells.mean()
+        if 0.3 <= frac <= 0.6:
+            return GroundTruthMap(cells.astype(np.uint8), res)
+        if angle is not None and fraction is not None:
+            break
+    return GroundTruthMap(cells.astype(np.uint8), res)

@@ -22,6 +22,7 @@ from terrascout.policy import (
     NetArch,
     build_actor_features,
     build_critic_features,
+    critic_global_planes,
     load_network,
     make_actor,
     make_critic,
@@ -197,7 +198,8 @@ def test_criterion_2_gradient_checks():
     env = TerrainEnv(cfg, generate_terrain(terrain_rng(1, 0), cfg), NoiseStreams(1, 0))
     env.reset()
     feats = build_actor_features(env.locals[0], cfg, FCFG)
-    cfeats = build_critic_features(env.state, feats, 0, [0], cfg, FCFG)
+    cfeats = build_critic_features(env.state, feats, 0, [0], cfg, FCFG,
+                                   global_planes=critic_global_planes(env.state, cfg))
     env_mask = env.masks()[0]
     action = int(np.flatnonzero(env_mask)[0])
 

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from terrascout.environment import (
     Action,
@@ -17,6 +19,7 @@ from terrascout.environment import (
     valid_actions,
 )
 from terrascout.errors import ConfigurationError, ContractViolation, RejectedStepError
+from terrascout.evaluation import PlannerSpec, run_benchmark
 from terrascout.gridmap import (
     CellRect,
     GroundTruthMap,
@@ -25,6 +28,8 @@ from terrascout.gridmap import (
     map_entropy,
     weighted_cell_entropy,
 )
+
+import reference_kernels as reference
 
 
 def small_cfg(**kw):
@@ -75,6 +80,49 @@ def test_terrain_forced_axis_aligned_half_split():
     assert (gt.cells[250:] == 1).all() and (gt.cells[:250] == 0).all()
 
 
+def square_cfg(cells: int) -> EnvConfig:
+    """A ``cells`` x ``cells`` map at 1 m on a one-tile lattice."""
+    side = float(cells)
+    return EnvConfig(terrain_size=side, map_resolution=1.0, planning_resolution=side,
+                     num_agents=1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    cells=st.integers(1, 45),  # odd and even sizes; the smallest often take the retry path
+    angle=st.one_of(st.none(), st.sampled_from([0.0, math.pi / 4, math.pi / 2, math.pi]),
+                    st.floats(0.0, 2.0 * math.pi)),
+    fraction=st.one_of(st.none(), st.floats(0.0, 1.0), st.just(math.nan)),
+    seed=st.integers(0, 2**16),
+)
+@example(cells=500, angle=None, fraction=None, seed=0)  # full scale
+@example(cells=2, angle=0.0, fraction=0.45, seed=0)  # forced, out of band: best effort
+def test_terrain_bisection_equals_the_reference_loop(cells, angle, fraction, seed):
+    cfg = square_cfg(cells)
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = generate_terrain(rng, cfg, angle=angle, fraction=fraction)
+    want = reference.generate_terrain(ref_rng, cfg, angle=angle, fraction=fraction)
+    assert got.cells.tobytes() == want.cells.tobytes()
+    assert got.resolution == want.resolution
+    # both took the same number of attempts
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_terrain_retry_path_equals_the_reference_loop():
+    cfg = square_cfg(3)
+    retried = 0
+    for seed in range(40):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = generate_terrain(rng, cfg)
+        want = reference.generate_terrain(ref_rng, cfg)
+        assert got.cells.tobytes() == want.cells.tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        probe = np.random.default_rng(seed)
+        probe.uniform(size=2)  # one attempt draws an angle and a target
+        retried += rng.bit_generator.state != probe.bit_generator.state
+    assert retried > 0
+
+
 def test_terrain_region_connected_along_split():
     cfg = EnvConfig(terrain_size=10.0, map_resolution=0.2, num_agents=1)
     gt = generate_terrain(np.random.default_rng(5), cfg)
@@ -114,6 +162,22 @@ def test_initial_measurement_already_fused():
     state, locals_ = TerrainEnv(cfg, gt, NoiseStreams(0)).reset()
     uniform_total = 0.5 * cfg.map_cells**2
     assert map_entropy(state.global_map, cfg.weights) < uniform_total
+
+
+def test_env_rejects_a_terrain_that_differs_from_the_config():
+    cfg = small_cfg()
+    gt = generate_terrain(np.random.default_rng(0), cfg)
+    n = cfg.map_cells
+    with pytest.raises(ConfigurationError, match="does not match"):
+        TerrainEnv(cfg, GroundTruthMap(gt.cells[:, : n - 1], cfg.map_resolution), NoiseStreams(0))
+    with pytest.raises(ConfigurationError, match="map_resolution"):
+        TerrainEnv(cfg, GroundTruthMap(gt.cells, 2.0 * cfg.map_resolution), NoiseStreams(0))
+    with pytest.raises(ConfigurationError, match="map_resolution"):
+        run_benchmark([PlannerSpec("random")], 2, 0, cfg,
+                      terrain=GroundTruthMap(gt.cells, 2.0 * cfg.map_resolution))
+    # the text format keeps 12 significant digits: such a resolution is the same
+    close = GroundTruthMap(gt.cells, cfg.map_resolution * (1.0 + 1e-12))
+    TerrainEnv(cfg, close, NoiseStreams(0)).reset()
 
 
 def test_initial_state_too_many_agents():
@@ -448,9 +512,9 @@ def test_cached_map_planes_track_full_map_every_step():
         h_after = map_entropy(env.state.global_map, cfg.weights)
         assert r == reward(h_before, h_after, cfg.reward_alpha, cfg.reward_beta)
         assert env.global_entropy() == h_after
-    # an out-of-band write resets the cache, which then rebuilds from the map
+    # an out-of-band write logs its rectangle, and the planes catch up on it
     env.state.global_map.log_odds[:40, :40] = 3.0
-    env.state.probs = None
+    env.state.global_map.fused.append(CellRect(0, 39, 0, 39))
     fresh = env.state.global_map.probs()
     probs, cell_entropy = env.state.map_planes(cfg.weights)
     np.testing.assert_array_equal(probs, fresh)

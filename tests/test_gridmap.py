@@ -534,6 +534,34 @@ def test_fusion_patch_equals_reference_bit_for_bit(seed, size, rect, accuracy):
     want = start.copy()
     want[r.slices] += reference.fusion_patch(m.values, delta)
     assert grid.log_odds.tobytes() == want.tobytes()
+    # the patch is built once and serves every map the measurement is fused into
+    patch = m.log_odds_patch
+    again = fuse_measurement(OccupancyGrid(start.copy(), 0.1), m)
+    assert m.log_odds_patch is patch
+    assert again.log_odds.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("value", [0.0, -0.0, 1.75, -40.0])
+def test_uniform_grid_records_its_prior_and_logs_nothing(value):
+    grid = OccupancyGrid(np.full((6, 4), value), 0.5)
+    assert grid.prior == value and grid.fused == []
+    probs, entropy = grid.prior_cell(ImportanceWeights())
+    assert probs.shape == entropy.shape == (1, 1)
+    assert probs[0, 0] == grid.probs()[3, 2]
+    assert entropy[0, 0] == weighted_cell_entropy(grid.probs(), ImportanceWeights())[5, 0]
+
+
+def test_non_uniform_grid_logs_one_whole_map_rectangle():
+    log_odds = np.zeros((6, 4))
+    log_odds[2, 3] = 0.25
+    grid = OccupancyGrid(log_odds, 0.5)
+    assert grid.prior == 0.0 and grid.fused == [CellRect(0, 3, 0, 5)]
+    nan = OccupancyGrid(np.full((2, 3), np.nan), 0.5)  # NaN is never a prior
+    assert nan.fused == [CellRect(0, 2, 0, 1)]
+    # a copy of a fused grid starts a log of its own
+    m = Measurement(np.zeros(3), CellRect(1, 2, 1, 1), np.ones((1, 2)), 0.9, 0, 0)
+    fused = fuse_measurement(OccupancyGrid.uniform(4, 6, 0.5), m)
+    assert fused.fused == [m.rect] and fused.copy().fused == [CellRect(0, 3, 0, 5)]
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from terrascout.environment import (
 )
 from terrascout.errors import ContractViolation
 from terrascout.gridmap import (
+    CellRect,
     ImportanceWeights,
     OccupancyGrid,
     SensorModel,
@@ -426,7 +427,8 @@ def test_every_planner_respects_masks_over_randomized_states():
                 loc.local_map.log_odds[...] = mask_rng.normal(
                     scale=2.0, size=loc.local_map.log_odds.shape
                 )
-                loc.row_sums = None  # an out-of-band write invalidates the cached planes
+                # an out-of-band write logs its rectangle for the cached planes
+                loc.local_map.fused.append(CellRect(0, 99, 0, 99))
             a = planner.act(loc, mask, env.cfg, 1, mask_rng)
             assert mask[a]
             checked += 1

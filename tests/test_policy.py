@@ -22,6 +22,7 @@ from terrascout.environment import (
 from terrascout.errors import ConfigurationError, ContractViolation, DomainError
 from terrascout.gridmap import (
     CellRect,
+    ImportanceWeights,
     Measurement,
     OccupancyGrid,
     footprint,
@@ -41,6 +42,7 @@ from terrascout.policy import (
     actor_manifest,
     build_actor_features,
     build_critic_features,
+    critic_global_planes,
     critic_manifest,
     load_network,
     make_actor,
@@ -50,7 +52,6 @@ from terrascout.policy import (
     _centred_position_plane,
     _finite,
     _global_position_plane,
-    _global_planes,
     _local_planes,
     _measurement_entropy_plane,
     _pool_row_tile_sums,
@@ -77,7 +78,8 @@ def fresh_env(seed=0, **kw):
 
 def agent0_critic(env, other_actions, mode=CRITIC_MODE_FULL):
     base = build_actor_features(env.locals[0], env.cfg, FCFG)
-    return build_critic_features(env.state, base, 0, other_actions, env.cfg, FCFG, mode=mode)
+    return build_critic_features(env.state, base, 0, other_actions, env.cfg, FCFG, mode=mode,
+                                 global_planes=critic_global_planes(env.state, env.cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -96,8 +98,9 @@ def test_manifest_sizes():
 def test_entropy_plane_constant_half_at_uniform_prior():
     env = fresh_env()
     loc = env.locals[0]
-    # wipe the t=0 fusion to test the uniform prior directly
+    # wipe the t=0 fusion to test the uniform prior directly, logging the write
     loc.local_map.log_odds[...] = 0.0
+    loc.local_map.fused.append(CellRect(0, 99, 0, 99))
     stack = build_actor_features(loc, env.cfg, FCFG)
     ent = stack.planes[list(stack.manifest).index("entropy_map")]
     np.testing.assert_allclose(ent, 0.5, atol=1e-12)
@@ -178,6 +181,7 @@ def test_entropy_planes_bounded():
 def test_non_finite_feature_planes_raise():
     env = fresh_env()
     env.locals[0].local_map.log_odds[0, 0] = np.nan
+    env.locals[0].local_map.fused.append(CellRect(0, 0, 0, 0))
     with pytest.raises(ContractViolation, match="non-finite"):
         build_actor_features(env.locals[0], env.cfg, FCFG)
 
@@ -237,7 +241,7 @@ def test_local_mode_is_actor_planes_only():
     env = fresh_env()
     base = build_actor_features(env.locals[0], env.cfg, FCFG)
     stack = build_critic_features(
-        env.state, base, 0, [0], env.cfg, FCFG, mode=CRITIC_MODE_LOCAL
+        env.state, base, 0, [0], env.cfg, FCFG, mode=CRITIC_MODE_LOCAL, global_planes=None
     )
     assert stack is base
     assert stack.manifest == critic_manifest(FCFG, 2, CRITIC_MODE_LOCAL)
@@ -248,7 +252,8 @@ def test_critic_stack_starts_with_the_actor_stack():
     base = build_actor_features(env.locals[0], env.cfg, FCFG)
     for mode in (CRITIC_MODE_FULL, CRITIC_MODE_NO_ACTIONS):
         others = [0] if mode == CRITIC_MODE_FULL else []
-        stack = build_critic_features(env.state, base, 0, others, env.cfg, FCFG, mode=mode)
+        stack = build_critic_features(env.state, base, 0, others, env.cfg, FCFG, mode=mode,
+                                      global_planes=critic_global_planes(env.state, env.cfg))
         np.testing.assert_array_equal(stack.planes[: len(base.manifest)], base.planes)
         assert stack.manifest[: len(base.manifest)] == base.manifest
 
@@ -526,31 +531,34 @@ def test_cached_planes_equal_full_rebuild_bit_for_bit(scale, comm_radius, toggle
             for loc in env.locals:
                 stacks.append(build_actor_features(loc, cfg, fcfg))
                 assert_stacks_identical(stacks[-1], ref_build_actor_features(loc, cfg, fcfg))
+            shared = critic_global_planes(env.state, cfg)
             for i, stack in enumerate(stacks):
                 others = actions[:i] + actions[i + 1 :]
                 assert_stacks_identical(
-                    build_critic_features(env.state, stack, i, others, cfg, fcfg, mode),
+                    build_critic_features(env.state, stack, i, others, cfg, fcfg, mode,
+                                          global_planes=shared),
                     ref_build_critic_features(env.state, stack, i, others, cfg, fcfg, mode),
                 )
         _, done = env.step(actions)
 
 
-def test_out_of_band_write_then_reset_matches_fresh_build():
+def test_out_of_band_write_then_logged_rect_matches_fresh_build():
     env = fresh_env(seed=4)
     loc = env.locals[0]
     build_actor_features(loc, env.cfg, FCFG)
     loc.local_map.log_odds[:7, :] = np.random.default_rng(0).normal(size=(7, 100))
-    loc.row_sums = None  # the documented reset after an out-of-band write
+    loc.local_map.fused.append(CellRect(0, 99, 0, 6))  # the documented log of the write
     assert_stacks_identical(
         build_actor_features(loc, env.cfg, FCFG), ref_build_actor_features(loc, env.cfg, FCFG)
     )
     base = build_actor_features(env.locals[1], env.cfg, FCFG)
     agent0_critic(env, [0])
     env.state.global_map.log_odds[...] = 1.5
+    env.state.global_map.fused.append(CellRect(0, 99, 0, 99))
     env.state.positions[1] = [9, 9, 2]
-    env.state.probs = env.state.row_sums = None
     assert_stacks_identical(
-        build_critic_features(env.state, base, 1, [0], env.cfg, FCFG),
+        build_critic_features(env.state, base, 1, [0], env.cfg, FCFG,
+                              global_planes=critic_global_planes(env.state, env.cfg)),
         ref_build_critic_features(env.state, base, 1, [0], env.cfg, FCFG),
     )
 
@@ -587,21 +595,37 @@ def test_two_step_pool_equals_the_one_step_mean(factor, tile_rows, tile_cols, se
 BOX_SCALES = [(50.0, 0.5, 5.0), (30.0, 0.5, 10.0), (30.0, 3.0, 3.0)]
 
 
-@settings(max_examples=60, deadline=None)
-@given(scale=st.sampled_from(BOX_SCALES), seed=st.integers(0, 2**16))
-def test_box_refresh_equals_a_fresh_full_build(scale, seed):
+# how a grid is born: at the p = 0.5 prior, at another uniform log-odds, or
+# from non-uniform log-odds (logged as one whole-map rectangle)
+BIRTHS = ("uniform", "constant", "noise")
+
+
+def born(birth: str, n: int, res: float, rng) -> OccupancyGrid:
+    if birth == "uniform":
+        return OccupancyGrid.uniform(n, n, res)
+    if birth == "constant":
+        return OccupancyGrid(np.full((n, n), rng.normal(scale=3.0)), res)
+    return OccupancyGrid(rng.normal(scale=3.0, size=(n, n)), res)
+
+
+@settings(max_examples=90, deadline=None)
+@given(scale=st.sampled_from(BOX_SCALES), birth=st.sampled_from(BIRTHS),
+       seed=st.integers(0, 2**16))
+def test_box_refresh_equals_a_fresh_full_build(scale, birth, seed):
     """Random fusion sequences: footprints clipped at the map's edges,
     footprints narrower than one tile and footprints exactly one tile wide,
-    several fused between refreshes. The local and the global map catch up
-    at different times."""
+    several fused between refreshes. The planes start from the grid's prior
+    and its log, possibly before the first fusion; the local and the global
+    map catch up at different times."""
     terrain, res, planning = scale
     cfg = EnvConfig(terrain_size=terrain, map_resolution=res, planning_resolution=planning,
                     num_agents=1, budget=4)
     n, f = cfg.map_cells, cfg.pool_factor
     rng = np.random.default_rng(seed)
-    loc = AgentLocalState(0, OccupancyGrid.uniform(n, n, res), np.zeros(3, dtype=int),
+    loc = AgentLocalState(0, born(birth, n, res, rng), np.zeros(3, dtype=int),
                           np.zeros((1, 3), dtype=int), cfg.budget)
-    state = GlobalState(OccupancyGrid.uniform(n, n, res), np.zeros((1, 3), dtype=int), cfg.budget)
+    state = GlobalState(born(birth, n, res, rng), np.zeros((1, 3), dtype=int), cfg.budget)
+    assert (loc.local_map.fused == []) == (birth != "noise")
     for _ in range(8):
         for _ in range(int(rng.integers(0, 4))):
             kind = rng.random()
@@ -632,13 +656,78 @@ def test_box_refresh_equals_a_fresh_full_build(scale, seed):
             assert planes.tobytes() == expected.tobytes()
             assert loc.row_sums_seen == len(loc.local_map.fused)
         if rng.random() < 0.5:
-            planes = _global_planes(state, cfg)
+            planes = critic_global_planes(state, cfg)
             probs = state.global_map.probs()
             entropy = weighted_cell_entropy(probs, cfg.weights)
             assert state.probs.tobytes() == probs.tobytes()
             assert state.cell_entropy.tobytes() == entropy.tobytes()
             expected = np.stack([ref_pool(probs, f), ref_pool(entropy, f)])
             assert planes[1:3].tobytes() == expected.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    acc=st.one_of(st.sampled_from([0.99, 0.735, 0.625, 1.0, 1.0 - 1e-12]),
+                  st.floats(0.5, 1.0, exclude_min=True)),
+    w1=st.floats(0.0, 1.0),
+    rows=st.integers(1, 30),
+    cols=st.integers(1, 30),
+    label=st.sampled_from(["mixed", "zeros", "ones"]),
+    seed=st.integers(0, 2**16),
+)
+def test_two_entry_measurement_entropy_equals_the_direct_kernel(acc, w1, rows, cols, label, seed):
+    """The patch's two observation probabilities, evaluated once and gathered
+    by label, equal the kernel evaluated on every cell; so does the plane."""
+    w = ImportanceWeights(w1, 1.0 - w1)
+    rng = np.random.default_rng(seed)
+    values = {"mixed": rng.integers(0, 2, (rows, cols)), "zeros": np.zeros((rows, cols)),
+              "ones": np.ones((rows, cols))}[label].astype(np.uint8)
+    direct = weighted_cell_entropy(np.where(values == 1, acc, 1.0 - acc), w)
+    gathered = weighted_cell_entropy(np.array([1.0 - acc, acc]), w).take(values == 1)
+    assert gathered.tobytes() == direct.tobytes()
+    cfg = EnvConfig(terrain_size=50.0, map_resolution=0.5, num_agents=1, budget=4, weights=w)
+    n = cfg.map_cells
+    x_lo, y_lo = (int(v) for v in rng.integers(0, n, 2))
+    rect = CellRect(x_lo, min(n - 1, x_lo + cols - 1), y_lo, min(n - 1, y_lo + rows - 1))
+    loc = AgentLocalState(0, OccupancyGrid.uniform(n, n, 0.5), np.zeros(3, dtype=int),
+                          np.zeros((1, 3), dtype=int), cfg.budget)
+    loc.last_measurement = Measurement(np.zeros(3), rect, values[: rect.height, : rect.width],
+                                       acc, 0, 0)
+    assert (_measurement_entropy_plane(loc, cfg).tobytes()
+            == ref_measurement_entropy_plane(loc, cfg).tobytes())
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    scale=st.sampled_from(["smoke", "pool1"]),
+    comm_radius=st.sampled_from([0.0, 25.0, math.inf]),
+    mode=st.sampled_from([CRITIC_MODE_FULL, CRITIC_MODE_NO_ACTIONS]),
+    seed=st.integers(0, 2**16),
+)
+def test_once_per_step_global_planes_equal_per_agent_builds(scale, comm_radius, mode, seed):
+    """The stack ``run_training_mission`` builds once per step gives every
+    agent the critic features that agent's own build gives."""
+    cfg = plane_test_cfg(scale, comm_radius)
+    env = TerrainEnv(cfg, generate_terrain(np.random.default_rng(seed), cfg), NoiseStreams(seed))
+    env.reset()
+    twin = TerrainEnv(cfg, env.terrain, NoiseStreams(seed))
+    twin.reset()
+    rng = np.random.default_rng(seed)
+    done = False
+    while not done:
+        actions = [int(rng.choice(np.flatnonzero(m))) for m in env.masks()]
+        if rng.random() < 0.7:  # skipped steps leave several fusions for one refresh
+            shared = critic_global_planes(env.state, cfg)
+            for i, (loc, twin_loc) in enumerate(zip(env.locals, twin.locals)):
+                others = actions[:i] + actions[i + 1 :]
+                once = build_critic_features(env.state, build_actor_features(loc, cfg, FCFG), i,
+                                             others, cfg, FCFG, mode, global_planes=shared)
+                own = build_critic_features(twin.state, build_actor_features(twin_loc, cfg, FCFG),
+                                            i, others, cfg, FCFG, mode,
+                                            global_planes=critic_global_planes(twin.state, cfg))
+                assert_stacks_identical(once, own)
+        env.step(actions)
+        _, done = twin.step(actions)
 
 
 # the default and the desk-scale architectures, and one with stride-2 layers only
