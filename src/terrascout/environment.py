@@ -178,17 +178,42 @@ class GlobalState:
         return self.probs, self.cell_entropy
 
 
+class _FusedOnRead:
+    """``AgentLocalState.local_map``: the on-board grid, with the measurements
+    in ``pending`` fused into it, in order, on the first read after a step.
+
+    Fusion happens in the order the step delivered the measurements, through
+    :func:`fuse_measurement`, so the grid and its ``fused`` log equal eager
+    fusion bit for bit; a step whose map nobody reads skips the work.
+    """
+
+    def __get__(self, loc, owner=None):
+        if loc is None:  # no class-level value, so the dataclass field needs an argument
+            raise AttributeError("local_map")
+        pending = loc.pending
+        while pending:  # a fusion that raises leaves itself and the rest pending
+            fuse_measurement(loc._grid, pending[0])
+            del pending[0]
+        return loc._grid
+
+    def __set__(self, loc, grid: OccupancyGrid) -> None:
+        loc._grid = grid
+
+
 @dataclass
 class AgentLocalState:
     """What one agent knows on board: its map, pose, and stale teammate info."""
 
     agent_id: int
-    local_map: OccupancyGrid
+    local_map: OccupancyGrid = _FusedOnRead()  # required: a descriptor, not a default
     position: np.ndarray  # (3,) lattice indices
     known_positions: np.ndarray  # (N, 3) lattice indices, last heard (stale allowed)
     remaining_budget: int
     last_measurement: Optional[Measurement] = None
     inbox: list = field(default_factory=list)  # teammates' Measurements received this step
+    # Measurements delivered but not yet fused into local_map (own first, then
+    # the inbox in order); reading local_map fuses them.
+    pending: list = field(default_factory=list, repr=False, compare=False)
     # The row-tile sums behind the pooled local planes and the number of
     # local_map.fused entries they include (see OccupancyGrid), kept by
     # policy.build_actor_features.
@@ -358,6 +383,7 @@ class TerrainEnv:
         self.state: GlobalState
         self.locals: list[AgentLocalState]
         self.step_index = 0
+        self._entropy: tuple = (None, 0, 0.0)  # (global map, its log length, entropy sum)
 
     def reset(self) -> tuple[GlobalState, list[AgentLocalState]]:
         """Deploy agents, take the start (t = 0) measurements, and exchange them.
@@ -462,7 +488,7 @@ class TerrainEnv:
             loc.last_measurement = m
             loc.inbox = inbox
             for heard in [m, *inbox]:  # own first; a sender's pose is where it measured
-                fuse_measurement(loc.local_map, heard)
+                loc.pending.append(heard)
                 loc.known_positions[heard.agent_id] = state.positions[heard.agent_id]
 
         h_before = self.global_entropy()
@@ -472,7 +498,15 @@ class TerrainEnv:
         return reward(h_before, h_after, cfg.reward_alpha, cfg.reward_beta)
 
     def global_entropy(self) -> float:
-        return float(self.state.map_planes(self.cfg.weights)[1].sum())
+        """Summed weighted entropy of the global map, computed once per length
+        of its fusion log: a step's ``h_before`` is the previous ``h_after``,
+        and a logged out-of-band write forces a fresh sum."""
+        grid = self.state.global_map
+        summed_grid, count, h = self._entropy
+        if summed_grid is not grid or count != len(grid.fused):
+            h = float(self.state.map_planes(self.cfg.weights)[1].sum())
+            self._entropy = (grid, len(grid.fused), h)
+        return h
 
 
 def write_episode_csv(path, rows: Sequence[dict]) -> None:

@@ -10,7 +10,6 @@ mean/std at the 1/3, 2/3, and final budget checkpoints.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -278,6 +277,10 @@ def run_benchmark(
         # map(keep, ...) holds no result past its keep() call, so a mission's
         # final map is freed before the next mission starts
         if threads > 1:
+            # imported here: the pool pulls in multiprocessing, which a
+            # single-process run never needs
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=threads) as pool:
                 per_mission = list(map(keep, pool.map(run, range(n_missions))))
         else:

@@ -57,11 +57,13 @@ class GroundTruthMap:
     resolution: float  # metres per cell
 
     def __post_init__(self) -> None:
-        self.cells = np.asarray(self.cells, dtype=np.uint8)
-        if self.cells.ndim != 2 or self.cells.shape[0] < 1 or self.cells.shape[1] < 1:
+        cells = np.asarray(self.cells)
+        if cells.ndim != 2 or cells.shape[0] < 1 or cells.shape[1] < 1:
             raise ConfigurationError("ground truth map needs a non-empty 2D cell grid")
-        if self.cells.max() > 1:  # uint8, so this is the {0, 1} check
+        # checked before the cast, which would round 0.7 and NaN to 0 and wrap 256 to 0
+        if not ((cells == 0) | (cells == 1)).all():
             raise ConfigurationError("ground truth cells must be 0 or 1")
+        self.cells = cells.astype(np.uint8, copy=False)
         if self.resolution <= 0:
             raise ConfigurationError("map resolution must be positive")
 
@@ -100,6 +102,11 @@ class OccupancyGrid:
     cell at the prior, records how many entries it includes and recomputes
     the cells under the rest. Code that writes ``log_odds`` any other way
     must log the rectangle it wrote.
+
+    A writer may defer its fusions: ``AgentLocalState.pending`` holds the
+    measurements a step delivered to an agent, and reading its ``local_map``
+    fuses them, in order, through :func:`fuse_measurement`. So the log and
+    every plane derived from it are the same as under eager fusion.
     """
 
     log_odds: np.ndarray  # (H, W) float64

@@ -44,16 +44,24 @@ def expected_entropy_reduction(patches: Sequence[np.ndarray], accuracy: float,
     (1-p)*(1-acc) and is updated by Bayes either way. All patches are
     evaluated in one stacked pass; each gain is the sum of its patch's
     contiguous block, which adds in the same order as the patch alone.
+
+    A cell's gain depends on its probability alone, so the kernels run on the
+    cells off the prior (p != 0.5) plus one cell at 0.5, whose gain fills
+    every prior cell: the blocks hold the same values as a full evaluation.
     """
     flat = [np.ravel(np.asarray(patch, dtype=np.float64)) for patch in patches]
     p = np.concatenate(flat)
-    q1 = p * accuracy + (1.0 - p) * (1.0 - accuracy)
-    post1 = p * accuracy / q1
-    post0 = p * (1.0 - accuracy) / (1.0 - q1)
+    informed = p != 0.5
+    x = np.append(p[informed], 0.5)
+    q1 = x * accuracy + (1.0 - x) * (1.0 - accuracy)
+    post1 = x * accuracy / q1
+    post0 = x * (1.0 - accuracy) / (1.0 - q1)
     expected = q1 * weighted_cell_entropy(post1, weights) + (1.0 - q1) * weighted_cell_entropy(
         post0, weights
     )
-    gain = weighted_cell_entropy(p, weights) - expected
+    x_gain = weighted_cell_entropy(x, weights) - expected
+    gain = np.full(p.size, x_gain[-1])
+    gain[informed] = x_gain[:-1]
     blocks = np.split(gain, np.cumsum([f.size for f in flat])[:-1])
     return [float(block.sum()) for block in blocks]
 

@@ -202,8 +202,10 @@ def _measurement_entropy_plane(local: AgentLocalState, cfg: EnvConfig) -> np.nda
     """Row-tile sums of the footprint's whole tiles only, pooled at full width.
 
     A patch holds two observation probabilities, ``1 - acc`` for label 0 and
-    ``acc`` for label 1, so the entropy kernel runs on those two and each
-    cell gathers its label's value.
+    ``acc`` for label 1. Their weighted entropies are equal bit for bit:
+    ``1 - acc`` is exact for acc in [0.5, 1], and the kernel adds the same
+    two weighted terms in swapped order. So every footprint cell holds the
+    entropy of ``acc``, whatever its label.
     """
     f, g = cfg.pool_factor, cfg.lattice_cols
     plane = np.zeros((g, g))
@@ -212,9 +214,8 @@ def _measurement_entropy_plane(local: AgentLocalState, cfg: EnvConfig) -> np.nda
         r = m.rect
         lo, hi, c_lo, c_hi = r.y_lo // f, r.y_hi // f + 1, r.x_lo // f, r.x_hi // f + 1
         box = np.zeros(((hi - lo) * f, (c_hi - c_lo) * f))
-        by_label = weighted_cell_entropy(np.array([1.0 - m.accuracy, m.accuracy]), cfg.weights)
         box[r.y_lo - lo * f : r.y_hi + 1 - lo * f, r.x_lo - c_lo * f : r.x_hi + 1 - c_lo * f] = (
-            by_label.take(m.values == 1)
+            weighted_cell_entropy(m.accuracy, cfg.weights)
         )
         sums = np.zeros(((hi - lo) * f, g))
         sums[:, c_lo:c_hi] = _row_tile_sums(box, f)

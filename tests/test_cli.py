@@ -579,6 +579,23 @@ def test_evaluate_threads_write_the_serial_files(smoke_config, tmp_path):
     assert serial == _files(tmp_path / "pool")
 
 
+def test_importing_the_cli_leaves_the_process_pool_unloaded():
+    """Only ``evaluate --threads`` above 1 needs ``multiprocessing``; a plain
+    import, which every command pays for, does not load it."""
+    import os
+    import subprocess
+    import sys
+
+    import terrascout
+
+    src = str(Path(terrascout.__file__).resolve().parents[1])
+    probe = "import sys, terrascout.cli; print('multiprocessing' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+
+
 @pytest.mark.parametrize("threads", ["0", "-1"])
 def test_evaluate_threads_below_one_is_usage_error(smoke_config, tmp_path, capsys, threads):
     out = tmp_path / "t"

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from terrascout.environment import (
     Action,
+    AgentLocalState,
     EnvConfig,
+    GlobalState,
     NoiseStreams,
     TerrainEnv,
     exchange_messages,
@@ -19,15 +21,19 @@ from terrascout.environment import (
     valid_actions,
 )
 from terrascout.errors import ConfigurationError, ContractViolation, RejectedStepError
-from terrascout.evaluation import PlannerSpec, run_benchmark
+from terrascout.evaluation import PlannerSpec, run_benchmark, run_mission
 from terrascout.gridmap import (
     CellRect,
     GroundTruthMap,
     Measurement,
+    OccupancyGrid,
     SensorModel,
+    fuse_measurement,
     map_entropy,
     weighted_cell_entropy,
 )
+from terrascout.planners import GreedyInfoGainPlanner
+from terrascout.policy import _local_planes
 
 import reference_kernels as reference
 
@@ -502,6 +508,7 @@ def test_cached_map_planes_track_full_map_every_step():
     done = False
     while not done:
         h_before = map_entropy(env.state.global_map, cfg.weights)
+        assert env.global_entropy() == h_before
         joint = [int(rng.choice(np.flatnonzero(m))) for m in env.masks()]
         r, done = env.step(joint)
         fresh = env.state.global_map.probs()
@@ -512,11 +519,113 @@ def test_cached_map_planes_track_full_map_every_step():
         h_after = map_entropy(env.state.global_map, cfg.weights)
         assert r == reward(h_before, h_after, cfg.reward_alpha, cfg.reward_beta)
         assert env.global_entropy() == h_after
-    # an out-of-band write logs its rectangle, and the planes catch up on it
+    # an out-of-band write logs its rectangle, and the planes and the cached
+    # entropy sum catch up on it
+    stale = env.global_entropy()
     env.state.global_map.log_odds[:40, :40] = 3.0
     env.state.global_map.fused.append(CellRect(0, 39, 0, 39))
     fresh = env.state.global_map.probs()
     probs, cell_entropy = env.state.map_planes(cfg.weights)
     np.testing.assert_array_equal(probs, fresh)
     np.testing.assert_array_equal(cell_entropy, weighted_cell_entropy(fresh, cfg.weights))
-    assert env.global_entropy() == map_entropy(env.state.global_map, cfg.weights)
+    assert env.global_entropy() == map_entropy(env.state.global_map, cfg.weights) != stale
+
+
+def test_global_entropy_is_summed_once_per_step(monkeypatch):
+    """``h_before`` reuses the previous step's ``h_after``: the reset sums the
+    prior and its fused map, and each step then sums its fused map only."""
+    cfg = small_cfg(terrain_size=50.0, num_agents=2, budget=4)
+    env = TerrainEnv(cfg, generate_terrain(np.random.default_rng(3), cfg), NoiseStreams(3))
+    sums = []
+    map_planes = GlobalState.map_planes
+
+    def counted(state, w):
+        sums.append(len(state.global_map.fused))
+        return map_planes(state, w)
+
+    monkeypatch.setattr(GlobalState, "map_planes", counted)
+    env.reset()
+    for t in range(cfg.budget):
+        env.global_entropy()
+        env.step([int(np.flatnonzero(m)[0]) for m in env.masks()])
+    n = cfg.num_agents
+    assert sums == [n * k for k in range(cfg.budget + 2)]
+
+
+# ---------------------------------------------------------------------------
+# local maps fused on read
+# ---------------------------------------------------------------------------
+
+
+class _EagerTwin:
+    """Each agent's map fused as soon as a step delivers its measurements."""
+
+    def __init__(self, env):
+        n = env.cfg.map_cells
+        self.grids = [OccupancyGrid.uniform(n, n, env.cfg.map_resolution) for _ in env.locals]
+        self.take(env)
+
+    def take(self, env):
+        for grid, loc in zip(self.grids, env.locals):
+            for m in [loc.last_measurement, *loc.inbox]:
+                fuse_measurement(grid, m)
+
+
+def _assert_local_map_is_eager(env, twin, t):
+    cfg, masks = env.cfg, env.masks()
+    for loc, grid, mask in zip(env.locals, twin.grids, masks):
+        eager = AgentLocalState(loc.agent_id, grid, loc.position, loc.known_positions,
+                                loc.remaining_budget)
+        rng = np.random.default_rng(0)
+        assert (GreedyInfoGainPlanner().act(loc, mask, cfg, t, rng)
+                == GreedyInfoGainPlanner().act(eager, mask, cfg, t, rng))
+        assert loc.pending == []
+        assert loc.local_map.log_odds.tobytes() == grid.log_odds.tobytes()
+        assert loc.local_map.fused == grid.fused
+        assert _local_planes(loc, cfg).tobytes() == _local_planes(eager, cfg).tobytes()
+
+
+@pytest.mark.parametrize("reads", ["every step", "never", "random steps"])
+def test_local_maps_fused_on_read_equal_eager_fusion(reads):
+    cfg = small_cfg(terrain_size=50.0, num_agents=3, budget=8, comm_radius=20.0)
+    env = TerrainEnv(cfg, generate_terrain(np.random.default_rng(9), cfg), NoiseStreams(9))
+    env.reset()
+    twin = _EagerTwin(env)
+    rng = np.random.default_rng(1)
+    done, read = False, 0
+    while not done:
+        if reads == "every step" or (reads == "random steps" and rng.random() < 0.5):
+            _assert_local_map_is_eager(env, twin, env.step_index)
+            read += 1
+        else:  # a step nobody read leaves its deliveries pending
+            assert all(loc.pending for loc in env.locals)
+        joint = [int(rng.choice(np.flatnonzero(m))) for m in env.masks()]
+        _, done = env.step(joint)
+        twin.take(env)
+    if reads == "random steps":
+        assert 0 < read < cfg.budget
+    _assert_local_map_is_eager(env, twin, env.step_index)
+
+
+@pytest.mark.parametrize("planner", ["random", "greedy-ig"])
+def test_local_metrics_run_equals_eager_fusion(planner, monkeypatch):
+    cfg = small_cfg(terrain_size=50.0, num_agents=3, budget=6, comm_radius=20.0)
+
+    def run():
+        return run_mission(PlannerSpec(planner), cfg, 4, 1, local_metrics=True)
+
+    lazy = run()
+    measure_and_fuse = TerrainEnv._measure_and_fuse
+
+    def eager(self):
+        r = measure_and_fuse(self)
+        for loc in self.locals:
+            loc.local_map  # fuses what the step delivered
+        return r
+
+    monkeypatch.setattr(TerrainEnv, "_measure_and_fuse", eager)
+    want = run()
+    assert lazy.local_rows == want.local_rows
+    assert lazy.records == want.records
+    assert lazy.episode_rows == want.episode_rows
+    assert lazy.final_map.log_odds.tobytes() == want.final_map.log_odds.tobytes()

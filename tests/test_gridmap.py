@@ -578,6 +578,27 @@ def test_ground_truth_rejects_cells_other_than_zero_and_one():
         GroundTruthMap(np.full((2, 2), 255, dtype=np.uint8), 0.5)
 
 
+@pytest.mark.parametrize("cells", [
+    [[0.7, 1.0]],  # the uint8 cast would round it to [[0, 1]]
+    [[0.0, 1.9]],  # to [[0, 1]]
+    [[math.nan, 1.0]],  # to [[0, 1]], with only a RuntimeWarning
+    [[0, 256]],  # to [[0, 0]]
+    [[-1, 0]],  # to [[255, 0]]
+])
+def test_ground_truth_rejects_values_the_cast_would_round(cells):
+    with pytest.raises(ConfigurationError):
+        GroundTruthMap(np.array(cells), 0.5)
+
+
+@pytest.mark.parametrize("cells", [
+    [[0.0, 1.0]], [[0, 1]], [[False, True]], np.array([[0, 1]], dtype=np.uint8),
+])
+def test_ground_truth_takes_zero_and_one_in_any_dtype(cells):
+    gt = GroundTruthMap(np.array(cells), 0.5)
+    assert gt.cells.dtype == np.uint8
+    assert gt.cells.tolist() == [[0, 1]]
+
+
 def test_roi_index_lists_interesting_cells_in_c_order():
     gt = GroundTruthMap(np.eye(3, dtype=np.uint8), 0.5)
     assert gt.roi_index.tolist() == [0, 4, 8]

@@ -269,6 +269,26 @@ def test_stacked_gains_are_the_standalone_sums():
     assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
+@pytest.mark.parametrize("at_prior", ["all", "none", "some"])
+@pytest.mark.parametrize("acc", [0.99, 0.735, 0.625, 1.0])
+def test_gains_off_the_prior_equal_the_full_evaluation(at_prior, acc):
+    """The kernels run only on cells off p = 0.5 and one cell at it; every
+    gain still equals the full per-cell evaluation. Patch sides 1-17 cover
+    the vector kernels' tails."""
+    rng = np.random.default_rng(17)
+    patches = []
+    for side in range(1, 18):
+        for shape in ((side, side), (1, side), (side, 3)):
+            p = reference.probs(rng.normal(scale=3.0, size=shape))
+            prior = {"all": np.ones(shape, bool), "none": np.zeros(shape, bool),
+                     "some": rng.random(shape) < 0.5}[at_prior]
+            p[prior] = 0.5
+            patches.append(p)
+    got = expected_entropy_reduction(patches, acc, W)
+    want = [reference.expected_entropy_reduction(p, acc, W) for p in patches]
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # coverage planner
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from terrascout.gridmap import (
     ImportanceWeights,
     Measurement,
     OccupancyGrid,
+    SensorModel,
     footprint,
     fuse_measurement,
     weighted_cell_entropy,
@@ -667,7 +668,8 @@ def test_box_refresh_equals_a_fresh_full_build(scale, birth, seed):
 
 @settings(max_examples=200, deadline=None)
 @given(
-    acc=st.one_of(st.sampled_from([0.99, 0.735, 0.625, 1.0, 1.0 - 1e-12]),
+    acc=st.one_of(st.sampled_from([acc for _, acc in SensorModel.default().table]
+                                  + [1.0, 1.0 - 1e-12]),
                   st.floats(0.5, 1.0, exclude_min=True)),
     w1=st.floats(0.0, 1.0),
     rows=st.integers(1, 30),
@@ -676,15 +678,18 @@ def test_box_refresh_equals_a_fresh_full_build(scale, birth, seed):
     seed=st.integers(0, 2**16),
 )
 def test_two_entry_measurement_entropy_equals_the_direct_kernel(acc, w1, rows, cols, label, seed):
-    """The patch's two observation probabilities, evaluated once and gathered
-    by label, equal the kernel evaluated on every cell; so does the plane."""
+    """The patch's two observation probabilities, ``1 - acc`` and ``acc``, have
+    equal weighted entropies bit for bit, so the kernel on every cell is the
+    entropy of ``acc`` everywhere; the plane equals the per-cell reference and
+    does not depend on the labels."""
     w = ImportanceWeights(w1, 1.0 - w1)
     rng = np.random.default_rng(seed)
     values = {"mixed": rng.integers(0, 2, (rows, cols)), "zeros": np.zeros((rows, cols)),
               "ones": np.ones((rows, cols))}[label].astype(np.uint8)
+    pair = weighted_cell_entropy(np.array([1.0 - acc, acc]), w)
+    assert pair[:1].tobytes() == pair[1:].tobytes()
     direct = weighted_cell_entropy(np.where(values == 1, acc, 1.0 - acc), w)
-    gathered = weighted_cell_entropy(np.array([1.0 - acc, acc]), w).take(values == 1)
-    assert gathered.tobytes() == direct.tobytes()
+    assert direct.tobytes() == np.full(values.shape, weighted_cell_entropy(acc, w)).tobytes()
     cfg = EnvConfig(terrain_size=50.0, map_resolution=0.5, num_agents=1, budget=4, weights=w)
     n = cfg.map_cells
     x_lo, y_lo = (int(v) for v in rng.integers(0, n, 2))
@@ -693,8 +698,10 @@ def test_two_entry_measurement_entropy_equals_the_direct_kernel(acc, w1, rows, c
                           np.zeros((1, 3), dtype=int), cfg.budget)
     loc.last_measurement = Measurement(np.zeros(3), rect, values[: rect.height, : rect.width],
                                        acc, 0, 0)
-    assert (_measurement_entropy_plane(loc, cfg).tobytes()
-            == ref_measurement_entropy_plane(loc, cfg).tobytes())
+    plane = _measurement_entropy_plane(loc, cfg).tobytes()
+    assert plane == ref_measurement_entropy_plane(loc, cfg).tobytes()
+    loc.last_measurement.values = 1 - loc.last_measurement.values
+    assert _measurement_entropy_plane(loc, cfg).tobytes() == plane
 
 
 @settings(max_examples=40, deadline=None)
