@@ -204,6 +204,8 @@ def load_ground_truth(path) -> GroundTruthMap:
 
 def _load_configs(args) -> tuple[EnvConfig, FeatureConfig, TrainConfig]:
     """The configs of ``--config``; a flag whose dest is a config key overrides that key."""
+    if args.seed < 0:
+        raise UsageError(f"--seed must be nonnegative, got {args.seed}")
     raw = parse_config_file(args.config) if args.config else {}
     raw.update({key: str(value) for key, value in vars(args).items()
                 if key in CONFIG_KEYS and value is not None})

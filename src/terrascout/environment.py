@@ -101,6 +101,10 @@ class EnvConfig:
             raise ConfigurationError("altitudes must form an arithmetic grid")
         if self.num_agents < 1:
             raise ConfigurationError("need at least one agent")
+        if self.num_agents > self.lattice_cols:
+            raise ConfigurationError(
+                f"{self.num_agents} agents do not fit on a {self.lattice_cols}-column lattice edge"
+            )
         if self.budget < 1:
             raise ConfigurationError("budget must be at least 1")
         if self.altitude_levels > len(self.sensor.table):
@@ -396,13 +400,8 @@ class TerrainEnv:
         true initial poses.
         """
         cfg = self.cfg
-        cols = cfg.lattice_cols
-        if cfg.num_agents > cols:
-            raise ConfigurationError(
-                f"{cfg.num_agents} agents do not fit on a {cols}-column lattice edge"
-            )
         positions = np.array(
-            [[c, 0, 0] for c in initial_columns(cols, cfg.num_agents)], dtype=np.int64
+            [[c, 0, 0] for c in initial_columns(cfg.lattice_cols, cfg.num_agents)], dtype=np.int64
         )
         n = cfg.map_cells
         self.state = GlobalState(

@@ -90,42 +90,90 @@ class MissionResult:
     local_rows: list[tuple]  # LOCAL_METRICS_HEADER rows, one per (step, agent)
 
 
-def roi_entropy(grid: OccupancyGrid, gt: GroundTruthMap, w: ImportanceWeights,
-                *, cell_entropy=None) -> float:
-    """Weighted entropy over interesting cells, normalized to [0, 1].
-
-    ``cell_entropy`` may carry ``weighted_cell_entropy(grid.probs(), w)``
-    computed already; its ROI sum equals the one computed here bit for bit.
-    """
+def _roi_count(grid: OccupancyGrid, gt: GroundTruthMap) -> int:
+    """The number of interesting cells, checked against the grid it scores."""
     if grid.log_odds.shape != gt.cells.shape:
         raise ContractViolation("grid and ground truth dimensions differ")
     count = gt.roi_index.size
     if count == 0:
         raise DegenerateTerrainError("terrain has no interesting cells")
-    if cell_entropy is None:
-        h = map_entropy(grid, w, gt.cells == 1)
-    else:  # the same cells in the same order as a boolean gather, so the same sum
-        h = float(np.ravel(cell_entropy).take(gt.roi_index).sum())
+    return count
+
+
+def roi_entropy(grid: OccupancyGrid, gt: GroundTruthMap, w: ImportanceWeights) -> float:
+    """Weighted entropy over interesting cells, normalized to [0, 1]."""
+    count = _roi_count(grid, gt)
+    h = map_entropy(grid, w, gt.cells == 1)
     h0 = weighted_cell_entropy(0.5, w) * count
     return h / h0
 
 
-def f1_score(grid: OccupancyGrid, gt: GroundTruthMap, *, probs=None) -> float:
+def f1_score(grid: OccupancyGrid, gt: GroundTruthMap) -> float:
     """F1 of 'p > 0.5' predictions with the interesting class as positive.
 
     A map with no confident positives (e.g. the uniform prior) scores 0.
     """
-    if grid.log_odds.shape != gt.cells.shape:
-        raise ContractViolation("grid and ground truth dimensions differ")
-    pred = (grid.probs() if probs is None else probs) > 0.5
+    count = _roi_count(grid, gt)
+    pred = grid.probs() > 0.5
     tp = int(np.count_nonzero(pred & (gt.cells == 1)))
-    fp = int(np.count_nonzero(pred)) - tp
-    fn = gt.roi_index.size - tp
+    return _f1(tp, int(np.count_nonzero(pred)), count)
+
+
+def _f1(tp: int, positives: int, count: int) -> float:
+    """F1 from the true-positive, predicted-positive and interesting-cell counts."""
     if tp == 0:
         return 0.0
-    precision = tp / (tp + fp)
-    recall = tp / (tp + fn)
+    precision = tp / positives
+    recall = tp / count
     return 2.0 * precision * recall / (precision + recall)
+
+
+class MapScorer:
+    """``roi_entropy`` and ``f1_score`` of one grid, caught up from its fusion log.
+
+    It keeps the weighted entropies of the interesting cells in
+    ``roi_index`` order, the 'p > 0.5' plane with its predicted-positive and
+    true-positive counts, and the number of ``grid.fused`` entries they
+    include (see ``OccupancyGrid``). They start from ``grid.prior``;
+    :meth:`catch_up` recomputes the cells under each later entry. The
+    scores equal a from-scratch ``roi_entropy`` and ``f1_score`` bit for
+    bit: the ROI sum runs over the same values in the same order, and F1
+    comes from the same integer counts.
+    """
+
+    def __init__(self, grid: OccupancyGrid, gt: GroundTruthMap, w: ImportanceWeights):
+        count = _roi_count(grid, gt)
+        self.grid, self.gt = grid, gt
+        p, h = grid.prior_cell(w)
+        positive = bool(p[0, 0] > 0.5)
+        self.roi_h = np.full(count, h[0, 0])
+        self.pred = np.full(grid.log_odds.shape, positive)
+        self.positives = grid.log_odds.size if positive else 0
+        self.true_pos = count if positive else 0
+        self.h0 = weighted_cell_entropy(0.5, w) * count
+        self.seen = 0
+
+    def catch_up(self, fine) -> tuple[float, float]:
+        """(normalized ROI entropy, F1) of the grid now. ``fine(cells, roi)``
+        returns the probabilities of the cell slices ``cells`` and the
+        weighted entropies of their interesting cells, ``roi`` being the
+        boolean mask of those within the slices."""
+        gt = self.gt
+        for rect in self.grid.fused[self.seen:]:
+            cells = rect.slices
+            roi = gt.cells[cells].view(bool)
+            probs, roi_h = fine(cells, roi)
+            pred, old = probs > 0.5, self.pred[cells]
+            self.positives += np.count_nonzero(pred) - np.count_nonzero(old)
+            self.true_pos += np.count_nonzero(pred & roi) - np.count_nonzero(old & roi)
+            old[...] = pred
+            # the ROI cells of a rect row are a run of roi_index, in the same order
+            firsts = np.searchsorted(
+                gt.roi_index, np.arange(rect.y_lo, rect.y_hi + 1) * gt.width + rect.x_lo)
+            self.roi_h[(firsts[:, None] + np.cumsum(roi, axis=1) - 1)[roi]] = roi_h
+        self.seen = len(self.grid.fused)
+        return (float(self.roi_h.sum()) / self.h0,
+                _f1(int(self.true_pos), int(self.positives), self.roi_h.size))
 
 
 def checkpoint_steps(budget: int) -> list[int]:
@@ -160,12 +208,12 @@ def run_mission(
     planner = spec.build(fcfg)
     rng = policy_rng(base_seed, mission_index)
 
-    prior = OccupancyGrid.uniform(cfg.map_cells, cfg.map_cells, cfg.map_resolution)
-    records = [
-        MetricsRecord(0, roi_entropy(prior, terrain, cfg.weights), f1_score(prior, terrain), 0.0)
-    ]
+    records = [_prior_record(cfg, terrain)]
     local_rows: list[tuple] = []
     env.reset()
+    scores = MapScorer(env.state.global_map, terrain, cfg.weights)
+    local_scores = [MapScorer(loc.local_map, terrain, cfg.weights)
+                    for loc in env.locals] if local_metrics else []
     rows = _episode_rows(0, env, ["init"] * cfg.num_agents, 0.0)
     cum = 0.0
     done = False
@@ -180,29 +228,30 @@ def run_mission(
         r, done = env.step(joint)
         cum += r
         probs, cell_entropy = env.state.map_planes(cfg.weights)
-        records.append(
-            MetricsRecord(
-                t,
-                roi_entropy(env.state.global_map, terrain, cfg.weights, cell_entropy=cell_entropy),
-                f1_score(env.state.global_map, terrain, probs=probs),
-                cum,
-            )
-        )
+        h, f1 = scores.catch_up(lambda cells, roi: (probs[cells], cell_entropy[cells][roi]))
+        records.append(MetricsRecord(t, h, f1, cum))
         rows += _episode_rows(t, env, [Action(a).name.lower() for a in joint], r)
-        if local_metrics:
-            for i, loc in enumerate(env.locals):
-                p = loc.local_map.probs()
-                local_rows.append((
-                    mission_index, t, i,
-                    roi_entropy(loc.local_map, terrain, cfg.weights,
-                                cell_entropy=weighted_cell_entropy(p, cfg.weights)),
-                    f1_score(loc.local_map, terrain, probs=p),
-                ))
+        for i, (loc, local) in enumerate(zip(env.locals, local_scores)):
+            grid = loc.local_map  # fuses what the step delivered
+            local_rows.append((mission_index, t, i, *local.catch_up(
+                partial(_probs_and_roi_entropy, grid, cfg.weights))))
     if len(records) != cfg.budget + 1:
         raise ContractViolation(
             f"mission ended after {len(records) - 1} steps, budget is {cfg.budget}"
         )
     return MissionResult(mission_index, records, rows, env.state.global_map, local_rows)
+
+
+def _prior_record(cfg: EnvConfig, terrain: GroundTruthMap) -> MetricsRecord:
+    """The t = 0 record, scored on a uniform grid that is freed before the mission runs."""
+    prior = OccupancyGrid.uniform(cfg.map_cells, cfg.map_cells, cfg.map_resolution)
+    return MetricsRecord(0, roi_entropy(prior, terrain, cfg.weights), f1_score(prior, terrain), 0.0)
+
+
+def _probs_and_roi_entropy(grid: OccupancyGrid, w: ImportanceWeights, cells, roi):
+    """A ``MapScorer.catch_up`` callback for a grid without cached planes."""
+    probs = grid.probs_slice(cells)
+    return probs, weighted_cell_entropy(probs[roi], w)
 
 
 def _episode_rows(step: int, env: TerrainEnv, actions: Sequence[str], r: float) -> list[dict]:
@@ -298,21 +347,6 @@ def run_benchmark(
             final_f1=f1[:, -1],
         )
     return out
-
-
-def benchmark_final_metrics(
-    spec: PlannerSpec,
-    n_missions: int,
-    base_seed: int,
-    cfg: EnvConfig,
-    *,
-    fcfg: FeatureConfig = FeatureConfig(),
-    terrain: Optional[GroundTruthMap] = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-mission final (entropy, f1) pairs, for paired significance tests."""
-    (stats,) = run_benchmark([spec], n_missions, base_seed, cfg,
-                             fcfg=fcfg, terrain=terrain).values()
-    return stats.final_entropy, stats.final_f1
 
 
 def _label(spec: PlannerSpec) -> str:

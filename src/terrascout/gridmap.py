@@ -93,7 +93,8 @@ class OccupancyGrid:
     ``[PROB_FLOOR, 1 - PROB_FLOOR]`` is applied by :meth:`probs`.
 
     One invalidation rule covers every plane derived from the map
-    (``GlobalState.map_planes``, the policy's pooled planes): writers log
+    (``GlobalState.map_planes``, the policy's pooled planes) and every
+    score kept of it (``evaluation.MapScorer``): writers log
     what they wrote, readers start from ``prior`` and catch up. ``prior`` is
     the log-odds every cell held before the first entry of ``fused``, and
     ``fused`` logs, in order, the rectangle of every write: each
@@ -329,17 +330,19 @@ def simulate_measurement(
     """Draw a noisy class-likelihood patch of the ground truth.
 
     One label is drawn per native-resolution block (block side
-    ``upsample_factor(altitude)`` map cells): the block's majority truth,
-    flipped with probability ``1 - accuracy``. Labels are then repeated
-    over the fine cells the block covers, so all fine cells under one
-    coarse cell carry the same value.
+    ``upsample_factor(altitude)`` map cells, block edges counted from the
+    unclipped footprint origin): the block's majority truth, flipped with
+    probability ``1 - accuracy``. Labels are then repeated over the fine
+    cells the block covers, so all fine cells under one coarse cell carry
+    the same value.
 
     The noise is a virtual uniform field covering the whole map, indexed by
     absolute cell: cell (y, x) reads the value that
     ``Generator(Philox(seed)).random((H, W))`` would put at ``[y, x]``, so
     two planners measuring the same cells under the same (mission, step,
-    agent) ``seed`` see identical noise. Only the anchor cells are drawn
-    (see :func:`_virtual_uniforms`).
+    agent) ``seed`` see identical noise. Only each block's anchor, its first
+    cell inside the map, is read; :func:`_virtual_uniforms` reaches each
+    anchor row by setting the Philox counter to the block that holds it.
     """
     alt = float(position[2])
     acc = sensor.accuracy_at(alt)
@@ -347,29 +350,29 @@ def simulate_measurement(
     fac = upsample_factor(alt, sensor.min_altitude)
     side_cells = max(1, round(footprint_factor * alt / gt.resolution))
     x_lo0, y_lo0 = _footprint_origin(float(position[0]), float(position[1]), side_cells, gt.resolution)
+    anchor_y, len_y = _blocks(rect.y_lo, rect.y_hi, y_lo0, fac)
+    anchor_x, len_x = _blocks(rect.x_lo, rect.x_hi, x_lo0, fac)
 
-    ys = np.arange(rect.y_lo, rect.y_hi + 1)
-    xs = np.arange(rect.x_lo, rect.x_hi + 1)
-    by = (ys - y_lo0) // fac
-    bx = (xs - x_lo0) // fac
-    by_min, bx_min = by.min(), bx.min()
-    n_by = by.max() - by_min + 1
-    n_bx = bx.max() - bx_min + 1
-
-    sub = gt.cells[rect.slices].astype(np.float64)
-    block_id = (by - by_min)[:, None] * n_bx + (bx - bx_min)[None, :]
-    sums = np.bincount(block_id.ravel(), weights=sub.ravel(), minlength=n_by * n_bx)
-    counts = np.bincount(block_id.ravel(), minlength=n_by * n_bx)
-    counts = np.maximum(counts, 1)
-    truth = (sums >= 0.5 * counts).reshape(n_by, n_bx)  # majority, ties -> interesting
-
-    anchor_y = np.clip(y_lo0 + (np.arange(n_by) + by_min) * fac, 0, gt.height - 1)
-    anchor_x = np.clip(x_lo0 + (np.arange(n_bx) + bx_min) * fac, 0, gt.width - 1)
+    # block sums over a zero-padded copy whose rows and columns start on block edges
+    y0, x0 = fac - len_y[0], fac - len_x[0]
+    padded = np.zeros((len(len_y) * fac, len(len_x) * fac), dtype=np.int32)
+    padded[y0:y0 + rect.height, x0:x0 + rect.width] = gt.cells[rect.slices]
+    rows = sum(padded[k::fac] for k in range(fac))
+    sums = sum(rows[:, k::fac] for k in range(fac))
+    truth = 2 * sums >= len_y[:, None] * len_x  # majority, ties -> interesting
     flips = _virtual_uniforms(seed, anchor_y, anchor_x, gt.width) >= acc
-    observed = truth ^ flips
+    observed = (truth ^ flips).view(np.uint8)
 
-    values = observed[(by - by_min)[:, None], (bx - bx_min)[None, :]].astype(np.uint8)
+    values = np.repeat(np.repeat(observed, len_y, axis=0), len_x, axis=1)
     return Measurement(np.asarray(position, dtype=float), rect, values, acc, agent_id, step)
+
+
+def _blocks(lo: int, hi: int, origin: int, fac: int) -> tuple[np.ndarray, np.ndarray]:
+    """First cells and lengths of the blocks over cells ``lo..hi``, with block
+    edges at ``origin + k * fac``; the map edge or the footprint's end may
+    cut the first and the last."""
+    edges = np.array([lo, *range(origin + ((lo - origin) // fac + 1) * fac, hi + 1, fac), hi + 1])
+    return edges[:-1], np.diff(edges)
 
 
 def _virtual_uniforms(
@@ -380,27 +383,28 @@ def _virtual_uniforms(
 ) -> np.ndarray:
     """``Generator(Philox(seed)).random((H, W))[rows][:, cols]``, drawing only what it reads.
 
-    Philox makes its doubles in blocks of four, and ``advance(d)`` moves
-    its counter by ``d`` blocks and drops any buffered ones. So for each
-    row the generator moves to the block holding the row's first wanted
-    cell, draws that cell's offset within the block plus the span of
-    ``cols``, and drops the offset. ``drawn`` is the counter after the
-    previous row, so the step is negative when a row starts in a block
-    already passed (rows sharing a block, or repeated by edge clipping).
+    Double k of the field is ``(u >> 11) * 2**-53`` for the raw word u at
+    position k % 4 of Philox block k // 4, and Philox makes block b from its
+    key and the counter b + 1, bumping the counter before each block. So a
+    generator whose counter is set to b, with its buffer empty, draws block b
+    next. For each row the counter is set to the block holding the row's
+    first wanted cell, and the raw words from there over the span of
+    ``cols`` go into one (rows, span) buffer. The wanted words are then
+    turned into doubles at once, exactly as ``Generator.random`` does.
     """
     bitgen = np.random.Philox(seed)
-    rng = np.random.Generator(bitgen)
+    state = bitgen.state  # counter 0, buffer empty
+    counter = state["state"]["counter"]
     c0 = int(cols.min())
     offsets = cols - c0
-    span = int(offsets.max()) + 1
-    out = np.empty((len(rows), len(cols)))
-    drawn = 0
-    for i, y in enumerate(rows):
-        block, lead = divmod(int(y) * width + c0, 4)
-        bitgen.advance(block - drawn)
-        out[i] = rng.random(lead + span)[lead + offsets]
-        drawn = block + -(-(lead + span) // 4)
-    return out
+    blocks, lead = np.divmod(rows * width + c0, 4)
+    raw = np.empty((len(rows), int(lead.max() + offsets.max()) + 1), dtype=np.uint64)
+    for i, block in enumerate(blocks.tolist()):
+        counter[0] = block
+        bitgen.state = state
+        raw[i] = bitgen.random_raw(raw.shape[1])
+    words = raw[np.arange(len(rows))[:, None], lead[:, None] + offsets]
+    return (words >> 11) * 2.0**-53
 
 
 def fuse_measurement(grid: OccupancyGrid, m: Measurement) -> OccupancyGrid:
@@ -564,18 +568,6 @@ def read_text_grid(path) -> tuple[np.ndarray, float]:
     if len(flat) != w * h:
         raise DataError(f"{path}: line {len(lines)}: expected {w * h} values, got {len(flat)}")
     return np.asarray(flat, dtype=np.float64).reshape(h, w), res
-
-
-def save_grid(path, grid: OccupancyGrid) -> None:
-    write_text_grid(path, grid.probs(), grid.resolution)
-
-
-def load_grid(path) -> OccupancyGrid:
-    probs, res = read_text_grid(path)
-    if probs.min() < 0.0 or probs.max() > 1.0:
-        raise DataError(f"{path}: probabilities outside [0, 1]")
-    p = np.clip(probs, PROB_FLOOR, 1.0 - PROB_FLOOR)
-    return OccupancyGrid(np.log(p / (1.0 - p)), res)
 
 
 def save_grid_pgm(path, grid: OccupancyGrid) -> None:

@@ -13,7 +13,7 @@ from scipy import stats
 from terrascout import nn as tnn
 from terrascout.cli import load_ground_truth, main
 from terrascout.environment import EnvConfig, NUM_ACTIONS
-from terrascout.evaluation import PlannerSpec, benchmark_final_metrics, run_mission
+from terrascout.evaluation import PlannerSpec, run_benchmark, run_mission
 from terrascout.gridmap import ImportanceWeights, weighted_cell_entropy, write_text_grid
 from terrascout.planners import GreedyInfoGainPlanner
 from terrascout.policy import (
@@ -44,6 +44,12 @@ def evaluate_policy_returns(actor, cfg, fcfg, seed, mission_indices, epsilon):
         run_training_mission(actor, cfg, fcfg, seed, m, epsilon, CRITIC_MODE_FULL)[1]
         for m in mission_indices
     ]
+
+
+def benchmark_final_metrics(spec, n_missions, base_seed, cfg, *, terrain=None):
+    """Per-mission final (entropy, f1) pairs, for paired significance tests."""
+    (stats,) = run_benchmark([spec], n_missions, base_seed, cfg, terrain=terrain).values()
+    return stats.final_entropy, stats.final_f1
 
 
 def _report(criterion: int, text: str) -> None:

@@ -164,6 +164,31 @@ def test_zero_override_is_usage_error(smoke_config, tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["train", "--quiet"],
+    ["evaluate", "--planner", "random"],
+    ["ablate-features"],
+    ["sweep-coverage-altitude"],
+], ids=["train", "evaluate", "ablate-features", "sweep-coverage-altitude"])
+def test_negative_seed_is_usage_error(smoke_config, tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert main(argv + ["--config", str(smoke_config), "--seed", "-1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "usage error: --seed must be nonnegative, got -1\n"
+    assert not out.exists()
+
+
+def test_more_agents_than_lattice_columns_is_usage_error(smoke_config, tmp_path, capsys):
+    # the smoke lattice is 20 m at 5 m: 4 columns
+    out = tmp_path / "out"
+    rc = main(["evaluate", "--config", str(smoke_config), "--planner", "random",
+               "--missions", "2", "--agents", "5", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == "usage error: 5 agents do not fit on a 4-column lattice edge\n"
+    assert not out.exists()
+
+
 def test_non_integer_pool_factor_is_usage_error(smoke_config, tmp_path, capsys):
     # evaluate --planner random never pools a map, so only the config check catches it
     config = tmp_path / "pool.cfg"

@@ -186,6 +186,12 @@ def test_env_rejects_a_terrain_that_differs_from_the_config():
     TerrainEnv(cfg, close, NoiseStreams(0)).reset()
 
 
+def test_config_rejects_more_agents_than_lattice_columns():
+    assert small_cfg(num_agents=2).lattice_cols == 2
+    with pytest.raises(ConfigurationError, match="3 agents do not fit on a 2-column lattice edge"):
+        small_cfg(num_agents=3)
+
+
 def test_initial_state_too_many_agents():
     with pytest.raises(ConfigurationError):
         TerrainEnv(

@@ -1,15 +1,18 @@
 """Metrics, mission runner determinism, and paired benchmarks."""
 
+from functools import partial
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_kernels as reference
 from terrascout import evaluation
-from terrascout.environment import EnvConfig, generate_terrain, terrain_rng
+from terrascout.environment import EnvConfig, GlobalState, generate_terrain, terrain_rng
 from terrascout.errors import ContractViolation, DegenerateTerrainError
 from terrascout.evaluation import (
+    MapScorer,
     MetricsRecord,
     PlannerSpec,
     checkpoint_steps,
@@ -20,10 +23,12 @@ from terrascout.evaluation import (
     write_benchmark_csv,
 )
 from terrascout.gridmap import (
+    CellRect,
     GroundTruthMap,
     ImportanceWeights,
+    Measurement,
     OccupancyGrid,
-    weighted_cell_entropy,
+    fuse_measurement,
 )
 
 W = ImportanceWeights(0.8, 0.2)
@@ -104,9 +109,8 @@ def test_f1_uniform_prior_is_zero_by_convention():
     roi_share=st.sampled_from([0.02, 0.4, 1.0]),
     weights=st.sampled_from([(0.8, 0.2), (0.7, 0.30000000000000004), (0.6, 0.4000000000005),
                              (1.0, 0.0), (0.5, 0.5)]),
-    fortran=st.booleans(),
 )
-def test_roi_entropy_and_f1_equal_reference_bit_for_bit(seed, shape, roi_share, weights, fortran):
+def test_roi_entropy_and_f1_equal_reference_bit_for_bit(seed, shape, roi_share, weights):
     rng = np.random.default_rng(seed)
     cells = (rng.random(shape) < roi_share).astype(np.uint8)
     cells.flat[0] = 1  # a terrain with no interesting cell raises before any metric
@@ -116,20 +120,104 @@ def test_roi_entropy_and_f1_equal_reference_bit_for_bit(seed, shape, roi_share, 
     log_odds[rng.random(shape) < 0.2] = 40.0
     grid = OccupancyGrid(log_odds, 0.5)
     w = ImportanceWeights(*weights)
-    probs = grid.probs()
-    cell_entropy = weighted_cell_entropy(probs, w)
-    if fortran:  # a caller's planes need not be C-ordered
-        probs, cell_entropy = np.asfortranarray(probs), np.asfortranarray(cell_entropy)
     pairs = [
         (roi_entropy(grid, gt, w), reference.roi_entropy(grid, gt, w)),
-        (roi_entropy(grid, gt, w, cell_entropy=cell_entropy),
-         reference.roi_entropy(grid, gt, w, cell_entropy=cell_entropy)),
         (f1_score(grid, gt), reference.f1_score(grid, gt)),
-        (f1_score(grid, gt, probs=probs), reference.f1_score(grid, gt, probs=probs)),
     ]
     for got, want in pairs:
         assert type(got) is float
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+def _hex(values):
+    return [float.hex(v) for v in values]
+
+
+def _roi_cells(rng, shape, roi):
+    """Ground-truth cells with one interesting cell, a random share, or all."""
+    if roi == "one":
+        cells = np.zeros(shape, dtype=np.uint8)
+        cells[rng.integers(shape[0]), rng.integers(shape[1])] = 1
+        return cells
+    if roi == "all":
+        return np.ones(shape, dtype=np.uint8)
+    cells = (rng.random(shape) < roi).astype(np.uint8)
+    cells.flat[0] = 1
+    return cells
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.tuples(st.integers(1, 30), st.integers(1, 30)),
+    roi=st.sampled_from(["one", 0.05, 0.5, "all"]),
+    start=st.sampled_from(["uniform", "positive", "non-uniform"]),
+    fusions=st.integers(1, 10),
+    every=st.integers(1, 3),
+    out_of_band=st.booleans(),
+    planes=st.sampled_from(["global", "local"]),
+)
+@example(seed=1, shape=(30, 30), roi="one", start="uniform", fusions=10, every=1,
+         out_of_band=True, planes="global")
+@example(seed=2, shape=(1, 1), roi="all", start="positive", fusions=3, every=2,
+         out_of_band=True, planes="local")
+def test_scorer_caught_up_from_the_log_equals_scores_from_scratch(
+        seed, shape, roi, start, fusions, every, out_of_band, planes):
+    rng = np.random.default_rng(seed)
+    gt = GroundTruthMap(_roi_cells(rng, shape, roi), 0.5)
+    log_odds = {"uniform": np.zeros(shape), "positive": np.full(shape, 3.0),
+                "non-uniform": rng.normal(0.0, 3.0, shape)}[start]
+    state = GlobalState(OccupancyGrid(log_odds, 0.5), np.zeros((1, 3), dtype=np.int64), 1)
+    grid = state.global_map
+    scorer = MapScorer(grid, gt, W)
+    h, w = shape
+    for k in range(fusions):
+        # overlapping rectangles, some clipped at the map edges
+        x0, y0, side = rng.integers(-4, w), rng.integers(-4, h), rng.integers(1, 12)
+        rect = CellRect(max(0, x0), min(w - 1, x0 + side - 1), max(0, y0), min(h - 1, y0 + side - 1))
+        if rect.width > 0 and rect.height > 0:
+            values = rng.integers(0, 2, (rect.height, rect.width))
+            acc = float(rng.choice([0.99, 0.735, 0.625]))
+            fuse_measurement(grid, Measurement(np.zeros(3), rect, values, acc, 0, k))
+        if out_of_band and k == fusions // 2:
+            # a write outside fuse_measurement logs its rectangle; p = 0.5 is no positive
+            grid.log_odds[: h // 2 + 1, w // 3:] = rng.choice([0.0, 40.0, -2.0])
+            grid.fused.append(CellRect(w // 3, w - 1, 0, h // 2))
+        if k % every == 0 or k == fusions - 1:
+            if planes == "global":
+                probs, cell_entropy = state.map_planes(W)
+                got = scorer.catch_up(lambda cells, roi: (probs[cells], cell_entropy[cells][roi]))
+            else:
+                got = scorer.catch_up(partial(evaluation._probs_and_roi_entropy, grid, W))
+            assert all(type(v) is float for v in got)
+            assert _hex(got) == _hex((roi_entropy(grid, gt, W), f1_score(grid, gt)))
+
+
+class _ScoredFromScratch:
+    """A MapScorer stand-in that scores the whole grid on every call."""
+
+    def __init__(self, grid, gt, w):
+        self.grid, self.gt, self.w = grid, gt, w
+
+    def catch_up(self, fine):
+        return roi_entropy(self.grid, self.gt, self.w), f1_score(self.grid, self.gt)
+
+
+@pytest.mark.parametrize("planner", ["random", "greedy-ig"])
+def test_mission_scores_and_local_rows_equal_scores_from_scratch(planner, monkeypatch):
+    cfg = cfg_(num_agents=3, budget=6, comm_radius=20.0)
+    # the interesting side lies south, where the agents start, so every score moves
+    gt = generate_terrain(np.random.default_rng(0), cfg, angle=-1.2, fraction=0.45)
+    run = partial(run_mission, PlannerSpec(planner), cfg, 8, 1, terrain=gt, local_metrics=True)
+    caught_up = run()
+    monkeypatch.setattr(evaluation, "MapScorer", _ScoredFromScratch)
+    scratch = run()
+    assert len(caught_up.local_rows) == cfg.budget * cfg.num_agents
+    assert all(row[3] < 1.0 and row[4] > 0.0 for row in caught_up.local_rows[-cfg.num_agents:])
+    assert [(*row[:3], *_hex(row[3:])) for row in caught_up.local_rows] == \
+        [(*row[:3], *_hex(row[3:])) for row in scratch.local_rows]
+    assert [_hex((r.roi_entropy, r.f1)) for r in caught_up.records] == \
+        [_hex((r.roi_entropy, r.f1)) for r in scratch.records]
 
 
 def test_checkpoint_steps():

@@ -24,14 +24,13 @@ from terrascout.gridmap import (
     SensorModel,
     footprint,
     fuse_measurement,
-    load_grid,
     map_entropy,
     read_text_grid,
-    save_grid,
     save_grid_pgm,
     simulate_measurement,
     upsample_factor,
     weighted_cell_entropy,
+    write_text_grid,
 )
 from terrascout.gridmap import PROB_FLOOR, _footprint_origin
 
@@ -214,6 +213,14 @@ def full_field_measurement(gt, position, sensor, rng, *, footprint_factor=1.0):
 @example(height=37, width=29, fx=0.5, fy=0.0, altitude=5.0, factor=1.0, seed=3)
 @example(height=37, width=29, fx=0.5, fy=1.0, altitude=15.0, factor=0.5, seed=4)
 @example(height=23, width=31, fx=1.0, fy=1.0, altitude=10.0, factor=1.0, seed=5)
+# full-scale maps, centred and clipped at the north-east corner, where the
+# Philox counters run highest
+@example(height=500, width=500, fx=0.5, fy=0.5, altitude=5.0, factor=1.0, seed=6)
+@example(height=500, width=500, fx=1.0, fy=1.0, altitude=5.0, factor=1.0, seed=7)
+@example(height=500, width=500, fx=0.5, fy=0.5, altitude=10.0, factor=1.0, seed=8)
+@example(height=500, width=500, fx=1.0, fy=1.0, altitude=10.0, factor=1.0, seed=9)
+@example(height=500, width=500, fx=0.5, fy=0.5, altitude=15.0, factor=1.0, seed=10)
+@example(height=500, width=500, fx=1.0, fy=1.0, altitude=15.0, factor=1.0, seed=11)
 def test_sliced_noise_matches_full_field_draw(height, width, fx, fy, altitude, factor, seed):
     cells = np.random.default_rng(seed).integers(0, 2, (height, width))
     gt = GroundTruthMap(cells, 0.1)
@@ -382,6 +389,18 @@ def test_map_entropy_non_increasing_under_informative_fusion():
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
+
+
+def save_grid(path, grid: OccupancyGrid) -> None:
+    write_text_grid(path, grid.probs(), grid.resolution)
+
+
+def load_grid(path) -> OccupancyGrid:
+    probs, res = read_text_grid(path)
+    if probs.min() < 0.0 or probs.max() > 1.0:
+        raise DataError(f"{path}: probabilities outside [0, 1]")
+    p = np.clip(probs, PROB_FLOOR, 1.0 - PROB_FLOOR)
+    return OccupancyGrid(np.log(p / (1.0 - p)), res)
 
 
 def test_text_grid_round_trip(tmp_path):
