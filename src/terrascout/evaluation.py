@@ -167,10 +167,11 @@ class MapScorer:
             self.positives += np.count_nonzero(pred) - np.count_nonzero(old)
             self.true_pos += np.count_nonzero(pred & roi) - np.count_nonzero(old & roi)
             old[...] = pred
-            # the ROI cells of a rect row are a run of roi_index, in the same order
-            firsts = np.searchsorted(
-                gt.roi_index, np.arange(rect.y_lo, rect.y_hi + 1) * gt.width + rect.x_lo)
-            self.roi_h[(firsts[:, None] + np.cumsum(roi, axis=1) - 1)[roi]] = roi_h
+            # the interesting cells of a rect row are one run of roi_index, in order
+            rows = np.arange(rect.y_lo, rect.y_hi + 1) * gt.width
+            first = np.searchsorted(gt.roi_index, rows + rect.x_lo)
+            runs = np.searchsorted(gt.roi_index, rows + rect.x_hi, side="right") - first
+            self.roi_h[np.arange(roi_h.size) + np.repeat(first - np.cumsum(runs) + runs, runs)] = roi_h
         self.seen = len(self.grid.fused)
         return (float(self.roi_h.sum()) / self.h0,
                 _f1(int(self.true_pos), int(self.positives), self.roi_h.size))
