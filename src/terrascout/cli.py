@@ -237,7 +237,7 @@ def cmd_train(args) -> int:
         cfg, tcfg, fcfg, args.seed, out,
         progress=None if args.quiet else _print_block,
     )
-    print(f"trained {len(result.mission_returns)} missions -> {result.actor_path}")
+    print(f"trained {len(result.mission_returns)} missions -> {out / 'actor.ckpt'}")
     return 0
 
 
@@ -248,7 +248,7 @@ def _print_block(row: dict) -> None:
     )
 
 
-def _planner_specs(args, fcfg: FeatureConfig) -> list[PlannerSpec]:
+def _planner_specs(args, cfg: EnvConfig, fcfg: FeatureConfig) -> list[PlannerSpec]:
     specs = []
     actor = None
     for name in args.planner:
@@ -267,6 +267,9 @@ def _planner_specs(args, fcfg: FeatureConfig) -> list[PlannerSpec]:
                         f"{args.actor_weights}: a {kind} network reading {planes}; the "
                         f"configured features need an actor reading {list(actor_manifest(fcfg))}"
                     )
+                if actor.grid_size != cfg.lattice_cols:
+                    raise DataError(f"{args.actor_weights}: an actor for a {actor.grid_size}-column "
+                                    f"lattice; the config's lattice has {cfg.lattice_cols} columns")
             specs.append(PlannerSpec("learned", actor=actor, mode=args.learned_mode))
         else:
             specs.append(PlannerSpec(name))
@@ -281,12 +284,14 @@ def cmd_evaluate(args) -> int:
         raise UsageError("--missions must be at least 2")
     if args.threads < 1:
         raise UsageError("--threads must be at least 1")
-    specs = _planner_specs(args, fcfg)
+    specs = _planner_specs(args, cfg, fcfg)
     if "coverage" in args.planner:
         try:
             cfg.level_of_altitude(cfg.coverage_altitude)
         except ConfigurationError as exc:
             raise UsageError(f"coverage_altitude: {exc}") from exc
+    if args.terrain and not args.terrain.is_file():
+        raise UsageError(f"terrain file not found: {args.terrain}")
     terrain = load_ground_truth(args.terrain) if args.terrain else None
     if terrain is not None:
         try:
@@ -346,9 +351,11 @@ def cmd_ablate_features(args) -> int:
 def cmd_ingest(args) -> int:
     if not math.isfinite(args.threshold):
         raise UsageError(f"--threshold must be a finite number, got {args.threshold}")
+    if not args.input.is_file():
+        raise UsageError(f"input raster not found: {args.input}")
+    gt, fraction = ingest_raster(args.input, args.threshold)
     out = _start_run(args, {"input": str(args.input), "threshold": args.threshold},
                      ["ground_truth.txt"])
-    gt, fraction = ingest_raster(args.input, args.threshold)
     write_text_grid(out / "ground_truth.txt", gt.cells.astype(np.float64), gt.resolution)
     print(f"ingested {gt.width}x{gt.height} raster: interesting fraction {fraction:.4f}")
     if fraction == 0.0:
@@ -389,10 +396,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_seed=True):
+    def common(p):
         p.add_argument("--config", type=Path, default=None, help="key=value config file")
-        if with_seed:
-            p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", type=Path, required=True, help="output directory")
 
     p_train = sub.add_parser("train", help="run the actor-critic training loop")

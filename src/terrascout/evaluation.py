@@ -45,10 +45,8 @@ LOCAL_METRICS_HEADER = ("mission", "step", "agent", "roi_entropy", "f1")
 
 @dataclass
 class MetricsRecord:
-    step: int
     roi_entropy: float  # normalized by the uniform-prior ROI entropy
     f1: float
-    cumulative_reward: float
 
     def __post_init__(self) -> None:
         if not -1e-9 <= self.roi_entropy <= 1.0 + 1e-9:
@@ -71,8 +69,6 @@ class PlannerSpec:
 
 @dataclass
 class TrialStats:
-    planner: str
-    checkpoints: list[int]  # step indices
     entropy_mean: list[float]
     entropy_std: list[float]
     f1_mean: list[float]
@@ -216,7 +212,6 @@ def run_mission(
     local_scores = [MapScorer(loc.local_map, terrain, cfg.weights)
                     for loc in env.locals] if local_metrics else []
     rows = _episode_rows(0, env, ["init"] * cfg.num_agents, 0.0)
-    cum = 0.0
     done = False
     t = 0
     while not done:
@@ -227,10 +222,9 @@ def run_mission(
             for i in range(cfg.num_agents)
         ]
         r, done = env.step(joint)
-        cum += r
         probs, cell_entropy = env.state.map_planes(cfg.weights)
         h, f1 = scores.catch_up(lambda cells, roi: (probs[cells], cell_entropy[cells][roi]))
-        records.append(MetricsRecord(t, h, f1, cum))
+        records.append(MetricsRecord(h, f1))
         rows += _episode_rows(t, env, [Action(a).name.lower() for a in joint], r)
         for i, (loc, local) in enumerate(zip(env.locals, local_scores)):
             grid = loc.local_map  # fuses what the step delivered
@@ -246,7 +240,7 @@ def run_mission(
 def _prior_record(cfg: EnvConfig, terrain: GroundTruthMap) -> MetricsRecord:
     """The t = 0 record, scored on a uniform grid that is freed before the mission runs."""
     prior = OccupancyGrid.uniform(cfg.map_cells, cfg.map_cells, cfg.map_resolution)
-    return MetricsRecord(0, roi_entropy(prior, terrain, cfg.weights), f1_score(prior, terrain), 0.0)
+    return MetricsRecord(roi_entropy(prior, terrain, cfg.weights), f1_score(prior, terrain))
 
 
 def _probs_and_roi_entropy(grid: OccupancyGrid, w: ImportanceWeights, cells, roi):
@@ -338,8 +332,6 @@ def run_benchmark(
         ent = np.array([[records[s].roi_entropy for s in steps] for records in per_mission])
         f1 = np.array([[records[s].f1 for s in steps] for records in per_mission])
         out[label] = TrialStats(
-            planner=label,
-            checkpoints=steps,
             entropy_mean=list(ent.mean(axis=0)),
             entropy_std=list(ent.std(axis=0, ddof=1)),
             f1_mean=list(f1.mean(axis=0)),

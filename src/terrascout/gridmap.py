@@ -149,9 +149,6 @@ class OccupancyGrid:
         """Clamped posterior over a cell rectangle only (cheap for planners)."""
         return _posterior(self.log_odds[slices])
 
-    def copy(self) -> "OccupancyGrid":
-        return OccupancyGrid(self.log_odds.copy(), self.resolution)
-
     def prior_cell(self, w: "ImportanceWeights") -> tuple[np.ndarray, np.ndarray]:
         """(probs, weighted cell entropy) of one cell at ``prior``, each shaped (1, 1):
         the same kernels on the same value as any cell of a full-map build."""
@@ -541,8 +538,11 @@ def write_text_grid(path, values: np.ndarray, resolution: float) -> None:
 def read_text_grid(path) -> tuple[np.ndarray, float]:
     """Parse the text-grid format, reporting the offending line on errors."""
     path = Path(path)
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: byte {exc.start}: not ASCII text") from exc
     if not lines:
         raise DataError(f"{path}: line 1: empty file")
     head = lines[0].split()

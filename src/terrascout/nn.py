@@ -171,29 +171,20 @@ class _GradStore:
     """Accumulates upstream gradients per node without aliasing surprises.
 
     Backward closures may hand over arrays they do not own (or hand the
-    same array to two parents), so in-place accumulation is only done on
-    buffers this store allocated itself.
+    same array to two parents), so a repeated gradient is added out of
+    place, never into a stored array.
     """
 
     def __init__(self) -> None:
         self._grads: dict[int, np.ndarray] = {}
-        self._owned: set[int] = set()
 
     def add(self, node: Tensor, g: np.ndarray) -> None:
         if not node._needs_grad:
             return
         key = id(node)
-        if key in self._grads:
-            if key in self._owned:
-                self._grads[key] += g
-            else:
-                self._grads[key] = self._grads[key] + g
-                self._owned.add(key)
-        else:
-            self._grads[key] = g
+        self._grads[key] = self._grads[key] + g if key in self._grads else g
 
     def pop(self, node: Tensor) -> Optional[np.ndarray]:
-        self._owned.discard(id(node))
         return self._grads.pop(id(node), None)
 
 
@@ -490,13 +481,13 @@ class Linear:
 class Adam:
     """Bias-corrected Adam over a list of parameter tensors."""
 
-    def __init__(self, params: Sequence[Tensor], lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, params: Sequence[Tensor], lr: float):
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]

@@ -16,7 +16,7 @@ gradient weighted by a per-agent advantage. Four credit-assignment variants are 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -160,19 +160,15 @@ def td_lambda_targets(rewards: Sequence[float], taken_qs: Sequence[float],
     return out
 
 
-def counterfactual_advantage(q_row, pi, action):
-    """Q of the taken action minus the policy-marginalised Q baseline.
-
-    Takes one row (``q_row`` and ``pi`` of shape (A,), an int ``action``;
-    returns a float) or B stacked rows ((B, A), (B, A) and (B,); returns
-    (B,)). Each row's baseline is the same vector product as ``pi @ q_row``.
-    """
-    return advantage_variant("coma", q_row, pi, action)
-
-
 def advantage_variant(variant: str, q_row, pi, action, v_value=None):
-    """Per-variant advantage of one row or of stacked rows (see
-    ``counterfactual_advantage``); central-qv needs the V-critic's values."""
+    """Q of the taken action minus the variant's baseline.
+
+    The counterfactual variants subtract the policy-marginalised Q, each
+    row's the same vector product as ``pi @ q_row``; central-qv subtracts
+    the V-critic's ``v_value``. Takes one row (``q_row`` and ``pi`` of shape
+    (A,), an int ``action``; returns a float) or B stacked rows ((B, A),
+    (B, A) and (B,); returns (B,)).
+    """
     q_row = np.asarray(q_row, dtype=np.float64)
     if variant in ("coma", "actor-independent", "decentralised"):
         pi = np.asarray(pi, dtype=np.float64)
@@ -240,7 +236,7 @@ def critic_update(batch: Rollout, critic: PolicyNet, targets: np.ndarray,
 
 
 def _value_update(batch: Rollout, vnet: PolicyNet, optimizer: nn.Adam,
-                  grad_clip: float) -> float:
+                  grad_clip: float) -> None:
     v = nn.reshape(_forward(vnet, batch.features), (len(batch),))
     err = nn.sub(v, nn.Tensor(batch.v_targets))
     loss = nn.mean(nn.mul(err, err))
@@ -248,7 +244,6 @@ def _value_update(batch: Rollout, vnet: PolicyNet, optimizer: nn.Adam,
     loss.backward()
     nn.clip_grad_norm(vnet.parameters(), grad_clip)
     optimizer.step()
-    return float(loss.data)
 
 
 # ---------------------------------------------------------------------------
@@ -310,12 +305,6 @@ def run_training_mission(
 @dataclass
 class TrainResult:
     out_dir: Path
-    actor_path: Path
-    critic_path: Path
-    init_actor_path: Path
-    log_path: Path
-    missions_path: Path
-    vnet_path: Optional[Path]
     mission_returns: list[float]
     block_rows: list[dict]
     actor: Optional[PolicyNet] = None
@@ -413,28 +402,16 @@ def training_loop(
         nn.Adam(vnet.parameters(), tcfg.critic_lr) if vnet is not None else None,
     )
 
+    # variant and arch are recorded on their own; the checkpoint interval says nothing of a net
     meta = {
-        "feature_config": {k: getattr(fcfg, k) for k in fcfg.__dataclass_fields__},
+        "feature_config": asdict(fcfg),
         "variant": variant,
         "seed": seed,
-        "train_config": {
-            "rollout_block": tcfg.rollout_block,
-            "epochs": tcfg.epochs,
-            "batch_size": tcfg.batch_size,
-            "actor_lr": tcfg.actor_lr,
-            "critic_lr": tcfg.critic_lr,
-            "td_lambda": tcfg.td_lambda,
-            "gamma": tcfg.gamma,
-            "target_copy_interval": tcfg.target_copy_interval,
-            "epsilon_start": tcfg.epsilon_start,
-            "epsilon_end": tcfg.epsilon_end,
-            "epsilon_anneal_missions": tcfg.epsilon_anneal_missions,
-            "total_missions": tcfg.total_missions,
-            "grad_clip": tcfg.grad_clip,
-        },
+        "train_config": {f.name: getattr(tcfg, f.name) for f in fields(tcfg)
+                         if f.name not in ("variant", "arch", "checkpoint_every_blocks")},
     }
-    init_actor_path = out_dir / "actor_init.ckpt"
-    save_network(init_actor_path, actor, kind="actor", manifest=actor_manifest(fcfg), extra=meta)
+    save_network(out_dir / "actor_init.ckpt", actor, kind="actor",
+                 manifest=actor_manifest(fcfg), extra=meta)
 
     log_path = out_dir / "training_log.csv"
     log_fields = ["block", "missions_done", "env_interactions", "mean_return", "actor_loss",
@@ -510,10 +487,9 @@ def training_loop(
             _save_all(out_dir, actor, critic, vnet, fcfg, cfg, meta)
         block += 1
 
-    paths = _save_all(out_dir, actor, critic, vnet, fcfg, cfg, meta)
-    missions_path = out_dir / "missions.csv"
+    _save_all(out_dir, actor, critic, vnet, fcfg, cfg, meta)
     write_csv(
-        missions_path,
+        out_dir / "missions.csv",
         ((i, r, tcfg.epsilon_at(i)) for i, r in enumerate(mission_returns)),
         ["mission", "return", "epsilon"],
     )
@@ -521,12 +497,6 @@ def training_loop(
               ["block", "wallclock_s"])
     return TrainResult(
         out_dir=out_dir,
-        actor_path=paths[0],
-        critic_path=paths[1],
-        init_actor_path=init_actor_path,
-        log_path=log_path,
-        missions_path=missions_path,
-        vnet_path=paths[2],
         mission_returns=mission_returns,
         block_rows=block_rows,
         actor=actor,
@@ -537,21 +507,17 @@ def training_loop(
 
 def _save_all(out_dir: Path, actor: PolicyNet, critic: PolicyNet,
               vnet: Optional[PolicyNet], fcfg: FeatureConfig, cfg: EnvConfig,
-              meta: dict) -> tuple[Path, Path, Optional[Path]]:
-    actor_path = out_dir / "actor.ckpt"
-    critic_path = out_dir / "critic.ckpt"
-    save_network(actor_path, actor, kind="actor", manifest=actor_manifest(fcfg), extra=meta)
+              meta: dict) -> None:
+    save_network(out_dir / "actor.ckpt", actor, kind="actor", manifest=actor_manifest(fcfg),
+                 extra=meta)
     save_network(
-        critic_path, critic, kind="critic",
+        out_dir / "critic.ckpt", critic, kind="critic",
         manifest=critic_manifest(fcfg, cfg.num_agents, _CRITIC_MODE_OF[meta["variant"]]),
         extra=meta,
     )
-    vnet_path = None
     if vnet is not None:
-        vnet_path = out_dir / "vnet.ckpt"
         save_network(
-            vnet_path, vnet, kind="state-value",
+            out_dir / "vnet.ckpt", vnet, kind="state-value",
             manifest=critic_manifest(fcfg, cfg.num_agents, CRITIC_MODE_NO_ACTIONS),
             extra=meta,
         )
-    return actor_path, critic_path, vnet_path

@@ -29,7 +29,7 @@ from terrascout.policy import (
 )
 from terrascout.training import (
     TrainConfig,
-    counterfactual_advantage,
+    advantage_variant,
     run_training_mission,
     td_lambda_targets,
     training_loop,
@@ -101,7 +101,7 @@ def test_criterion_1b_zero_expectation_identity():
         q = rng.normal(scale=rng.uniform(0.1, 10.0), size=NUM_ACTIONS)
         pi = rng.dirichlet(np.full(NUM_ACTIONS, rng.uniform(0.2, 3.0)))
         expectation = sum(
-            pi[a] * counterfactual_advantage(q, pi, a) for a in range(NUM_ACTIONS)
+            pi[a] * advantage_variant("coma", q, pi, a) for a in range(NUM_ACTIONS)
         )
         assert abs(expectation) < 1e-10
     _report(1, "counterfactual advantage has zero policy expectation (1e-10, 1000 pairs)")
@@ -345,7 +345,7 @@ def test_criterion_6_rl_learning_progress(tmp_path):
     result = training_loop(cfg, tcfg, FCFG, seed=seed, out_dir=tmp_path / "smoke")
     last20 = result.mission_returns[-20:]
     final_eps = tcfg.epsilon_at(tcfg.total_missions - 1)
-    init_actor, _ = load_network(result.init_actor_path)
+    init_actor, _ = load_network(result.out_dir / "actor_init.ckpt")
     idx = list(range(tcfg.total_missions - 20, tcfg.total_missions))
     untrained = evaluate_policy_returns(init_actor, cfg, FCFG, seed, idx, final_eps)
     t, p = stats.ttest_ind(last20, untrained, equal_var=False)

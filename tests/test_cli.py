@@ -475,6 +475,43 @@ def test_ingest_parse_error_exit_code(tmp_path):
     assert rc == 3
 
 
+def _text_grid_argv(command, path, out):
+    if command == "ingest":
+        return ["ingest", "--input", str(path), "--threshold", "25.0", "--out", str(out)]
+    config = path.parent / "smoke.cfg"
+    config.write_text(SMOKE_CONFIG)
+    return ["evaluate", "--config", str(config), "--planner", "random", "--missions", "2",
+            "--terrain", str(path), "--out", str(out)]
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+@pytest.mark.parametrize("command", ["ingest", "evaluate"])
+def test_text_grid_that_is_not_a_file_is_usage_error(tmp_path, capsys, command, kind):
+    path = tmp_path / "grid.txt"
+    if kind == "directory":
+        path.mkdir()
+    out = tmp_path / "x"
+    rc = main(_text_grid_argv(command, path, out))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+    assert str(path) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["ingest", "evaluate"])
+def test_text_grid_that_is_not_ascii_is_data_error(tmp_path, capsys, command):
+    path = tmp_path / "grid.txt"
+    path.write_text("40 40 0.5\n" + "1 " * 1600 + "\n", encoding="utf-16")
+    out = tmp_path / "x"
+    rc = main(_text_grid_argv(command, path, out))
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and err.count("\n") == 1
+    assert "not ASCII" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
 def test_ingest_non_finite_threshold_is_usage_error(tmp_path, capsys, threshold):
     raster = tmp_path / "raster.txt"
@@ -698,6 +735,20 @@ def test_evaluate_rejects_an_actor_of_other_features(smoke_config, tmp_path, cap
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and err.count("\n") == 1
     assert "entropy_map" in err
+    assert not out.exists()
+
+
+def test_evaluate_rejects_an_actor_of_another_lattice(smoke_config, tmp_path, capsys):
+    ckpt = _toy_actor_checkpoint(smoke_config, tmp_path / "actor.ckpt")  # 4 lattice columns
+    config = tmp_path / "wide.cfg"
+    config.write_text(smoke_config.read_text() + "terrain_size = 40.0\n")  # 8 columns
+    out = tmp_path / "x"
+    rc = main(["evaluate", "--config", str(config), "--planner", "learned",
+               "--actor-weights", str(ckpt), "--missions", "2", "--out", str(out)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and err.count("\n") == 1
+    assert "4-column" in err and "8 columns" in err
     assert not out.exists()
 
 

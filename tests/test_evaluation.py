@@ -250,7 +250,7 @@ def test_mission_record_count_and_t0():
 @pytest.mark.parametrize("roi, f1", [(1.5, 0.5), (-0.1, 0.5), (0.5, 1.2), (0.5, -0.01)])
 def test_metrics_record_out_of_range_raises(roi, f1):
     with pytest.raises(ContractViolation):
-        MetricsRecord(1, roi, f1, 0.0)
+        MetricsRecord(roi, f1)
 
 
 def test_mission_ending_before_budget_raises(monkeypatch):

@@ -423,6 +423,9 @@ def test_text_grid_parse_errors_carry_line_numbers(tmp_path):
     p.write_text("2 2 0.1\n0.5 0.5\n0.5\n")
     with pytest.raises(DataError, match="expected 4 values"):
         read_text_grid(p)
+    p.write_text("2 2 0.1\n0.5 0.5\n0.5 0.5\n", encoding="utf-16")
+    with pytest.raises(DataError, match="byte 0: not ASCII"):
+        read_text_grid(p)
 
 
 def test_pgm_export(tmp_path):
@@ -577,10 +580,6 @@ def test_non_uniform_grid_logs_one_whole_map_rectangle():
     assert grid.prior == 0.0 and grid.fused == [CellRect(0, 3, 0, 5)]
     nan = OccupancyGrid(np.full((2, 3), np.nan), 0.5)  # NaN is never a prior
     assert nan.fused == [CellRect(0, 2, 0, 1)]
-    # a copy of a fused grid starts a log of its own
-    m = Measurement(np.zeros(3), CellRect(1, 2, 1, 1), np.ones((1, 2)), 0.9, 0, 0)
-    fused = fuse_measurement(OccupancyGrid.uniform(4, 6, 0.5), m)
-    assert fused.fused == [m.rect] and fused.copy().fused == [CellRect(0, 3, 0, 5)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """TD targets, counterfactual advantages, updates, and the training loop."""
 
 import filecmp
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -36,7 +37,6 @@ from terrascout.training import (
     _fill_block_targets,
     actor_update,
     advantage_variant,
-    counterfactual_advantage,
     critic_update,
     run_training_mission,
     td_lambda_targets,
@@ -150,13 +150,13 @@ def test_td_lambda_general_matches_forward_view():
 def test_counterfactual_point_mass_is_zero():
     pi = np.zeros(6)
     pi[3] = 1.0
-    assert counterfactual_advantage(np.array([1.0, 2, 3, 4, 5, 6]), pi, 3) == 0.0
+    assert advantage_variant("coma", np.array([1.0, 2, 3, 4, 5, 6]), pi, 3) == 0.0
 
 
 def test_counterfactual_uniform_arithmetic():
     q = np.array([1.0, 2, 3, 4, 5, 6])
     pi = np.full(6, 1 / 6)
-    assert counterfactual_advantage(q, pi, 5) == pytest.approx(2.5)
+    assert advantage_variant("coma", q, pi, 5) == pytest.approx(2.5)
 
 
 def test_counterfactual_zero_expectation_identity():
@@ -164,13 +164,13 @@ def test_counterfactual_zero_expectation_identity():
     for _ in range(1000):
         q = rng.normal(scale=5.0, size=6)
         pi = rng.dirichlet(np.ones(6))
-        expect = sum(pi[a] * counterfactual_advantage(q, pi, a) for a in range(6))
+        expect = sum(pi[a] * advantage_variant("coma", q, pi, a) for a in range(6))
         assert abs(expect) < 1e-10
 
 
 def test_counterfactual_rejects_bad_policy():
     with pytest.raises(ContractViolation):
-        counterfactual_advantage(np.ones(6), np.full(6, 0.3), 0)
+        advantage_variant("coma", np.ones(6), np.full(6, 0.3), 0)
 
 
 def test_variant_central_qv():
@@ -226,7 +226,7 @@ def test_coma_equals_actor_independent_on_action_blind_critic():
     qb = critic.forward(feats_b[None]).data[0]
     np.testing.assert_array_equal(qa, qb)  # blind to plane (j)
     pi = np.random.default_rng(3).dirichlet(np.ones(6))
-    assert counterfactual_advantage(qa, pi, 4) == counterfactual_advantage(qb, pi, 4)
+    assert advantage_variant("coma", qa, pi, 4) == advantage_variant("coma", qb, pi, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -445,26 +445,38 @@ def test_train_config_validation():
 def test_training_loop_smoke_and_artifacts(tmp_path):
     cfg = micro_cfg()
     result = training_loop(cfg, micro_tcfg(), FCFG, seed=3, out_dir=tmp_path / "run")
-    assert result.actor_path.exists()
-    assert result.critic_path.exists()
-    assert result.init_actor_path.exists()
-    assert result.log_path.exists()
-    assert (tmp_path / "run" / "timing.csv").exists()
+    run = result.out_dir
+    assert run == tmp_path / "run"
+    for name in ("actor.ckpt", "critic.ckpt", "actor_init.ckpt", "training_log.csv",
+                 "missions.csv", "timing.csv"):
+        assert (run / name).exists()
+    assert not (run / "vnet.ckpt").exists()
     assert len(result.mission_returns) == 4
-    actor, meta = load_network(result.actor_path)
+    actor, meta = load_network(run / "actor.ckpt")
     assert meta["variant"] == "coma"
-    rows = result.log_path.read_text().splitlines()
+    rows = (run / "training_log.csv").read_text().splitlines()
     assert rows[0] == "block,missions_done,env_interactions,mean_return,actor_loss,critic_loss,epsilon"
     assert len(rows) >= 2
+
+
+def test_checkpoint_header_records_every_train_and_feature_value(tmp_path):
+    tcfg = micro_tcfg(total_missions=2, td_lambda=0.6, grad_clip=3.5)
+    fcfg = FeatureConfig(agent_id=False, global_footprint_map=False)
+    result = training_loop(micro_cfg(), tcfg, fcfg, seed=4, out_dir=tmp_path / "run")
+    _, meta = load_network(result.out_dir / "actor.ckpt")
+    recorded = meta["train_config"]
+    names = {f.name for f in fields(TrainConfig)} - {"variant", "arch", "checkpoint_every_blocks"}
+    assert set(recorded) == names
+    assert all(recorded[name] == getattr(tcfg, name) for name in names)
+    assert meta["feature_config"] == asdict(fcfg)
 
 
 def test_training_loop_deterministic(tmp_path):
     cfg = micro_cfg()
     r1 = training_loop(cfg, micro_tcfg(), FCFG, seed=9, out_dir=tmp_path / "a")
     r2 = training_loop(cfg, micro_tcfg(), FCFG, seed=9, out_dir=tmp_path / "b")
-    assert r1.log_path.read_bytes() == r2.log_path.read_bytes()
-    assert r1.missions_path.read_bytes() == r2.missions_path.read_bytes()
-    assert filecmp.cmp(r1.actor_path, r2.actor_path, shallow=False)
+    for name in ("training_log.csv", "missions.csv", "actor.ckpt"):
+        assert filecmp.cmp(r1.out_dir / name, r2.out_dir / name, shallow=False)
 
 
 def test_training_loop_target_copy_instants(tmp_path):
@@ -497,11 +509,8 @@ def test_training_loop_variants_produce_checkpoints(tmp_path):
     for variant in ("central-qv", "actor-independent", "decentralised"):
         tcfg = micro_tcfg(variant=variant, total_missions=2)
         result = training_loop(cfg, tcfg, FCFG, seed=1, out_dir=tmp_path / variant)
-        if variant == "central-qv":
-            assert result.vnet_path is not None and result.vnet_path.exists()
-        else:
-            assert result.vnet_path is None
-        critic, meta = load_network(result.critic_path)
+        assert (result.out_dir / "vnet.ckpt").exists() == (variant == "central-qv")
+        critic, meta = load_network(result.out_dir / "critic.ckpt")
         assert meta["variant"] == variant
         expected_channels = {
             "central-qv": 7 + 4 + 6,
@@ -524,5 +533,6 @@ def test_training_log_is_streamed_per_block(tmp_path):
         training_loop(cfg, tcfg, FCFG, seed=2, out_dir=tmp_path / "cut",
                       progress=crash_after_block_1)
     cut = (tmp_path / "cut" / "training_log.csv").read_bytes()
-    assert cut.splitlines() == full.log_path.read_bytes().splitlines()[:3]
-    assert full.log_path.read_bytes().startswith(cut)
+    whole = (full.out_dir / "training_log.csv").read_bytes()
+    assert cut.splitlines() == whole.splitlines()[:3]
+    assert whole.startswith(cut)
