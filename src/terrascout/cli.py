@@ -81,9 +81,13 @@ _FLAGS = {"on": True, "true": True, "1": True, "off": False, "false": False, "0"
 def parse_config_file(path) -> dict[str, str]:
     raw: dict[str, str] = {}
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise UsageError(f"config file not found: {path}")
-    for ln_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: not UTF-8 text ({exc})") from exc
+    for ln_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue

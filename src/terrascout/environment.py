@@ -182,47 +182,35 @@ class GlobalState:
         return self.probs, self.cell_entropy
 
 
-class _FusedOnRead:
-    """``AgentLocalState.local_map``: the on-board grid, with the measurements
-    in ``pending`` fused into it, in order, on the first read after a step.
-
-    Fusion happens in the order the step delivered the measurements, through
-    :func:`fuse_measurement`, so the grid and its ``fused`` log equal eager
-    fusion bit for bit; a step whose map nobody reads skips the work.
-    """
-
-    def __get__(self, loc, owner=None):
-        if loc is None:  # no class-level value, so the dataclass field needs an argument
-            raise AttributeError("local_map")
-        pending = loc.pending
-        while pending:  # a fusion that raises leaves itself and the rest pending
-            fuse_measurement(loc._grid, pending[0])
-            del pending[0]
-        return loc._grid
-
-    def __set__(self, loc, grid: OccupancyGrid) -> None:
-        loc._grid = grid
-
-
 @dataclass
 class AgentLocalState:
     """What one agent knows on board: its map, pose, and stale teammate info."""
 
     agent_id: int
-    local_map: OccupancyGrid = _FusedOnRead()  # required: a descriptor, not a default
+    grid: OccupancyGrid  # the on-board map as last fused; read it through local_map
     position: np.ndarray  # (3,) lattice indices
     known_positions: np.ndarray  # (N, 3) lattice indices, last heard (stale allowed)
     remaining_budget: int
     last_measurement: Optional[Measurement] = None
     inbox: list = field(default_factory=list)  # teammates' Measurements received this step
-    # Measurements delivered but not yet fused into local_map (own first, then
-    # the inbox in order); reading local_map fuses them.
+    # Measurements delivered but not yet fused into grid (own first, then the
+    # inbox in order); reading local_map fuses them.
     pending: list = field(default_factory=list, repr=False, compare=False)
     # The row-tile sums behind the pooled local planes and the number of
     # local_map.fused entries they include (see OccupancyGrid), kept by
     # policy.build_actor_features.
     row_sums: Optional[np.ndarray] = None
     row_sums_seen: int = 0
+
+    @property
+    def local_map(self) -> OccupancyGrid:
+        """``grid`` with ``pending`` fused in delivery order on the first read
+        after a step: equal to eager fusion bit for bit, skipped if unread."""
+        pending = self.pending
+        while pending:  # a fusion that raises leaves itself and the rest pending
+            fuse_measurement(self.grid, pending[0])
+            del pending[0]
+        return self.grid
 
 
 class NoiseStreams:
@@ -410,7 +398,7 @@ class TerrainEnv:
         self.locals = [
             AgentLocalState(
                 agent_id=i,
-                local_map=OccupancyGrid.uniform(n, n, cfg.map_resolution),
+                grid=OccupancyGrid.uniform(n, n, cfg.map_resolution),
                 position=positions[i].copy(),
                 known_positions=positions.copy(),
                 remaining_budget=cfg.budget,

@@ -13,6 +13,7 @@ remaining-budget planes.
 Critic input: the same, followed by (f) global position plane, (g) global
 belief, (h) its weighted entropy, (i) all agents' footprints, and (j) one
 one-hot plane per (other agent, action) marking who chose what where.
+A network reads the planes its ``FeatureConfig`` enables.
 """
 
 from __future__ import annotations
@@ -46,11 +47,6 @@ CRITIC_GLOBAL_PLANES = (
     "global_footprint_map",
 )
 
-# critic input restrictions used by the credit-assignment ablations
-CRITIC_MODE_FULL = "full"  # planes a-j
-CRITIC_MODE_NO_ACTIONS = "no_actions"  # a-i, blind to other agents' actions
-CRITIC_MODE_LOCAL = "local"  # actor planes only (decentralised critic)
-
 
 @dataclass(frozen=True)
 class FeatureConfig:
@@ -75,33 +71,20 @@ class FeatureConfig:
         return replace(self, **{name: enabled})
 
 
-@dataclass
-class FeatureStack:
-    planes: np.ndarray  # (K, G, G) float64
-    manifest: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if self.planes.shape[0] != len(self.manifest):
-            raise ContractViolation("feature manifest does not match plane count")
-
-
-def _finite(stack: FeatureStack) -> FeatureStack:
-    if not np.isfinite(stack.planes).all():
+def _finite(planes: np.ndarray) -> np.ndarray:
+    if not np.isfinite(planes).all():
         raise ContractViolation("feature planes contain non-finite values")
-    return stack
+    return planes
 
 
 def actor_manifest(fcfg: FeatureConfig) -> tuple[str, ...]:
     return tuple(name for name in ACTOR_PLANES if getattr(fcfg, name))
 
 
-def critic_manifest(fcfg: FeatureConfig, num_agents: int,
-                    mode: str = CRITIC_MODE_FULL) -> tuple[str, ...]:
+def critic_manifest(fcfg: FeatureConfig, num_agents: int) -> tuple[str, ...]:
     names = list(actor_manifest(fcfg))
-    if mode == CRITIC_MODE_LOCAL:
-        return tuple(names)
     names += [name for name in CRITIC_GLOBAL_PLANES if getattr(fcfg, name)]
-    if mode == CRITIC_MODE_FULL and fcfg.action_maps:
+    if fcfg.action_maps:
         for k in range(num_agents - 1):
             for action in Action:
                 names.append(f"other{k}_action_{action.name.lower()}")
@@ -237,8 +220,9 @@ def _local_planes(local: AgentLocalState, cfg: EnvConfig) -> np.ndarray:
 
 
 def build_actor_features(local: AgentLocalState, cfg: EnvConfig,
-                         fcfg: FeatureConfig = FeatureConfig()) -> FeatureStack:
-    """Local planes (a)-(e) plus the constant id and budget planes."""
+                         fcfg: FeatureConfig = FeatureConfig()) -> np.ndarray:
+    """Local planes (a)-(e) plus the constant id and budget planes, as
+    ``actor_manifest(fcfg)`` orders them."""
     g = cfg.lattice_cols
     planes: list[np.ndarray] = []
     if fcfg.position_map:
@@ -261,7 +245,7 @@ def build_actor_features(local: AgentLocalState, cfg: EnvConfig,
         planes.append(np.full((g, g), (local.agent_id + 1) / cfg.num_agents))
     if fcfg.budget:
         planes.append(np.full((g, g), local.remaining_budget / cfg.budget))
-    return _finite(FeatureStack(np.stack(planes), actor_manifest(fcfg)))
+    return _finite(np.stack(planes))
 
 
 def critic_global_planes(state: GlobalState, cfg: EnvConfig) -> np.ndarray:
@@ -284,29 +268,28 @@ def critic_global_planes(state: GlobalState, cfg: EnvConfig) -> np.ndarray:
 
 def build_critic_features(
     state: GlobalState,
-    base: FeatureStack,
+    base: np.ndarray,
     agent_id: int,
     other_actions: Sequence[int],
     cfg: EnvConfig,
     fcfg: FeatureConfig = FeatureConfig(),
-    mode: str = CRITIC_MODE_FULL,
     *,
     global_planes: Optional[np.ndarray],
-) -> FeatureStack:
-    """The agent's actor stack ``base`` followed by centralised planes (f)-(j).
+) -> np.ndarray:
+    """The agent's actor stack ``base`` followed by the centralised planes
+    (f)-(j) that ``fcfg`` enables, in ``critic_manifest`` order.
 
     ``other_actions`` lists the actions of the N-1 teammates ordered by
     agent id (skipping ``agent_id``); each marks a one-hot plane at that
     teammate's current cell. ``global_planes`` is the step's
-    ``critic_global_planes(state, cfg)``, built once for all its agents.
-    Under the local mode the critic stack is ``base`` itself, and
-    ``global_planes`` may be None.
+    ``critic_global_planes(state, cfg)``, built once for all its agents; it
+    may be None when ``fcfg`` enables none of them.
     """
-    if mode == CRITIC_MODE_LOCAL:
-        return base
     keep = [k for k, name in enumerate(CRITIC_GLOBAL_PLANES) if getattr(fcfg, name)]
-    planes = [base.planes, global_planes[keep]]
-    if mode == CRITIC_MODE_FULL and fcfg.action_maps:
+    planes = [base]
+    if keep:
+        planes.append(global_planes[keep])
+    if fcfg.action_maps:
         others = [j for j in range(cfg.num_agents) if j != agent_id]
         if len(other_actions) != len(others):
             raise ContractViolation(
@@ -318,9 +301,7 @@ def build_critic_features(
             pos = state.positions[j]
             onehots[k * NUM_ACTIONS + int(act), int(pos[1]), int(pos[0])] = 1.0
         planes.append(onehots)
-    return _finite(
-        FeatureStack(np.concatenate(planes), critic_manifest(fcfg, cfg.num_agents, mode))
-    )
+    return _finite(np.concatenate(planes))
 
 
 # ---------------------------------------------------------------------------
@@ -426,24 +407,24 @@ def make_actor(cfg: EnvConfig, fcfg: FeatureConfig, rng: np.random.Generator,
 
 
 def make_critic(cfg: EnvConfig, fcfg: FeatureConfig, rng: np.random.Generator,
-                arch: NetArch = NetArch(), mode: str = CRITIC_MODE_FULL) -> PolicyNet:
-    channels = len(critic_manifest(fcfg, cfg.num_agents, mode))
+                arch: NetArch = NetArch()) -> PolicyNet:
+    channels = len(critic_manifest(fcfg, cfg.num_agents))
     return PolicyNet(channels, cfg.lattice_cols, NUM_ACTIONS, rng, arch)
 
 
 def make_value_net(cfg: EnvConfig, fcfg: FeatureConfig, rng: np.random.Generator,
                    arch: NetArch = NetArch()) -> PolicyNet:
-    """State-value network: critic inputs minus action planes, scalar output."""
-    channels = len(critic_manifest(fcfg, cfg.num_agents, CRITIC_MODE_NO_ACTIONS))
+    """State-value network: the critic config's planes minus action planes, scalar output."""
+    channels = len(critic_manifest(replace(fcfg, action_maps=False), cfg.num_agents))
     return PolicyNet(channels, cfg.lattice_cols, 1, rng, arch)
 
 
-def actor_forward(net: PolicyNet, stacks: Sequence[FeatureStack], masks: Sequence[np.ndarray],
+def actor_forward(net: PolicyNet, stacks: Sequence[np.ndarray], masks: Sequence[np.ndarray],
                   epsilon: float) -> np.ndarray:
     """(N, A) masked bounded-softmax policy rows of N agents, from one tape-free
     forward; each row equals that agent's batch-1 forward bit for bit."""
     with nn.no_grad():
-        logits = net.forward(np.stack([s.planes for s in stacks]))
+        logits = net.forward(np.stack(stacks))
         probs = nn.masked_bounded_softmax(logits, np.asarray(masks, dtype=bool), epsilon)
     return probs.data
 

@@ -16,7 +16,7 @@ gradient weighted by a per-agent advantage. Four credit-assignment variants are 
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -35,9 +35,7 @@ from .errors import ConfigurationError, ContractViolation, TrainingDivergenceErr
 from . import nn
 from .gridmap import write_csv
 from .policy import (
-    CRITIC_MODE_FULL,
-    CRITIC_MODE_LOCAL,
-    CRITIC_MODE_NO_ACTIONS,
+    CRITIC_GLOBAL_PLANES,
     FeatureConfig,
     NetArch,
     PolicyNet,
@@ -55,12 +53,15 @@ from .policy import (
 
 VARIANTS = ("coma", "central-qv", "actor-independent", "decentralised")
 
-_CRITIC_MODE_OF = {
-    "coma": CRITIC_MODE_FULL,
-    "central-qv": CRITIC_MODE_FULL,
-    "actor-independent": CRITIC_MODE_NO_ACTIONS,
-    "decentralised": CRITIC_MODE_LOCAL,
-}
+
+def critic_feature_config(variant: str, fcfg: FeatureConfig) -> FeatureConfig:
+    """The planes the variant's critic reads: the user's ``fcfg``, less the
+    action planes (actor-independent) or also the global ones (decentralised)."""
+    if variant == "actor-independent":
+        return replace(fcfg, action_maps=False)
+    if variant == "decentralised":
+        return replace(fcfg, action_maps=False, **dict.fromkeys(CRITIC_GLOBAL_PLANES, False))
+    return fcfg
 
 
 @dataclass
@@ -222,28 +223,24 @@ def _actor_probs(batch: Rollout, actor: PolicyNet) -> nn.Tensor:
 def critic_update(batch: Rollout, critic: PolicyNet, targets: np.ndarray,
                   optimizer: nn.Adam, grad_clip: float) -> float:
     """One Adam step on the MSE between Q(s, taken action) and the targets."""
+    q_taken = nn.gather_last(_forward(critic, batch.features), batch.actions)
+    return _regress(q_taken, targets, critic, optimizer, grad_clip)
+
+
+def _regress(pred: nn.Tensor, targets: np.ndarray, net: PolicyNet, optimizer: nn.Adam,
+             grad_clip: float) -> float:
+    """One Adam step of ``net`` on the MSE between ``pred`` and the targets,
+    which are checked finite before any gradient is taken."""
     targets = np.asarray(targets, dtype=np.float64)
     if not np.isfinite(targets).all():
         raise TrainingDivergenceError("non-finite TD target")
-    q_taken = nn.gather_last(_forward(critic, batch.features), batch.actions)
-    err = nn.sub(q_taken, nn.Tensor(targets))
+    err = nn.sub(pred, nn.Tensor(targets))
     loss = nn.mean(nn.mul(err, err))
     optimizer.zero_grad()
     loss.backward()
-    nn.clip_grad_norm(critic.parameters(), grad_clip)
+    nn.clip_grad_norm(net.parameters(), grad_clip)
     optimizer.step()
     return float(loss.data)
-
-
-def _value_update(batch: Rollout, vnet: PolicyNet, optimizer: nn.Adam,
-                  grad_clip: float) -> None:
-    v = nn.reshape(_forward(vnet, batch.features), (len(batch),))
-    err = nn.sub(v, nn.Tensor(batch.v_targets))
-    loss = nn.mean(nn.mul(err, err))
-    optimizer.zero_grad()
-    loss.backward()
-    nn.clip_grad_norm(vnet.parameters(), grad_clip)
-    optimizer.step()
 
 
 # ---------------------------------------------------------------------------
@@ -258,9 +255,10 @@ def run_training_mission(
     seed: int,
     mission_index: int,
     epsilon: float,
-    critic_mode: str,
+    critic_fcfg: FeatureConfig,
 ) -> tuple[Rollout, float]:
-    """Play one on-policy mission and record every agent decision."""
+    """Play one on-policy mission and record every agent decision; the actor
+    reads the planes of ``fcfg``, and each row holds those of ``critic_fcfg``."""
     terrain = generate_terrain(terrain_rng(seed, mission_index), cfg)
     env = TerrainEnv(cfg, terrain, NoiseStreams(seed, mission_index))
     env.reset()
@@ -273,13 +271,14 @@ def run_training_mission(
         stacks = [build_actor_features(loc, cfg, fcfg) for loc in env.locals]
         pis = actor_forward(actor, stacks, step_masks, epsilon)
         step_actions = [int(rng.choice(NUM_ACTIONS, p=pi)) for pi in pis]
-        shared = None if critic_mode == CRITIC_MODE_LOCAL else critic_global_planes(env.state, cfg)
+        shared = None
+        if any(getattr(critic_fcfg, name) for name in CRITIC_GLOBAL_PLANES):
+            shared = critic_global_planes(env.state, cfg)
         for i, stack in enumerate(stacks):
             others = step_actions[:i] + step_actions[i + 1 :]
-            cstack = build_critic_features(
-                env.state, stack, i, others, cfg, fcfg, mode=critic_mode, global_planes=shared
-            )
-            features.append(cstack.planes)
+            features.append(build_critic_features(
+                env.state, stack, i, others, cfg, critic_fcfg, global_planes=shared
+            ))
         r, done = env.step(step_actions)
         mission_return += r
         masks.extend(step_masks)
@@ -360,7 +359,8 @@ def _optimise_minibatch(batch: Rollout, actor: PolicyNet, critic: PolicyNet,
     opt_actor, opt_critic, opt_vnet = opts
     closs = critic_update(batch, critic, batch.targets, opt_critic, tcfg.grad_clip)
     if vnet is not None:
-        _value_update(batch, vnet, opt_vnet, tcfg.grad_clip)
+        v = nn.reshape(_forward(vnet, batch.features), (len(batch),))
+        _regress(v, batch.v_targets, vnet, opt_vnet, tcfg.grad_clip)
     advantages, probs = _batch_advantages(batch, actor, critic, vnet, tcfg.variant)
     return actor_update(batch, probs, actor, advantages, opt_actor, tcfg.grad_clip), closs
 
@@ -383,17 +383,17 @@ def training_loop(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     variant = tcfg.variant
-    critic_mode = _CRITIC_MODE_OF[variant]
+    ccfg = critic_feature_config(variant, fcfg)
 
     init_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 11])))
     actor = make_actor(cfg, fcfg, init_rng, tcfg.arch)
-    critic = make_critic(cfg, fcfg, init_rng, tcfg.arch, mode=critic_mode)
-    target_critic = make_critic(cfg, fcfg, init_rng, tcfg.arch, mode=critic_mode)
+    critic = make_critic(cfg, ccfg, init_rng, tcfg.arch)
+    target_critic = make_critic(cfg, ccfg, init_rng, tcfg.arch)
     target_critic.copy_from(critic)
     vnet = target_vnet = None
     if variant == "central-qv":
-        vnet = make_value_net(cfg, fcfg, init_rng, tcfg.arch)
-        target_vnet = make_value_net(cfg, fcfg, init_rng, tcfg.arch)
+        vnet = make_value_net(cfg, ccfg, init_rng, tcfg.arch)
+        target_vnet = make_value_net(cfg, ccfg, init_rng, tcfg.arch)
         target_vnet.copy_from(vnet)
 
     opts = (
@@ -433,9 +433,7 @@ def training_loop(
         block_returns: list[float] = []
         while rows < tcfg.rollout_block and missions_done < tcfg.total_missions:
             epsilon = tcfg.epsilon_at(missions_done)
-            part, ret = run_training_mission(
-                actor, cfg, fcfg, seed, missions_done, epsilon, critic_mode
-            )
+            part, ret = run_training_mission(actor, cfg, fcfg, seed, missions_done, epsilon, ccfg)
             parts.append(part)
             rows += len(part)
             block_returns.append(ret)
@@ -484,10 +482,10 @@ def training_loop(
         if progress is not None:
             progress(row)
         if (block + 1) % tcfg.checkpoint_every_blocks == 0:
-            _save_all(out_dir, actor, critic, vnet, fcfg, cfg, meta)
+            _save_all(out_dir, actor, critic, vnet, ccfg, cfg, meta)
         block += 1
 
-    _save_all(out_dir, actor, critic, vnet, fcfg, cfg, meta)
+    _save_all(out_dir, actor, critic, vnet, ccfg, cfg, meta)
     write_csv(
         out_dir / "missions.csv",
         ((i, r, tcfg.epsilon_at(i)) for i, r in enumerate(mission_returns)),
@@ -506,18 +504,13 @@ def training_loop(
 
 
 def _save_all(out_dir: Path, actor: PolicyNet, critic: PolicyNet,
-              vnet: Optional[PolicyNet], fcfg: FeatureConfig, cfg: EnvConfig,
+              vnet: Optional[PolicyNet], ccfg: FeatureConfig, cfg: EnvConfig,
               meta: dict) -> None:
-    save_network(out_dir / "actor.ckpt", actor, kind="actor", manifest=actor_manifest(fcfg),
-                 extra=meta)
-    save_network(
-        out_dir / "critic.ckpt", critic, kind="critic",
-        manifest=critic_manifest(fcfg, cfg.num_agents, _CRITIC_MODE_OF[meta["variant"]]),
-        extra=meta,
-    )
-    if vnet is not None:
-        save_network(
-            out_dir / "vnet.ckpt", vnet, kind="state-value",
-            manifest=critic_manifest(fcfg, cfg.num_agents, CRITIC_MODE_NO_ACTIONS),
-            extra=meta,
-        )
+    """Each network's checkpoint; its manifest names the prefix of the
+    critic planes it reads (see ``Rollout``)."""
+    planes = critic_manifest(ccfg, cfg.num_agents)
+    for name, kind, net in (("actor", "actor", actor), ("critic", "critic", critic),
+                            ("vnet", "state-value", vnet)):
+        if net is not None:
+            save_network(out_dir / f"{name}.ckpt", net, kind=kind,
+                         manifest=planes[: net.in_channels], extra=meta)

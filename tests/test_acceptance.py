@@ -17,7 +17,6 @@ from terrascout.evaluation import PlannerSpec, run_benchmark, run_mission
 from terrascout.gridmap import ImportanceWeights, weighted_cell_entropy, write_text_grid
 from terrascout.planners import GreedyInfoGainPlanner
 from terrascout.policy import (
-    CRITIC_MODE_FULL,
     FeatureConfig,
     NetArch,
     build_actor_features,
@@ -41,7 +40,7 @@ FCFG = FeatureConfig()
 def evaluate_policy_returns(actor, cfg, fcfg, seed, mission_indices, epsilon):
     """Returns of the given policy on the exact seeded training missions."""
     return [
-        run_training_mission(actor, cfg, fcfg, seed, m, epsilon, CRITIC_MODE_FULL)[1]
+        run_training_mission(actor, cfg, fcfg, seed, m, epsilon, fcfg)[1]
         for m in mission_indices
     ]
 
@@ -212,7 +211,7 @@ def test_criterion_2_gradient_checks():
     actor = make_actor(cfg, FCFG, np.random.default_rng(5), arch)
 
     def actor_loss():
-        lg = actor.forward(feats.planes[None])
+        lg = actor.forward(feats[None])
         p = tnn.masked_bounded_softmax(lg, env_mask[None], 0.1)
         return tnn.mean(-tnn.log(tnn.gather_last(p, np.array([action]))) * 1.7)
 
@@ -223,7 +222,7 @@ def test_criterion_2_gradient_checks():
     critic = make_critic(cfg, FCFG, np.random.default_rng(6), arch)
 
     def critic_loss():
-        q = tnn.gather_last(critic.forward(cfeats.planes[None]), np.array([action]))
+        q = tnn.gather_last(critic.forward(cfeats[None]), np.array([action]))
         err = tnn.sub(q, tnn.Tensor(np.array([0.37])))
         return tnn.mean(tnn.mul(err, err))
 

@@ -108,11 +108,10 @@ def _training_fixture():
 def test_a_rollout_step_makes_one_batched_actor_call():
     """One ``policy.actor_forward`` span per step, and under it one
     ``nn.conv2d_fwd`` span per conv layer, each with the whole team as batch."""
-    from terrascout.policy import CRITIC_MODE_FULL
     from terrascout.training import run_training_mission
 
     cfg, fcfg, actor, _ = _training_fixture()
-    recorded = _traced(run_training_mission, actor, cfg, fcfg, 0, 0, 0.5, CRITIC_MODE_FULL)
+    recorded = _traced(run_training_mission, actor, cfg, fcfg, 0, 0, 0.5, fcfg)
 
     def under_actor_forward(span):
         while span[3] >= 0:
@@ -132,11 +131,10 @@ def test_a_minibatch_runs_the_actor_forward_once():
     """Per minibatch: the critic step's forward, the advantages' critic and
     actor forwards, and no forward inside the actor step."""
     from terrascout import nn
-    from terrascout.policy import CRITIC_MODE_FULL
     from terrascout.training import TrainConfig, _optimise_minibatch, run_training_mission
 
     cfg, fcfg, actor, critic = _training_fixture()
-    batch, _ = run_training_mission(actor, cfg, fcfg, 0, 0, 0.5, CRITIC_MODE_FULL)
+    batch, _ = run_training_mission(actor, cfg, fcfg, 0, 0, 0.5, fcfg)
     opts = (nn.Adam(actor.parameters(), 1e-3), nn.Adam(critic.parameters(), 1e-3), None)
     recorded = _traced(_optimise_minibatch, batch, actor, critic, None, opts, TrainConfig())
     parents = sorted(recorded[s[3]][0] for s in recorded if s[0] == "policy.net_forward")

@@ -121,6 +121,28 @@ def test_non_finite_config_value_is_usage_error(tmp_path, capsys, line, flags):
     assert not out.exists()
 
 
+def test_directory_as_config_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = main(["evaluate", "--config", str(tmp_path), "--planner", "random",
+               "--missions", "2", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == f"usage error: config file not found: {tmp_path}\n"
+    assert not out.exists()
+
+
+def test_non_utf8_config_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "c.cfg"
+    path.write_bytes(b"num_agents = 2\n# \xff\n")
+    out = tmp_path / "out"
+    rc = main(["evaluate", "--config", str(path), "--planner", "random",
+               "--missions", "2", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: {path}: not UTF-8 text") and err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("lines", [
     "terrain_size = 0",
     "map_resolution = 0",

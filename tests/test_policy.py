@@ -32,11 +32,7 @@ from terrascout.gridmap import (
 )
 from terrascout.policy import (
     ACTOR_PLANES,
-    CRITIC_MODE_FULL,
-    CRITIC_MODE_LOCAL,
-    CRITIC_MODE_NO_ACTIONS,
     FeatureConfig,
-    FeatureStack,
     NetArch,
     PolicyNet,
     actor_forward,
@@ -58,6 +54,7 @@ from terrascout.policy import (
     _pool_row_tile_sums,
     _row_tile_sums,
 )
+from terrascout.training import critic_feature_config
 
 FCFG = FeatureConfig()
 SMOKE_CFG = Path(__file__).resolve().parents[1] / "cfg" / "smoke.cfg"
@@ -77,10 +74,14 @@ def fresh_env(seed=0, **kw):
     return env
 
 
-def agent0_critic(env, other_actions, mode=CRITIC_MODE_FULL):
+def agent0_critic(env, other_actions, fcfg=FCFG):
     base = build_actor_features(env.locals[0], env.cfg, FCFG)
-    return build_critic_features(env.state, base, 0, other_actions, env.cfg, FCFG, mode=mode,
+    return build_critic_features(env.state, base, 0, other_actions, env.cfg, fcfg,
                                  global_planes=critic_global_planes(env.state, env.cfg))
+
+
+def plane_of(stack, name, names=actor_manifest(FCFG)):
+    return stack[names.index(name)]
 
 
 # ---------------------------------------------------------------------------
@@ -92,8 +93,8 @@ def test_manifest_sizes():
     assert len(actor_manifest(FCFG)) == 7
     assert len(critic_manifest(FCFG, 2)) == 7 + 4 + 6
     assert len(critic_manifest(FCFG, 4)) == 7 + 4 + 18
-    assert len(critic_manifest(FCFG, 4, CRITIC_MODE_NO_ACTIONS)) == 11
-    assert len(critic_manifest(FCFG, 4, CRITIC_MODE_LOCAL)) == 7
+    assert len(critic_manifest(critic_feature_config("actor-independent", FCFG), 4)) == 11
+    assert len(critic_manifest(critic_feature_config("decentralised", FCFG), 4)) == 7
 
 
 def test_entropy_plane_constant_half_at_uniform_prior():
@@ -103,9 +104,9 @@ def test_entropy_plane_constant_half_at_uniform_prior():
     loc.local_map.log_odds[...] = 0.0
     loc.local_map.fused.append(CellRect(0, 99, 0, 99))
     stack = build_actor_features(loc, env.cfg, FCFG)
-    ent = stack.planes[list(stack.manifest).index("entropy_map")]
+    ent = plane_of(stack, "entropy_map")
     np.testing.assert_allclose(ent, 0.5, atol=1e-12)
-    belief = stack.planes[list(stack.manifest).index("belief_map")]
+    belief = plane_of(stack, "belief_map")
     np.testing.assert_allclose(belief, 0.5, atol=1e-12)
 
 
@@ -114,7 +115,7 @@ def test_footprint_plane_is_own_footprint_without_comms():
     loc = env.locals[0]
     assert loc.inbox == []
     stack = build_actor_features(loc, env.cfg, FCFG)
-    fp = stack.planes[list(stack.manifest).index("footprint_map")]
+    fp = plane_of(stack, "footprint_map")
     expected = np.zeros((10, 10))
     col, row = int(loc.position[0]), int(loc.position[1])
     expected[row, col] = 1.0  # min-altitude footprint covers exactly its cell
@@ -127,7 +128,7 @@ def test_centred_position_plane_marks_corner_quadrants():
     loc.position = np.array([0, 0, 0])
     loc.known_positions[0] = loc.position
     stack = build_actor_features(loc, env.cfg, FCFG)
-    plane = stack.planes[list(stack.manifest).index("position_map")]
+    plane = plane_of(stack, "position_map")
     c = 10 // 2
     assert plane[c, c] == pytest.approx(5.0 / 15.0)
     # south and west of the agent lies outside the map
@@ -141,7 +142,7 @@ def test_position_plane_shows_stale_teammate_altitude():
     loc = env.locals[0]
     loc.known_positions[1] = np.array([loc.position[0] + 1, loc.position[1], 2])
     stack = build_actor_features(loc, env.cfg, FCFG)
-    plane = stack.planes[list(stack.manifest).index("position_map")]
+    plane = plane_of(stack, "position_map")
     c = 10 // 2
     assert plane[c, c + 1] == pytest.approx(1.0)  # 15 m / max 15 m
 
@@ -149,8 +150,8 @@ def test_position_plane_shows_stale_teammate_altitude():
 def test_scalar_planes():
     env = fresh_env()
     stack = build_actor_features(env.locals[1], env.cfg, FCFG)
-    ids = stack.planes[list(stack.manifest).index("agent_id")]
-    budget = stack.planes[list(stack.manifest).index("budget")]
+    ids = plane_of(stack, "agent_id")
+    budget = plane_of(stack, "budget")
     np.testing.assert_allclose(ids, 2 / 2)
     np.testing.assert_allclose(budget, 1.0)
 
@@ -159,8 +160,7 @@ def test_feature_builders_deterministic():
     env = fresh_env()
     a = build_actor_features(env.locals[0], env.cfg, FCFG)
     b = build_actor_features(env.locals[0], env.cfg, FCFG)
-    assert a.manifest == b.manifest
-    np.testing.assert_array_equal(a.planes, b.planes)
+    np.testing.assert_array_equal(a, b)
 
 
 def test_entropy_planes_bounded():
@@ -172,9 +172,9 @@ def test_entropy_planes_bounded():
         _, done = env.step(joint)
         for loc in env.locals:
             stack = build_actor_features(loc, env.cfg, FCFG)
-            assert np.isfinite(stack.planes).all()
+            assert np.isfinite(stack).all()
             for name in ("entropy_map", "measurement_entropy"):
-                plane = stack.planes[list(stack.manifest).index(name)]
+                plane = plane_of(stack, name)
                 assert plane.min() >= 0.0
                 assert plane.max() <= 0.54
 
@@ -192,7 +192,7 @@ def test_toggled_plane_absent():
     assert "entropy_map" not in actor_manifest(fcfg)
     env = fresh_env()
     stack = build_actor_features(env.locals[0], env.cfg, fcfg)
-    assert stack.planes.shape[0] == 6
+    assert stack.shape[0] == 6
     with pytest.raises(ConfigurationError):
         FCFG.with_toggle("no_such_plane", False)
 
@@ -205,8 +205,8 @@ def test_toggled_plane_absent():
 def test_critic_appends_six_action_planes_per_teammate():
     env = fresh_env()
     stack = agent0_critic(env, [int(Action.UP)])
-    assert stack.planes.shape[0] == 7 + 4 + 6
-    action_planes = stack.planes[-6:]
+    assert stack.shape[0] == 7 + 4 + 6
+    action_planes = stack[-6:]
     up_plane = action_planes[int(Action.UP)]
     other_pos = env.state.positions[1]
     assert up_plane[int(other_pos[1]), int(other_pos[0])] == 1.0
@@ -225,38 +225,34 @@ def test_critic_rejects_wrong_action_count():
 def test_full_comms_makes_local_planes_equal_global():
     env = fresh_env(comm_radius=math.inf)
     stack = agent0_critic(env, [0])
-    names = list(stack.manifest)
+    names = critic_manifest(FCFG, 2)
     np.testing.assert_allclose(
-        stack.planes[names.index("belief_map")],
-        stack.planes[names.index("global_belief_map")],
+        plane_of(stack, "belief_map", names), plane_of(stack, "global_belief_map", names),
         atol=1e-12,
     )
     np.testing.assert_allclose(
-        stack.planes[names.index("entropy_map")],
-        stack.planes[names.index("global_entropy_map")],
+        plane_of(stack, "entropy_map", names), plane_of(stack, "global_entropy_map", names),
         atol=1e-12,
     )
 
 
-def test_local_mode_is_actor_planes_only():
+def test_decentralised_critic_is_actor_planes_only():
     env = fresh_env()
     base = build_actor_features(env.locals[0], env.cfg, FCFG)
-    stack = build_critic_features(
-        env.state, base, 0, [0], env.cfg, FCFG, mode=CRITIC_MODE_LOCAL, global_planes=None
-    )
-    assert stack is base
-    assert stack.manifest == critic_manifest(FCFG, 2, CRITIC_MODE_LOCAL)
+    ccfg = critic_feature_config("decentralised", FCFG)
+    stack = build_critic_features(env.state, base, 0, [0], env.cfg, ccfg, global_planes=None)
+    assert stack.tobytes() == base.tobytes() and stack.shape == base.shape
+    assert critic_manifest(ccfg, 2) == actor_manifest(FCFG)
 
 
 def test_critic_stack_starts_with_the_actor_stack():
     env = fresh_env()
     base = build_actor_features(env.locals[0], env.cfg, FCFG)
-    for mode in (CRITIC_MODE_FULL, CRITIC_MODE_NO_ACTIONS):
-        others = [0] if mode == CRITIC_MODE_FULL else []
-        stack = build_critic_features(env.state, base, 0, others, env.cfg, FCFG, mode=mode,
-                                      global_planes=critic_global_planes(env.state, env.cfg))
-        np.testing.assert_array_equal(stack.planes[: len(base.manifest)], base.planes)
-        assert stack.manifest[: len(base.manifest)] == base.manifest
+    for variant in ("coma", "actor-independent"):
+        ccfg = critic_feature_config(variant, FCFG)
+        stack = agent0_critic(env, [0] if ccfg.action_maps else [], ccfg)
+        np.testing.assert_array_equal(stack[: len(base)], base)
+        assert critic_manifest(ccfg, 2)[: len(base)] == actor_manifest(FCFG)
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +264,7 @@ TOY_ARCH = NetArch(conv_channels=(4, 4), conv_strides=(1, 2), mlp_sizes=(16,))
 
 def critic_forward(net, features):
     """Raw Q (or V) values for one state; length equals the net's out_dim."""
-    return net.forward(features.planes[None]).data[0]
+    return net.forward(features[None]).data[0]
 
 
 def test_actor_forward_respects_epsilon_floor_and_mask():
@@ -299,9 +295,9 @@ def test_agent_id_plane_changes_output():
     for seed in range(20):
         actor = make_actor(env.cfg, FCFG, np.random.default_rng(seed), TOY_ARCH)
         s0 = build_actor_features(env.locals[0], env.cfg, FCFG)
-        planes = s0.planes.copy()
-        planes[list(s0.manifest).index("agent_id")] = 2 / 2  # pretend agent 1
-        out0 = actor.forward(s0.planes[None]).data
+        planes = s0.copy()
+        planes[actor_manifest(FCFG).index("agent_id")] = 2 / 2  # pretend agent 1
+        out0 = actor.forward(s0[None]).data
         out1 = actor.forward(planes[None]).data
         if np.abs(out0 - out1).max() > 0:
             differing += 1
@@ -335,7 +331,7 @@ def test_zeroed_critic_outputs_zero():
 def test_value_net_scalar_output():
     env = fresh_env()
     vnet = make_value_net(env.cfg, FCFG, np.random.default_rng(0), TOY_ARCH)
-    stack = agent0_critic(env, [], mode=CRITIC_MODE_NO_ACTIONS)
+    stack = agent0_critic(env, [], replace(FCFG, action_maps=False))
     assert critic_forward(vnet, stack).shape == (1,)
 
 
@@ -359,7 +355,7 @@ def test_network_checkpoint_round_trip(tmp_path):
     env2 = fresh_env(seed=5)
     stack = build_actor_features(env2.locals[0], env2.cfg, FCFG)
     np.testing.assert_array_equal(
-        actor.forward(stack.planes[None]).data, loaded.forward(stack.planes[None]).data
+        actor.forward(stack[None]).data, loaded.forward(stack[None]).data
     )
 
 
@@ -375,7 +371,7 @@ def test_full_network_gradient_check():
     action = int(np.flatnonzero(mask)[0])
 
     def loss():
-        logits = actor.forward(stack.planes[None])
+        logits = actor.forward(stack[None])
         p = tnn.masked_bounded_softmax(logits, mask[None], 0.1)
         return tnn.mean(-tnn.log(tnn.gather_last(p, np.array([action]))))
 
@@ -457,14 +453,11 @@ def ref_build_actor_features(local, cfg, fcfg=FeatureConfig()):
         planes.append(np.full((g, g), (local.agent_id + 1) / cfg.num_agents))
     if fcfg.budget:
         planes.append(np.full((g, g), local.remaining_budget / cfg.budget))
-    return _finite(FeatureStack(np.stack(planes), actor_manifest(fcfg)))
+    return _finite(np.stack(planes))
 
 
-def ref_build_critic_features(state, base, agent_id, other_actions, cfg,
-                              fcfg=FeatureConfig(), mode=CRITIC_MODE_FULL):
-    if mode == CRITIC_MODE_LOCAL:
-        return base
-    planes = [base.planes]
+def ref_build_critic_features(state, base, agent_id, other_actions, cfg, fcfg=FeatureConfig()):
+    planes = [base]
     factor = cfg.pool_factor
     probs, cell_entropy = state.map_planes(cfg.weights)
     if fcfg.global_position_map:
@@ -475,7 +468,7 @@ def ref_build_critic_features(state, base, agent_id, other_actions, cfg,
         planes.append(ref_pool(cell_entropy, factor)[None])
     if fcfg.global_footprint_map:
         planes.append(ref_footprint_plane(ref_footprint_rects(state.positions, cfg), cfg)[None])
-    if mode == CRITIC_MODE_FULL and fcfg.action_maps:
+    if fcfg.action_maps:
         others = [j for j in range(cfg.num_agents) if j != agent_id]
         if len(other_actions) != len(others):
             raise ContractViolation(
@@ -487,9 +480,7 @@ def ref_build_critic_features(state, base, agent_id, other_actions, cfg,
             pos = state.positions[j]
             onehots[k * NUM_ACTIONS + int(act), int(pos[1]), int(pos[0])] = 1.0
         planes.append(onehots)
-    return _finite(
-        FeatureStack(np.concatenate(planes), critic_manifest(fcfg, cfg.num_agents, mode))
-    )
+    return _finite(np.concatenate(planes))
 
 
 def plane_test_cfg(scale: str, comm_radius: float) -> EnvConfig:
@@ -502,9 +493,8 @@ def plane_test_cfg(scale: str, comm_radius: float) -> EnvConfig:
 
 
 def assert_stacks_identical(new, ref):
-    assert new.manifest == ref.manifest
-    assert new.planes.shape == ref.planes.shape
-    assert new.planes.tobytes() == ref.planes.tobytes()
+    assert new.shape == ref.shape
+    assert new.tobytes() == ref.tobytes()
 
 
 @settings(max_examples=100, deadline=None)
@@ -513,14 +503,15 @@ def assert_stacks_identical(new, ref):
     comm_radius=st.sampled_from([0.0, 25.0, math.inf]),
     toggles=st.lists(st.booleans(), min_size=len(fields(FeatureConfig)),
                      max_size=len(fields(FeatureConfig))),
-    mode=st.sampled_from([CRITIC_MODE_FULL, CRITIC_MODE_NO_ACTIONS, CRITIC_MODE_LOCAL]),
+    variant=st.sampled_from(["coma", "actor-independent", "decentralised"]),
     seed=st.integers(0, 2**16),
 )
-def test_cached_planes_equal_full_rebuild_bit_for_bit(scale, comm_radius, toggles, mode, seed):
+def test_cached_planes_equal_full_rebuild_bit_for_bit(scale, comm_radius, toggles, variant, seed):
     cfg = plane_test_cfg(scale, comm_radius)
     fcfg = FeatureConfig(**{f.name: on for f, on in zip(fields(FeatureConfig), toggles)})
     if not actor_manifest(fcfg):
         fcfg = fcfg.with_toggle("budget", True)
+    ccfg = critic_feature_config(variant, fcfg)
     env = TerrainEnv(cfg, generate_terrain(np.random.default_rng(seed), cfg), NoiseStreams(seed))
     env.reset()
     rng = np.random.default_rng(seed)
@@ -531,14 +522,16 @@ def test_cached_planes_equal_full_rebuild_bit_for_bit(scale, comm_radius, toggle
             stacks = []
             for loc in env.locals:
                 stacks.append(build_actor_features(loc, cfg, fcfg))
+                assert len(stacks[-1]) == len(actor_manifest(fcfg))
                 assert_stacks_identical(stacks[-1], ref_build_actor_features(loc, cfg, fcfg))
             shared = critic_global_planes(env.state, cfg)
             for i, stack in enumerate(stacks):
                 others = actions[:i] + actions[i + 1 :]
+                critic = build_critic_features(env.state, stack, i, others, cfg, ccfg,
+                                               global_planes=shared)
+                assert len(critic) == len(critic_manifest(ccfg, cfg.num_agents))
                 assert_stacks_identical(
-                    build_critic_features(env.state, stack, i, others, cfg, fcfg, mode,
-                                          global_planes=shared),
-                    ref_build_critic_features(env.state, stack, i, others, cfg, fcfg, mode),
+                    critic, ref_build_critic_features(env.state, stack, i, others, cfg, ccfg)
                 )
         _, done = env.step(actions)
 
@@ -708,13 +701,14 @@ def test_two_entry_measurement_entropy_equals_the_direct_kernel(acc, w1, rows, c
 @given(
     scale=st.sampled_from(["smoke", "pool1"]),
     comm_radius=st.sampled_from([0.0, 25.0, math.inf]),
-    mode=st.sampled_from([CRITIC_MODE_FULL, CRITIC_MODE_NO_ACTIONS]),
+    variant=st.sampled_from(["coma", "actor-independent"]),
     seed=st.integers(0, 2**16),
 )
-def test_once_per_step_global_planes_equal_per_agent_builds(scale, comm_radius, mode, seed):
+def test_once_per_step_global_planes_equal_per_agent_builds(scale, comm_radius, variant, seed):
     """The stack ``run_training_mission`` builds once per step gives every
     agent the critic features that agent's own build gives."""
     cfg = plane_test_cfg(scale, comm_radius)
+    ccfg = critic_feature_config(variant, FCFG)
     env = TerrainEnv(cfg, generate_terrain(np.random.default_rng(seed), cfg), NoiseStreams(seed))
     env.reset()
     twin = TerrainEnv(cfg, env.terrain, NoiseStreams(seed))
@@ -728,9 +722,9 @@ def test_once_per_step_global_planes_equal_per_agent_builds(scale, comm_radius, 
             for i, (loc, twin_loc) in enumerate(zip(env.locals, twin.locals)):
                 others = actions[:i] + actions[i + 1 :]
                 once = build_critic_features(env.state, build_actor_features(loc, cfg, FCFG), i,
-                                             others, cfg, FCFG, mode, global_planes=shared)
+                                             others, cfg, ccfg, global_planes=shared)
                 own = build_critic_features(twin.state, build_actor_features(twin_loc, cfg, FCFG),
-                                            i, others, cfg, FCFG, mode,
+                                            i, others, cfg, ccfg,
                                             global_planes=critic_global_planes(twin.state, cfg))
                 assert_stacks_identical(once, own)
         env.step(actions)
@@ -759,7 +753,7 @@ def test_batched_actor_forward_rows_equal_taped_batch_one_forwards(arch, agents,
     planes = rng.normal(size=(agents, len(ACTOR_PLANES), 10, 10))
     masks = rng.random((agents, NUM_ACTIONS)) < 0.6
     masks[np.arange(agents), rng.integers(0, NUM_ACTIONS, agents)] = True
-    rows = actor_forward(net, [FeatureStack(p, ACTOR_PLANES) for p in planes], masks, epsilon)
+    rows = actor_forward(net, list(planes), masks, epsilon)
     assert rows.shape == (agents, NUM_ACTIONS)
     for i in range(agents):
         logits = net.forward(planes[i][None])

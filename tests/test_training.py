@@ -1,13 +1,14 @@
 """TD targets, counterfactual advantages, updates, and the training loop."""
 
 import filecmp
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from terrascout.environment import (
+    Action,
     EnvConfig,
     NUM_ACTIONS,
     NoiseStreams,
@@ -15,11 +16,11 @@ from terrascout.environment import (
     generate_terrain,
     terrain_rng,
 )
-from terrascout.errors import ConfigurationError, ContractViolation
+from terrascout.errors import ConfigurationError, ContractViolation, TrainingDivergenceError
 from terrascout import nn
 from terrascout.policy import (
-    CRITIC_MODE_FULL,
-    CRITIC_MODE_NO_ACTIONS,
+    ACTOR_PLANES,
+    CRITIC_GLOBAL_PLANES,
     FeatureConfig,
     NetArch,
     build_actor_features,
@@ -35,6 +36,7 @@ from terrascout.training import (
     TrainConfig,
     _actor_probs,
     _fill_block_targets,
+    _optimise_minibatch,
     actor_update,
     advantage_variant,
     critic_update,
@@ -323,6 +325,23 @@ def test_critic_loss_decreases_over_steps():
     assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
 
+def test_non_finite_value_target_raises_before_any_gradient():
+    cfg = micro_cfg()
+    rng = np.random.default_rng(8)
+    nets = [make(cfg, FCFG, np.random.default_rng(k), TOY_ARCH)
+            for k, make in enumerate((make_actor, make_critic, make_value_net))]
+    actor, critic, vnet = nets
+    opts = tuple(nn.Adam(net.parameters(), lr=1e-3) for net in nets)
+    batch = fake_rollout(cfg, rng, actions=[0, 1, 2])
+    batch.v_targets[1] = np.nan
+    before = [p.data.copy() for p in vnet.parameters()]
+    with pytest.raises(TrainingDivergenceError, match="non-finite TD target"):
+        _optimise_minibatch(batch, actor, critic, vnet, opts, micro_tcfg(variant="central-qv"))
+    for p, b in zip(vnet.parameters(), before):
+        assert (p.grad == 0.0).all()
+        assert p.data.tobytes() == b.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # rollouts
 # ---------------------------------------------------------------------------
@@ -354,7 +373,7 @@ def test_rollout_rejects_non_finite_reward():
 def test_training_mission_rows_are_critic_stacks_by_step_and_agent():
     cfg = micro_cfg()
     actor = make_actor(cfg, FCFG, np.random.default_rng(0), TOY_ARCH)
-    rollout, ret = run_training_mission(actor, cfg, FCFG, 4, 2, 0.3, CRITIC_MODE_FULL)
+    rollout, ret = run_training_mission(actor, cfg, FCFG, 4, 2, 0.3, FCFG)
     n = cfg.budget * cfg.num_agents
     assert rollout.features.shape == (
         n, len(critic_manifest(FCFG, cfg.num_agents)), cfg.lattice_cols, cfg.lattice_cols
@@ -367,7 +386,7 @@ def test_training_mission_rows_are_critic_stacks_by_step_and_agent():
     env = TerrainEnv(cfg, generate_terrain(terrain_rng(4, 2), cfg), NoiseStreams(4, 2))
     env.reset()
     for i, loc in enumerate(env.locals):
-        actor_planes = build_actor_features(loc, cfg, FCFG).planes
+        actor_planes = build_actor_features(loc, cfg, FCFG)
         np.testing.assert_array_equal(rollout.features[i, : actor.in_channels], actor_planes)
         np.testing.assert_array_equal(rollout.masks[i], env.masks()[i])
 
@@ -383,7 +402,7 @@ def test_training_mission_rejects_a_short_mission(monkeypatch):
 
     monkeypatch.setattr(training.TerrainEnv, "step", stop_after_one)
     with pytest.raises(ContractViolation):
-        run_training_mission(actor, cfg, FCFG, 0, 0, 0.1, CRITIC_MODE_FULL)
+        run_training_mission(actor, cfg, FCFG, 0, 0, 0.1, FCFG)
 
 
 def test_block_targets_follow_each_agent_episode():
@@ -393,10 +412,10 @@ def test_block_targets_follow_each_agent_episode():
     critic = make_critic(cfg, FCFG, np.random.default_rng(1), TOY_ARCH)
     vnet = make_value_net(cfg, FCFG, np.random.default_rng(2), TOY_ARCH)
     block = Rollout.concat([
-        run_training_mission(actor, cfg, FCFG, 1, m, 0.2, CRITIC_MODE_FULL)[0] for m in (0, 1)
+        run_training_mission(actor, cfg, FCFG, 1, m, 0.2, FCFG)[0] for m in (0, 1)
     ])
     _fill_block_targets(block, critic, vnet, tcfg, cfg)
-    n_value = len(critic_manifest(FCFG, cfg.num_agents, CRITIC_MODE_NO_ACTIONS))
+    n_value = len(critic_manifest(replace(FCFG, action_maps=False), cfg.num_agents))
     per_mission = cfg.budget * cfg.num_agents
     for m in (0, 1):
         for i in range(cfg.num_agents):
@@ -518,6 +537,36 @@ def test_training_loop_variants_produce_checkpoints(tmp_path):
             "decentralised": 7,
         }[variant]
         assert critic.in_channels == expected_channels
+
+
+@pytest.mark.parametrize("off", [None, "global_belief_map"])
+def test_each_variant_checkpoints_the_planes_its_critic_reads(tmp_path, off):
+    """The critic and V-net manifests per variant, with and without a user toggle."""
+    cfg = micro_cfg(num_agents=4)
+    fcfg = FCFG if off is None else FCFG.with_toggle(off, False)
+    local = list(ACTOR_PLANES)
+    shared = [name for name in CRITIC_GLOBAL_PLANES if name != off]
+    actions = [f"other{k}_action_{a.name.lower()}" for k in range(3) for a in Action]
+    expected = {
+        "coma": (local + shared + actions, None),
+        "central-qv": (local + shared + actions, local + shared),
+        "actor-independent": (local + shared, None),
+        "decentralised": (local, None),
+    }
+    if off is None:
+        assert [len(local + shared + actions), len(local + shared), len(local)] == [29, 11, 7]
+    for variant, (critic_planes, value_planes) in expected.items():
+        tcfg = micro_tcfg(variant=variant, total_missions=1)
+        run = training_loop(cfg, tcfg, fcfg, seed=1, out_dir=tmp_path / variant).out_dir
+        critic, meta = load_network(run / "critic.ckpt")
+        assert meta["manifest"] == critic_planes
+        assert critic.in_channels == len(critic_planes)
+        assert meta["feature_config"] == asdict(fcfg)
+        assert (run / "vnet.ckpt").exists() == (value_planes is not None)
+        if value_planes is not None:
+            vnet, vmeta = load_network(run / "vnet.ckpt")
+            assert vmeta["manifest"] == value_planes
+            assert vnet.in_channels == len(value_planes)
 
 
 def test_training_log_is_streamed_per_block(tmp_path):
