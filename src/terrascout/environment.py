@@ -95,10 +95,16 @@ class EnvConfig:
         fac = self.planning_resolution / self.map_resolution
         if not math.isfinite(fac) or abs(fac - round(fac)) > 1e-9 or round(fac) < 1:
             raise ConfigurationError("planning resolution must be a multiple of map resolution")
+        side = self.terrain_size / self.map_resolution
+        if not math.isfinite(side) or round(side) ** 2 > np.iinfo(np.intp).max:
+            raise ConfigurationError(f"a map of {side:.3g} cells per side is too large to index")
         levels = (self.max_altitude - self.min_altitude) / self.altitude_step
         if (not math.isfinite(levels) or abs(levels - round(levels)) > 1e-9
                 or self.max_altitude < self.min_altitude):
             raise ConfigurationError("altitudes must form an arithmetic grid")
+        top = self.altitude_of_level(self.altitude_levels - 1)
+        if not math.isfinite(self.footprint_factor * top / self.map_resolution):
+            raise ConfigurationError("footprint factor makes the top-level footprint side infinite")
         if self.num_agents < 1:
             raise ConfigurationError("need at least one agent")
         if self.num_agents > self.lattice_cols:
@@ -213,30 +219,8 @@ class AgentLocalState:
         return self.grid
 
 
-class NoiseStreams:
-    """Measurement-noise seeds keyed by (mission key, step, agent).
-
-    Keying by step and agent, and by cell through the virtual full-map
-    uniform field that ``simulate_measurement`` reads, makes sensor noise
-    independent of planner decisions: different planners on the same
-    seeded mission see the same noise wherever they measure the same
-    cells. ``simulate_measurement`` builds its own Philox generator from
-    the seed, so no caller can hand it a stream that was already used.
-    """
-
-    def __init__(self, *key: int) -> None:
-        self.key = tuple(int(k) for k in key)
-
-    def seed(self, step: int, agent_id: int) -> np.random.SeedSequence:
-        return np.random.SeedSequence([*self.key, _TAG_NOISE, int(step), int(agent_id)])
-
-
-def terrain_rng(*key: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([*key, _TAG_TERRAIN])))
-
-
-def policy_rng(*key: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([*key, _TAG_POLICY])))
+def _stream(tag: int, *key: int) -> np.random.Generator:
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([*key, tag])))
 
 
 def generate_terrain(
@@ -286,6 +270,17 @@ def generate_terrain(
         if angle is not None and fraction is not None:
             break  # forced parameters: return best effort below
     return GroundTruthMap(cells.astype(np.uint8), res)
+
+
+def start_mission(cfg: EnvConfig, seed: int, mission_index: int,
+                  terrain: Optional[GroundTruthMap] = None) -> tuple[TerrainEnv, np.random.Generator]:
+    """The mission's ``TerrainEnv`` and policy generator. The terrain (drawn
+    unless given), the sensor noise and the policy draws are tagged streams
+    of (seed, mission_index) alone, so every runner and planner meets the
+    same world in the same mission."""
+    if terrain is None:
+        terrain = generate_terrain(_stream(_TAG_TERRAIN, seed, mission_index), cfg)
+    return TerrainEnv(cfg, terrain, seed, mission_index), _stream(_TAG_POLICY, seed, mission_index)
 
 
 def check_terrain(terrain: GroundTruthMap, cfg: EnvConfig) -> None:
@@ -361,17 +356,21 @@ def reward(h_before: float, h_after: float, alpha: float, beta: float) -> float:
 
 
 class TerrainEnv:
-    """Owns one mission: terrain, state, step counter, and noise streams.
+    """Owns one mission: terrain, state, step counter, and the noise key.
 
     ``reset`` starts a mission and ``step`` advances it; ``state`` and
     ``locals`` are the global and on-board views they update in place.
+    Agent i's measurement at step t is seeded by ``SeedSequence([*key,
+    _TAG_NOISE, t, i])``, and ``simulate_measurement`` reads each cell's
+    noise from that seed's virtual full-map field, so planners on the same
+    key see the same noise wherever they measure the same cells.
     """
 
-    def __init__(self, cfg: EnvConfig, terrain: GroundTruthMap, noise: NoiseStreams):
+    def __init__(self, cfg: EnvConfig, terrain: GroundTruthMap, *key: int):
         check_terrain(terrain, cfg)
         self.cfg = cfg
         self.terrain = terrain
-        self.noise = noise
+        self.key = tuple(int(k) for k in key)
         self.state: GlobalState
         self.locals: list[AgentLocalState]
         self.step_index = 0
@@ -462,7 +461,7 @@ class TerrainEnv:
                 self.terrain,
                 pos_m,
                 cfg.sensor,
-                self.noise.seed(self.step_index, i),
+                np.random.SeedSequence([*self.key, _TAG_NOISE, self.step_index, i]),
                 footprint_factor=cfg.footprint_factor,
                 agent_id=i,
                 step=self.step_index,

@@ -21,11 +21,8 @@ from .environment import (
     Action,
     EnvConfig,
     GroundTruthMap,
-    NoiseStreams,
     TerrainEnv,
-    generate_terrain,
-    policy_rng,
-    terrain_rng,
+    start_mission,
     write_episode_csv,
 )
 from .errors import ContractViolation, DegenerateTerrainError
@@ -192,19 +189,17 @@ def run_mission(
 ) -> MissionResult:
     """One seeded mission; metrics are recorded against the global map.
 
-    The step-0 record is taken at the uniform prior (normalized ROI
-    entropy exactly 1), before the start measurement is fused; each of the
-    B planning steps then appends one record. ``local_metrics`` adds
-    per-agent rows scored against each agent's own (communication-limited)
-    local map. Everything a benchmark writes about the mission comes from
-    this one pass.
+    ``start_mission`` keys the terrain (unless given), the noise and the
+    planner's draws by (base_seed, mission_index). The step-0 record is
+    taken at the uniform prior (normalized ROI entropy exactly 1), before
+    the start measurement is fused; each of the B planning steps then
+    appends one record. ``local_metrics`` adds per-agent rows scored
+    against each agent's own (communication-limited) local map. Everything
+    a benchmark writes about the mission comes from this one pass.
     """
-    if terrain is None:
-        terrain = generate_terrain(terrain_rng(base_seed, mission_index), cfg)
-    env = TerrainEnv(cfg, terrain, NoiseStreams(base_seed, mission_index))
+    env, rng = start_mission(cfg, base_seed, mission_index, terrain)
+    terrain = env.terrain
     planner = spec.build(fcfg)
-    rng = policy_rng(base_seed, mission_index)
-
     records = [_prior_record(cfg, terrain)]
     local_rows: list[tuple] = []
     env.reset()
@@ -218,7 +213,7 @@ def run_mission(
         t += 1
         masks = env.masks()
         joint = [
-            planner.act(env.locals[i], masks[i], cfg, t, rng)
+            planner.act(env.locals[i], masks[i], cfg, rng)
             for i in range(cfg.num_agents)
         ]
         r, done = env.step(joint)

@@ -27,7 +27,7 @@ class RandomPlanner:
     """Uniform draw over the valid actions."""
 
     def act(self, local: AgentLocalState, mask: np.ndarray, cfg: EnvConfig,
-            step_index: int, rng: np.random.Generator) -> int:
+            rng: np.random.Generator) -> int:
         valid = np.flatnonzero(mask)
         if valid.size == 0:
             raise ContractViolation("random planner needs at least one valid action")
@@ -76,7 +76,7 @@ class GreedyInfoGainPlanner:
     """
 
     def act(self, local: AgentLocalState, mask: np.ndarray, cfg: EnvConfig,
-            step_index: int, rng: np.random.Generator) -> int:
+            rng: np.random.Generator) -> int:
         if not mask.any():
             raise ContractViolation("greedy planner needs at least one valid action")
         grid = local.local_map
@@ -105,13 +105,10 @@ class CoveragePlanner:
     """
 
     def __init__(self) -> None:
-        self._plans: dict[int, list[tuple[int, int]]] = {}
-        self._cursors: dict[int, int] = {}
-        self._direction: dict[int, int] = {}
+        self._sweeps: dict[int, list] = {}  # agent id -> [plan, cursor, direction]
 
     def act(self, local: AgentLocalState, mask: np.ndarray, cfg: EnvConfig,
-            step_index: int, rng: np.random.Generator) -> int:
-        aid = local.agent_id
+            rng: np.random.Generator) -> int:
         target_level = cfg.level_of_altitude(cfg.coverage_altitude)
         level = int(local.position[2])
         if level < target_level and mask[Action.UP]:
@@ -119,73 +116,45 @@ class CoveragePlanner:
         if level > target_level and mask[Action.DOWN]:
             return int(Action.DOWN)
 
-        if aid not in self._plans:
-            self._plans[aid] = self._build_plan(local, cfg)
-            self._cursors[aid] = 0
-            self._direction[aid] = 1
-        plan = self._plans[aid]
-        cur = (int(local.position[0]), int(local.position[1]))
-        cursor = self._cursors[aid]
-        if plan[cursor] == cur:
-            cursor = self._advance(aid, cursor, len(plan))
-        self._cursors[aid] = cursor
-        nxt = plan[cursor]
-        action = self._step_toward(cur, nxt)
-        if mask[action]:
-            return action
-        for dodge in (Action.UP, Action.DOWN):
-            if mask[dodge]:
-                return int(dodge)
+        sweep = self._sweeps.get(local.agent_id)
+        if sweep is None:
+            sweep = self._sweeps[local.agent_id] = [_sweep_plan(local, cfg), 0, 1]
+        plan, cursor, direction = sweep
+        col, row = int(local.position[0]), int(local.position[1])
+        if plan[cursor] == (col, row):
+            if not 0 <= cursor + direction < len(plan):
+                direction = -direction  # bounce and re-sweep
+            cursor += direction
+            sweep[1:] = cursor, direction
+        dx, dy = plan[cursor][0] - col, plan[cursor][1] - row
+        action = (Action.EAST if dx > 0 else Action.WEST if dx < 0
+                  else Action.NORTH if dy > 0 else Action.SOUTH if dy < 0
+                  else Action.UP)  # already there; should not happen
+        for move in (action, Action.UP, Action.DOWN):  # the move, else a vertical dodge
+            if mask[move]:
+                return int(move)
         return int(np.flatnonzero(mask)[0])
 
-    def _advance(self, aid: int, cursor: int, length: int) -> int:
-        nxt = cursor + self._direction[aid]
-        if nxt < 0 or nxt >= length:
-            self._direction[aid] *= -1  # bounce and re-sweep
-            nxt = cursor + self._direction[aid]
-        return nxt
 
-    @staticmethod
-    def _step_toward(cur: tuple[int, int], nxt: tuple[int, int]) -> int:
-        dx, dy = nxt[0] - cur[0], nxt[1] - cur[1]
-        if dx > 0:
-            return int(Action.EAST)
-        if dx < 0:
-            return int(Action.WEST)
-        if dy > 0:
-            return int(Action.NORTH)
-        if dy < 0:
-            return int(Action.SOUTH)
-        return int(Action.UP)  # already there; should not happen
-
-    @staticmethod
-    def stripe_bounds(agent_id: int, cols: int, n_agents: int) -> tuple[int, int]:
-        lo = agent_id * cols // n_agents
-        hi = (agent_id + 1) * cols // n_agents - 1
-        return lo, hi
-
-    def _build_plan(self, local: AgentLocalState, cfg: EnvConfig) -> list[tuple[int, int]]:
-        cols, rows = cfg.lattice_cols, cfg.lattice_rows
-        west, east = self.stripe_bounds(local.agent_id, cols, cfg.num_agents)
-        plan: list[tuple[int, int]] = []
-        col = int(local.position[0])
-        row = int(local.position[1])
-        # approach: walk within the current row to the stripe's west column,
-        # then south to the sweep origin (agents normally start at row 0)
+def _sweep_plan(local: AgentLocalState, cfg: EnvConfig) -> list[tuple[int, int]]:
+    """The lattice cells of agent ``local.agent_id``'s sweep, in order: from
+    its position along the row to the west column of its stripe (columns
+    ``[k C / N, (k + 1) C / N)``), south to row 0, then a serpentine that
+    runs row 0 eastbound."""
+    cols, n = cfg.lattice_cols, cfg.num_agents
+    west, east = local.agent_id * cols // n, (local.agent_id + 1) * cols // n - 1
+    col, row = int(local.position[0]), int(local.position[1])
+    plan = [(col, row)]
+    while col != west:
+        col += 1 if col < west else -1
         plan.append((col, row))
-        while col != west:
-            col += 1 if col < west else -1
-            plan.append((col, row))
-        while row != 0:
-            row -= 1
-            plan.append((col, row))
-        # serpentine: row 0 eastbound, alternating
-        for r in range(rows):
-            span = range(west, east + 1) if r % 2 == 0 else range(east, west - 1, -1)
-            for c in span:
-                if (c, r) != plan[-1]:
-                    plan.append((c, r))
-        return plan
+    while row != 0:
+        row -= 1
+        plan.append((col, row))
+    for r in range(cfg.lattice_rows):
+        span = range(west, east + 1) if r % 2 == 0 else range(east, west - 1, -1)
+        plan += [(c, r) for c in span if (c, r) != plan[-1]]
+    return plan
 
 
 class LearnedPlanner:
@@ -199,7 +168,7 @@ class LearnedPlanner:
         self.mode = mode
 
     def act(self, local: AgentLocalState, mask: np.ndarray, cfg: EnvConfig,
-            step_index: int, rng: np.random.Generator) -> int:
+            rng: np.random.Generator) -> int:
         stack = build_actor_features(local, cfg, self.fcfg)
         probs = actor_forward(self.actor, [stack], [mask], 0.0)[0]
         if self.mode == "argmax":

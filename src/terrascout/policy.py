@@ -334,6 +334,9 @@ class PolicyNet:
 
     def __init__(self, in_channels: int, grid_size: int, out_dim: int,
                  rng: np.random.Generator, arch: NetArch = NetArch()):
+        if min(in_channels, grid_size, out_dim) < 1:
+            raise ConfigurationError(f"a network needs positive in_channels, grid_size and out_dim, "
+                                     f"got {in_channels}, {grid_size} and {out_dim}")
         self.in_channels = in_channels
         self.grid_size = grid_size
         self.out_dim = out_dim

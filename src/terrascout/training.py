@@ -22,15 +22,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .environment import (
-    EnvConfig,
-    NoiseStreams,
-    NUM_ACTIONS,
-    TerrainEnv,
-    generate_terrain,
-    policy_rng,
-    terrain_rng,
-)
+from .environment import EnvConfig, NUM_ACTIONS, start_mission
 from .errors import ConfigurationError, ContractViolation, TrainingDivergenceError
 from . import nn
 from .gridmap import write_csv
@@ -259,10 +251,8 @@ def run_training_mission(
 ) -> tuple[Rollout, float]:
     """Play one on-policy mission and record every agent decision; the actor
     reads the planes of ``fcfg``, and each row holds those of ``critic_fcfg``."""
-    terrain = generate_terrain(terrain_rng(seed, mission_index), cfg)
-    env = TerrainEnv(cfg, terrain, NoiseStreams(seed, mission_index))
+    env, rng = start_mission(cfg, seed, mission_index)
     env.reset()
-    rng = policy_rng(seed, mission_index)
     features, masks, actions, rewards = [], [], [], []
     mission_return = 0.0
     done = False

@@ -198,9 +198,9 @@ def test_criterion_2_gradient_checks():
     # full actor and critic graphs at toy sizes on real feature stacks
     cfg = fast_cfg()
     arch = NetArch(conv_channels=(2, 3), conv_strides=(1, 2), mlp_sizes=(8,))
-    from terrascout.environment import NoiseStreams, TerrainEnv, generate_terrain, terrain_rng
+    from terrascout.environment import start_mission
 
-    env = TerrainEnv(cfg, generate_terrain(terrain_rng(1, 0), cfg), NoiseStreams(1, 0))
+    env, _ = start_mission(cfg, 1, 0)
     env.reset()
     feats = build_actor_features(env.locals[0], cfg, FCFG)
     cfeats = build_critic_features(env.state, feats, 0, [0], cfg, FCFG,
@@ -252,7 +252,7 @@ def test_criterion_3_greedy_oracle_equivalence():
         )
         loc.position = np.array([int(rng.integers(0, 2)), int(rng.integers(0, 2)), 0])
         env.state.positions[0] = loc.position
-        choice = planner.act(loc, env.masks()[0], env.cfg, 1, rng)
+        choice = planner.act(loc, env.masks()[0], env.cfg, rng)
         assert choice == greedy_oracle_choice(env)
         instances += 1
     assert instances >= 200

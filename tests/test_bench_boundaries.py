@@ -70,7 +70,7 @@ def test_greedy_act_makes_one_stacked_call_per_altitude(level, groups):
     tracer = spans.Tracer()
     tracer.install()
     try:
-        GreedyInfoGainPlanner().act(local, mask, cfg, 1, np.random.default_rng(0))
+        GreedyInfoGainPlanner().act(local, mask, cfg, np.random.default_rng(0))
     finally:
         tracer.uninstall()
     names = [s[0] for s in tracer.spans]

@@ -163,6 +163,10 @@ def test_non_utf8_config_is_usage_error(tmp_path, capsys):
     "train.kernel_size = 0",
     "train.padding = -1",
     "train.conv_channels = 8, 16, 32\ntrain.conv_strides = 1",
+    # finite values whose map side, top-level footprint side or cell count is not
+    "terrain_size = 1e308",
+    "footprint_factor = 1e308",
+    "map_resolution = 1e-300",
 ])
 def test_out_of_range_config_value_is_usage_error(smoke_config, tmp_path, capsys, lines):
     config = tmp_path / "bad.cfg"
@@ -785,6 +789,23 @@ def test_evaluate_checkpoint_with_a_bad_arch_is_data_error(smoke_config, tmp_pat
                "--actor-weights", str(ckpt), "--missions", "2", "--out", str(tmp_path / "x")])
     assert rc == 3
     assert capsys.readouterr().err.startswith("data error: ")
+
+
+@pytest.mark.parametrize("key", ["in_channels", "grid_size", "out_dim"])
+def test_evaluate_checkpoint_with_a_zero_size_is_data_error(smoke_config, tmp_path, capsys, key):
+    from terrascout.nn import save_checkpoint
+
+    ckpt = _toy_actor_checkpoint(smoke_config, tmp_path / "actor.ckpt")
+    params, meta = load_checkpoint(ckpt)
+    meta[key] = 0
+    save_checkpoint(ckpt, list(params.items()), meta)
+    out = tmp_path / "x"
+    rc = main(["evaluate", "--config", str(smoke_config), "--planner", "learned",
+               "--actor-weights", str(ckpt), "--missions", "2", "--out", str(out)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])

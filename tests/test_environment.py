@@ -12,7 +12,6 @@ from terrascout.environment import (
     AgentLocalState,
     EnvConfig,
     GlobalState,
-    NoiseStreams,
     TerrainEnv,
     exchange_messages,
     generate_terrain,
@@ -153,7 +152,7 @@ def test_initial_columns_even_spacing():
 def test_initial_state_places_agents_south_at_min_altitude():
     cfg = default_cfg()
     gt = generate_terrain(np.random.default_rng(0), cfg)
-    state, locals_ = TerrainEnv(cfg, gt, NoiseStreams(0)).reset()
+    state, locals_ = TerrainEnv(cfg, gt, 0).reset()
     np.testing.assert_array_equal(state.positions[:, 1], 0)
     np.testing.assert_array_equal(state.positions[:, 2], 0)
     assert list(state.positions[:, 0]) == [1, 3, 6, 8]
@@ -165,7 +164,7 @@ def test_initial_state_places_agents_south_at_min_altitude():
 def test_initial_measurement_already_fused():
     cfg = default_cfg()
     gt = generate_terrain(np.random.default_rng(0), cfg)
-    state, locals_ = TerrainEnv(cfg, gt, NoiseStreams(0)).reset()
+    state, locals_ = TerrainEnv(cfg, gt, 0).reset()
     uniform_total = 0.5 * cfg.map_cells**2
     assert map_entropy(state.global_map, cfg.weights) < uniform_total
 
@@ -175,15 +174,15 @@ def test_env_rejects_a_terrain_that_differs_from_the_config():
     gt = generate_terrain(np.random.default_rng(0), cfg)
     n = cfg.map_cells
     with pytest.raises(ConfigurationError, match="does not match"):
-        TerrainEnv(cfg, GroundTruthMap(gt.cells[:, : n - 1], cfg.map_resolution), NoiseStreams(0))
+        TerrainEnv(cfg, GroundTruthMap(gt.cells[:, : n - 1], cfg.map_resolution), 0)
     with pytest.raises(ConfigurationError, match="map_resolution"):
-        TerrainEnv(cfg, GroundTruthMap(gt.cells, 2.0 * cfg.map_resolution), NoiseStreams(0))
+        TerrainEnv(cfg, GroundTruthMap(gt.cells, 2.0 * cfg.map_resolution), 0)
     with pytest.raises(ConfigurationError, match="map_resolution"):
         run_benchmark([PlannerSpec("random")], 2, 0, cfg,
                       terrain=GroundTruthMap(gt.cells, 2.0 * cfg.map_resolution))
     # the text format keeps 12 significant digits: such a resolution is the same
     close = GroundTruthMap(gt.cells, cfg.map_resolution * (1.0 + 1e-12))
-    TerrainEnv(cfg, close, NoiseStreams(0)).reset()
+    TerrainEnv(cfg, close, 0).reset()
 
 
 def test_config_rejects_more_agents_than_lattice_columns():
@@ -197,7 +196,7 @@ def test_initial_state_too_many_agents():
         TerrainEnv(
             small_cfg(num_agents=3),
             generate_terrain(np.random.default_rng(0), small_cfg()),
-            NoiseStreams(0),
+            0,
         ).reset()
 
 
@@ -209,7 +208,7 @@ def test_initial_state_too_many_agents():
 def test_mask_blocks_boundary_moves():
     cfg = default_cfg(num_agents=1)
     gt = generate_terrain(np.random.default_rng(0), cfg)
-    state, _ = TerrainEnv(cfg, gt, NoiseStreams(0)).reset()
+    state, _ = TerrainEnv(cfg, gt, 0).reset()
     state.positions[0] = [0, 0, 0]  # west edge, south edge, min altitude
     mask = valid_actions(state, cfg)[0]
     assert not mask[Action.WEST]
@@ -221,7 +220,7 @@ def test_mask_blocks_boundary_moves():
 def test_mask_blocks_occupied_2d_cell_at_any_altitude():
     cfg = default_cfg(num_agents=2)
     gt = generate_terrain(np.random.default_rng(0), cfg)
-    state, _ = TerrainEnv(cfg, gt, NoiseStreams(0)).reset()
+    state, _ = TerrainEnv(cfg, gt, 0).reset()
     state.positions[0] = [4, 4, 0]
     state.positions[1] = [4, 5, 2]  # one step north, different altitude
     mask = valid_actions(state, cfg)[0]
@@ -232,7 +231,7 @@ def test_mask_blocks_occupied_2d_cell_at_any_altitude():
 def test_mask_all_valid_in_open_interior():
     cfg = default_cfg(num_agents=1)
     gt = generate_terrain(np.random.default_rng(0), cfg)
-    state, _ = TerrainEnv(cfg, gt, NoiseStreams(0)).reset()
+    state, _ = TerrainEnv(cfg, gt, 0).reset()
     state.positions[0] = [4, 4, 1]
     assert valid_actions(state, cfg)[0].all()
 
@@ -241,7 +240,7 @@ def test_trapped_agent_mask_raises():
     # one lattice cell and one altitude level: every move leaves the box
     cfg = EnvConfig(terrain_size=5.0, min_altitude=5.0, max_altitude=5.0, num_agents=1)
     gt = generate_terrain(np.random.default_rng(0), cfg)
-    state, _ = TerrainEnv(cfg, gt, NoiseStreams(0)).reset()
+    state, _ = TerrainEnv(cfg, gt, 0).reset()
     with pytest.raises(ContractViolation, match="agent 0 came out all-false"):
         valid_actions(state, cfg)
 
@@ -319,7 +318,7 @@ def test_reward_values():
 def test_full_comms_keeps_local_equal_to_global():
     cfg = default_cfg(num_agents=3, budget=4, comm_radius=math.inf)
     gt = generate_terrain(np.random.default_rng(1), cfg)
-    env = TerrainEnv(cfg, gt, NoiseStreams(1))
+    env = TerrainEnv(cfg, gt, 1)
     env.reset()
     rng = np.random.default_rng(0)
     done = False
@@ -335,7 +334,7 @@ def test_full_comms_keeps_local_equal_to_global():
 def test_first_step_reward_positive_with_accurate_sensor():
     cfg = default_cfg(num_agents=1, budget=2)
     gt = generate_terrain(np.random.default_rng(2), cfg)
-    env = TerrainEnv(cfg, gt, NoiseStreams(2))
+    env = TerrainEnv(cfg, gt, 2)
     env.reset()
     r, done = env.step([int(Action.NORTH)])
     assert r > 0.0
@@ -345,7 +344,7 @@ def test_first_step_reward_positive_with_accurate_sensor():
 def test_budget_exhaustion_sets_done():
     cfg = default_cfg(num_agents=1, budget=1)
     gt = generate_terrain(np.random.default_rng(3), cfg)
-    env = TerrainEnv(cfg, gt, NoiseStreams(3))
+    env = TerrainEnv(cfg, gt, 3)
     env.reset()
     _, done = env.step([int(Action.NORTH)])
     assert done
@@ -356,7 +355,7 @@ def test_budget_exhaustion_sets_done():
 def test_masked_action_rejected_naming_agent():
     cfg = default_cfg(num_agents=2, budget=3)
     gt = generate_terrain(np.random.default_rng(4), cfg)
-    env = TerrainEnv(cfg, gt, NoiseStreams(4))
+    env = TerrainEnv(cfg, gt, 4)
     env.reset()
     with pytest.raises(RejectedStepError, match="agent 0"):
         env.step([int(Action.SOUTH), int(Action.NORTH)])
@@ -365,7 +364,7 @@ def test_masked_action_rejected_naming_agent():
 def test_rejected_step_changes_nothing():
     cfg = default_cfg(num_agents=2, budget=3)
     gt = generate_terrain(np.random.default_rng(4), cfg)
-    rejected, clean = (TerrainEnv(cfg, gt, NoiseStreams(4)) for _ in range(2))
+    rejected, clean = (TerrainEnv(cfg, gt, 4) for _ in range(2))
     rejected.reset()
     clean.reset()
     with pytest.raises(RejectedStepError):
@@ -389,7 +388,7 @@ def test_teams_on_one_noise_key_see_the_same_noise_on_shared_cells():
     cfg = default_cfg(num_agents=2, budget=3)
     n = cfg.map_cells
     gt = GroundTruthMap(np.ones((n, n), dtype=np.uint8), cfg.map_resolution)
-    a, b = (TerrainEnv(cfg, gt, NoiseStreams(11)) for _ in range(2))
+    a, b = (TerrainEnv(cfg, gt, 11) for _ in range(2))
     a.reset()
     b.reset()
     up, north, east = int(Action.UP), int(Action.NORTH), int(Action.EAST)
@@ -416,7 +415,7 @@ def test_teams_on_one_noise_key_see_the_same_noise_on_shared_cells():
 def test_simultaneous_collision_lower_id_wins():
     cfg = default_cfg(num_agents=2, budget=3)
     gt = generate_terrain(np.random.default_rng(5), cfg)
-    env = TerrainEnv(cfg, gt, NoiseStreams(5))
+    env = TerrainEnv(cfg, gt, 5)
     env.reset()
     env.state.positions[0] = [4, 4, 0]
     env.state.positions[1] = [6, 4, 0]
@@ -431,7 +430,7 @@ def test_simultaneous_collision_lower_id_wins():
 def test_positions_stay_distinct_and_on_lattice():
     cfg = default_cfg(num_agents=4, budget=10)
     gt = generate_terrain(np.random.default_rng(6), cfg)
-    env = TerrainEnv(cfg, gt, NoiseStreams(6))
+    env = TerrainEnv(cfg, gt, 6)
     env.reset()
     rng = np.random.default_rng(1)
     done = False
@@ -450,7 +449,7 @@ def test_local_maps_fuse_subset_of_global():
     # with finite comms every local belief is at most as sharp as global
     cfg = default_cfg(num_agents=4, budget=6, comm_radius=25.0)
     gt = generate_terrain(np.random.default_rng(7), cfg)
-    env = TerrainEnv(cfg, gt, NoiseStreams(7))
+    env = TerrainEnv(cfg, gt, 7)
     env.reset()
     rng = np.random.default_rng(2)
     done = False
@@ -467,7 +466,7 @@ def test_local_maps_fuse_subset_of_global():
 def test_rewards_telescope_against_entropy_log():
     cfg = default_cfg(num_agents=2, budget=8)
     gt = generate_terrain(np.random.default_rng(8), cfg)
-    env = TerrainEnv(cfg, gt, NoiseStreams(8))
+    env = TerrainEnv(cfg, gt, 8)
     env.reset()
     rng = np.random.default_rng(3)
     entropies = [env.global_entropy()]
@@ -490,7 +489,7 @@ def test_rewards_telescope_against_entropy_log():
 def test_stale_positions_update_only_via_messages():
     cfg = default_cfg(num_agents=2, budget=4, comm_radius=0.0)
     gt = generate_terrain(np.random.default_rng(9), cfg)
-    env = TerrainEnv(cfg, gt, NoiseStreams(9))
+    env = TerrainEnv(cfg, gt, 9)
     env.reset()
     start = env.state.positions.copy()
     done = False
@@ -508,7 +507,7 @@ def test_stale_positions_update_only_via_messages():
 def test_cached_map_planes_track_full_map_every_step():
     cfg = default_cfg(num_agents=3, budget=6)
     gt = generate_terrain(np.random.default_rng(12), cfg)
-    env = TerrainEnv(cfg, gt, NoiseStreams(12))
+    env = TerrainEnv(cfg, gt, 12)
     env.reset()
     rng = np.random.default_rng(5)
     done = False
@@ -541,7 +540,7 @@ def test_global_entropy_is_summed_once_per_step(monkeypatch):
     """``h_before`` reuses the previous step's ``h_after``: the reset sums the
     prior and its fused map, and each step then sums its fused map only."""
     cfg = small_cfg(terrain_size=50.0, num_agents=2, budget=4)
-    env = TerrainEnv(cfg, generate_terrain(np.random.default_rng(3), cfg), NoiseStreams(3))
+    env = TerrainEnv(cfg, generate_terrain(np.random.default_rng(3), cfg), 3)
     sums = []
     map_planes = GlobalState.map_planes
 
@@ -583,8 +582,8 @@ def _assert_local_map_is_eager(env, twin, t):
         eager = AgentLocalState(loc.agent_id, grid, loc.position, loc.known_positions,
                                 loc.remaining_budget)
         rng = np.random.default_rng(0)
-        assert (GreedyInfoGainPlanner().act(loc, mask, cfg, t, rng)
-                == GreedyInfoGainPlanner().act(eager, mask, cfg, t, rng))
+        assert (GreedyInfoGainPlanner().act(loc, mask, cfg, rng)
+                == GreedyInfoGainPlanner().act(eager, mask, cfg, rng))
         assert loc.pending == []
         assert loc.local_map.log_odds.tobytes() == grid.log_odds.tobytes()
         assert loc.local_map.fused == grid.fused
@@ -594,7 +593,7 @@ def _assert_local_map_is_eager(env, twin, t):
 @pytest.mark.parametrize("reads", ["every step", "never", "random steps"])
 def test_local_maps_fused_on_read_equal_eager_fusion(reads):
     cfg = small_cfg(terrain_size=50.0, num_agents=3, budget=8, comm_radius=20.0)
-    env = TerrainEnv(cfg, generate_terrain(np.random.default_rng(9), cfg), NoiseStreams(9))
+    env = TerrainEnv(cfg, generate_terrain(np.random.default_rng(9), cfg), 9)
     env.reset()
     twin = _EagerTwin(env)
     rng = np.random.default_rng(1)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import reference_kernels as reference
 from terrascout import evaluation
-from terrascout.environment import EnvConfig, GlobalState, generate_terrain, terrain_rng
+from terrascout.environment import EnvConfig, GlobalState, generate_terrain, start_mission
 from terrascout.errors import ContractViolation, DegenerateTerrainError
 from terrascout.evaluation import (
     MapScorer,
@@ -280,7 +280,7 @@ def test_rewards_in_log_match_entropy_column():
 
 def test_mission_with_fixed_terrain_override():
     cfg = cfg_(num_agents=2, budget=4)
-    gt = generate_terrain(terrain_rng(99, 0), cfg)
+    gt = start_mission(cfg, 99, 0)[0].terrain
     a = run_mission(PlannerSpec("random"), cfg, 7, 0, terrain=gt)
     b = run_mission(PlannerSpec("random"), cfg, 7, 0, terrain=gt)
     assert [r.f1 for r in a.records] == [r.f1 for r in b.records]

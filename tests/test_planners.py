@@ -13,7 +13,6 @@ from terrascout.environment import (
     Action,
     AgentLocalState,
     EnvConfig,
-    NoiseStreams,
     TerrainEnv,
     generate_terrain,
 )
@@ -43,7 +42,7 @@ def small_env(seed=0, **kw):
     defaults = dict(terrain_size=50.0, map_resolution=0.5, num_agents=2, budget=10)
     defaults.update(kw)
     cfg = EnvConfig(**defaults)
-    env = TerrainEnv(cfg, generate_terrain(np.random.default_rng(seed), cfg), NoiseStreams(seed))
+    env = TerrainEnv(cfg, generate_terrain(np.random.default_rng(seed), cfg), seed)
     env.reset()
     return env
 
@@ -60,7 +59,7 @@ def tiny_footprint_env(seed=0):
         budget=4,
         sensor=SensorModel(((5.0, 0.8),)),
     )
-    env = TerrainEnv(cfg, generate_terrain(np.random.default_rng(seed), cfg), NoiseStreams(seed))
+    env = TerrainEnv(cfg, generate_terrain(np.random.default_rng(seed), cfg), seed)
     env.reset()
     return env
 
@@ -74,7 +73,7 @@ def test_random_single_valid_action():
     mask = np.zeros(6, dtype=bool)
     mask[3] = True
     env = small_env()
-    assert RandomPlanner().act(env.locals[0], mask, env.cfg, 1, np.random.default_rng(0)) == 3
+    assert RandomPlanner().act(env.locals[0], mask, env.cfg, np.random.default_rng(0)) == 3
 
 
 def test_random_uniform_frequencies():
@@ -84,7 +83,7 @@ def test_random_uniform_frequencies():
     planner = RandomPlanner()
     counts = np.zeros(6)
     for _ in range(6000):
-        counts[planner.act(env.locals[0], mask, env.cfg, 1, rng)] += 1
+        counts[planner.act(env.locals[0], mask, env.cfg, rng)] += 1
     freqs = counts / 6000
     assert (freqs >= 0.13).all() and (freqs <= 0.20).all()
 
@@ -95,9 +94,9 @@ def test_random_never_returns_masked():
     rng = np.random.default_rng(7)
     planner = RandomPlanner()
     for _ in range(10000):
-        assert mask[planner.act(env.locals[0], mask, env.cfg, 1, rng)]
+        assert mask[planner.act(env.locals[0], mask, env.cfg, rng)]
     with pytest.raises(ContractViolation):
-        planner.act(env.locals[0], np.zeros(6, dtype=bool), env.cfg, 1, rng)
+        planner.act(env.locals[0], np.zeros(6, dtype=bool), env.cfg, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +169,7 @@ def test_greedy_matches_exhaustive_oracle_on_tiny_instances():
         loc.position = np.array([int(rng.integers(0, 2)), int(rng.integers(0, 2)), 0])
         env.state.positions[0] = loc.position
         mask = env.masks()[0]
-        choice = planner.act(loc, mask, env.cfg, 1, rng)
+        choice = planner.act(loc, mask, env.cfg, rng)
         assert choice == greedy_oracle_choice(env)
         matches += 1
     assert matches == 250
@@ -188,7 +187,7 @@ def test_greedy_prefers_uncertain_region():
     lo[:, 2:] = 0.0  # east half unknown
     mask = env.masks()[0]
     planner = GreedyInfoGainPlanner()
-    assert planner.act(loc, mask, env.cfg, 1, np.random.default_rng(0)) == int(Action.EAST)
+    assert planner.act(loc, mask, env.cfg, np.random.default_rng(0)) == int(Action.EAST)
 
 
 def test_greedy_tie_break_is_fixed_action_order():
@@ -200,7 +199,7 @@ def test_greedy_tie_break_is_fixed_action_order():
     mask = env.masks()[0]
     planner = GreedyInfoGainPlanner()
     # single altitude: valid actions are north/east; north precedes east
-    assert planner.act(loc, mask, env.cfg, 1, np.random.default_rng(0)) == int(Action.NORTH)
+    assert planner.act(loc, mask, env.cfg, np.random.default_rng(0)) == int(Action.NORTH)
 
 
 GATE_WEIGHTS = [(0.8, 0.2), (0.7, 0.30000000000000004), (0.6, 0.4000000000005),
@@ -257,7 +256,7 @@ def test_stacked_greedy_equals_per_candidate_reference(seed, resolution, factor,
         got = expected_entropy_reduction([patch for _, patch in group], acc, cfg.weights)
         assert np.array(got).tobytes() == np.array([want[a] for a, _ in group]).tobytes()
     best = max(want, key=lambda a: (want[a], -a))  # the first of equal maxima
-    assert GreedyInfoGainPlanner().act(local, mask, cfg, 1, rng) == best
+    assert GreedyInfoGainPlanner().act(local, mask, cfg, rng) == best
 
 
 def test_stacked_gains_are_the_standalone_sums():
@@ -300,7 +299,7 @@ def run_coverage(env, steps):
     rng = np.random.default_rng(0)
     for t in range(1, steps + 1):
         joint = [
-            planner.act(env.locals[i], env.masks()[i], env.cfg, t, rng)
+            planner.act(env.locals[i], env.masks()[i], env.cfg, rng)
             for i in range(env.cfg.num_agents)
         ]
         env.step(joint)
@@ -349,10 +348,10 @@ def test_coverage_visits_every_stripe_cell_once_per_sweep():
 def test_coverage_climbs_to_configured_altitude_first():
     env = small_env(num_agents=1, budget=8, coverage_altitude=15.0)
     planner = CoveragePlanner()
-    a = planner.act(env.locals[0], env.masks()[0], env.cfg, 1, np.random.default_rng(0))
+    a = planner.act(env.locals[0], env.masks()[0], env.cfg, np.random.default_rng(0))
     assert a == int(Action.UP)
     env.step([a])
-    a = planner.act(env.locals[0], env.masks()[0], env.cfg, 2, np.random.default_rng(0))
+    a = planner.act(env.locals[0], env.masks()[0], env.cfg, np.random.default_rng(0))
     assert a == int(Action.UP)
 
 
@@ -378,7 +377,7 @@ def test_learned_uniform_logits_sample_uniformly():
     rng = np.random.default_rng(5)
     counts = np.zeros(6)
     for _ in range(6000):
-        counts[planner.act(env.locals[0], mask, env.cfg, 1, rng)] += 1
+        counts[planner.act(env.locals[0], mask, env.cfg, rng)] += 1
     freqs = counts / 6000
     assert (freqs >= 0.13).all() and (freqs <= 0.20).all()
 
@@ -389,11 +388,11 @@ def test_learned_dominant_logit():
     logits[2] = 10.0
     mask = np.ones(6, dtype=bool)
     argmax = LearnedPlanner(StubNet(logits), FeatureConfig(), mode="argmax")
-    assert argmax.act(env.locals[0], mask, env.cfg, 1, np.random.default_rng(0)) == 2
+    assert argmax.act(env.locals[0], mask, env.cfg, np.random.default_rng(0)) == 2
     sampler = LearnedPlanner(StubNet(logits), FeatureConfig(), mode="sample")
     rng = np.random.default_rng(1)
     hits = sum(
-        sampler.act(env.locals[0], mask, env.cfg, 1, rng) == 2 for _ in range(1000)
+        sampler.act(env.locals[0], mask, env.cfg, rng) == 2 for _ in range(1000)
     )
     assert hits >= 990
 
@@ -408,7 +407,7 @@ def test_learned_masked_dominant_never_returned():
     for mode in ("sample", "argmax"):
         planner = LearnedPlanner(StubNet(logits), FeatureConfig(), mode=mode)
         for _ in range(200):
-            assert planner.act(env.locals[0], mask, env.cfg, 1, rng) != 2
+            assert planner.act(env.locals[0], mask, env.cfg, rng) != 2
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +448,7 @@ def test_every_planner_respects_masks_over_randomized_states():
                 )
                 # an out-of-band write logs its rectangle for the cached planes
                 loc.local_map.fused.append(CellRect(0, 99, 0, 99))
-            a = planner.act(loc, mask, env.cfg, 1, mask_rng)
+            a = planner.act(loc, mask, env.cfg, mask_rng)
             assert mask[a]
             checked += 1
     # full env rollouts: coverage needs genuine trajectories
@@ -463,7 +462,7 @@ def test_every_planner_respects_masks_over_randomized_states():
             t += 1
             masks = env.masks()
             joint = [
-                planner.act(env.locals[i], masks[i], env.cfg, t, rng) for i in range(2)
+                planner.act(env.locals[i], masks[i], env.cfg, rng) for i in range(2)
             ]
             for i, a in enumerate(joint):
                 assert masks[i][a]

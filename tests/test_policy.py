@@ -15,7 +15,6 @@ from terrascout.environment import (
     AgentLocalState,
     EnvConfig,
     GlobalState,
-    NoiseStreams,
     TerrainEnv,
     generate_terrain,
 )
@@ -69,7 +68,7 @@ def cfg_(**kw):
 def fresh_env(seed=0, **kw):
     cfg = cfg_(**kw)
     gt = generate_terrain(np.random.default_rng(seed), cfg)
-    env = TerrainEnv(cfg, gt, NoiseStreams(seed))
+    env = TerrainEnv(cfg, gt, seed)
     env.reset()
     return env
 
@@ -512,7 +511,7 @@ def test_cached_planes_equal_full_rebuild_bit_for_bit(scale, comm_radius, toggle
     if not actor_manifest(fcfg):
         fcfg = fcfg.with_toggle("budget", True)
     ccfg = critic_feature_config(variant, fcfg)
-    env = TerrainEnv(cfg, generate_terrain(np.random.default_rng(seed), cfg), NoiseStreams(seed))
+    env = TerrainEnv(cfg, generate_terrain(np.random.default_rng(seed), cfg), seed)
     env.reset()
     rng = np.random.default_rng(seed)
     done = False
@@ -709,9 +708,9 @@ def test_once_per_step_global_planes_equal_per_agent_builds(scale, comm_radius, 
     agent the critic features that agent's own build gives."""
     cfg = plane_test_cfg(scale, comm_radius)
     ccfg = critic_feature_config(variant, FCFG)
-    env = TerrainEnv(cfg, generate_terrain(np.random.default_rng(seed), cfg), NoiseStreams(seed))
+    env = TerrainEnv(cfg, generate_terrain(np.random.default_rng(seed), cfg), seed)
     env.reset()
-    twin = TerrainEnv(cfg, env.terrain, NoiseStreams(seed))
+    twin = TerrainEnv(cfg, env.terrain, seed)
     twin.reset()
     rng = np.random.default_rng(seed)
     done = False

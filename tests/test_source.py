@@ -16,3 +16,33 @@ def test_package_source_has_no_assert_statements():
     ]
     assert len(list(SRC.glob("*.py"))) >= 10
     assert found == []
+
+
+def test_every_function_parameter_is_read():
+    # a parameter that no body reads is a value every caller passes for nothing.
+    # A method name that several classes implement is one interface: its
+    # parameter counts as read when any implementation reads it.
+    reads: dict[tuple, dict[str, bool]] = {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        methods = {id(node) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                   for node in cls.body if isinstance(node, ast.FunctionDef)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            args = node.args
+            params = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                      args.vararg, args.kwarg)
+                      if a is not None and a.arg not in ("self", "cls")]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            loaded = {name.id for stmt in body for name in ast.walk(stmt)
+                      if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Load)}
+            name = getattr(node, "name", "<lambda>")
+            key = ("method", name) if id(node) in methods else (path.name, node.lineno, name)
+            seen = reads.setdefault(key, {})
+            for param in params:
+                seen[param] = seen.get(param, False) or param in loaded
+    unread = sorted(f"{key[-1]}({param})" for key, seen in reads.items()
+                    for param, read in seen.items() if not read)
+    assert len(reads) > 100  # the walk found the package's functions
+    assert unread == []

@@ -1,5 +1,6 @@
 """TD targets, counterfactual advantages, updates, and the training loop."""
 
+import copy
 import filecmp
 from dataclasses import asdict, fields, replace
 
@@ -11,10 +12,8 @@ from terrascout.environment import (
     Action,
     EnvConfig,
     NUM_ACTIONS,
-    NoiseStreams,
     TerrainEnv,
-    generate_terrain,
-    terrain_rng,
+    start_mission,
 )
 from terrascout.errors import ConfigurationError, ContractViolation, TrainingDivergenceError
 from terrascout import nn
@@ -44,7 +43,8 @@ from terrascout.training import (
     td_lambda_targets,
     training_loop,
 )
-from terrascout import training
+from terrascout import environment, evaluation, training
+from terrascout.evaluation import PlannerSpec
 
 import reference_kernels as reference
 
@@ -383,7 +383,7 @@ def test_training_mission_rows_are_critic_stacks_by_step_and_agent():
     assert (step_rewards == step_rewards[:, :1]).all()
     assert ret == pytest.approx(step_rewards[:, 0].sum())
     # the first step's rows start with each agent's actor stack at reset
-    env = TerrainEnv(cfg, generate_terrain(terrain_rng(4, 2), cfg), NoiseStreams(4, 2))
+    env, _ = start_mission(cfg, 4, 2)
     env.reset()
     for i, loc in enumerate(env.locals):
         actor_planes = build_actor_features(loc, cfg, FCFG)
@@ -400,9 +400,36 @@ def test_training_mission_rejects_a_short_mission(monkeypatch):
         r, _ = step(self, joint_action)
         return r, True
 
-    monkeypatch.setattr(training.TerrainEnv, "step", stop_after_one)
+    monkeypatch.setattr(TerrainEnv, "step", stop_after_one)
     with pytest.raises(ContractViolation):
         run_training_mission(actor, cfg, FCFG, 0, 0, 0.1, FCFG)
+
+
+def test_a_mission_is_keyed_alike_by_both_runners(monkeypatch):
+    # terrain, start measurements and policy draws depend on (seed, mission)
+    # alone, whichever runner starts the mission
+    cfg = micro_cfg()
+    actor = make_actor(cfg, FCFG, np.random.default_rng(0), TOY_ARCH)
+    started = []
+
+    def recording_start(*args, **kwargs):
+        env, rng = environment.start_mission(*args, **kwargs)
+        started.append((copy.deepcopy(env), copy.deepcopy(rng)))
+        return env, rng
+
+    monkeypatch.setattr(evaluation, "start_mission", recording_start)
+    monkeypatch.setattr(training, "start_mission", recording_start)
+    evaluation.run_mission(PlannerSpec("random"), cfg, 5, 3)
+    run_training_mission(actor, cfg, FCFG, 5, 3, 0.1, FCFG)
+    run_training_mission(actor, cfg, FCFG, 5, 4, 0.1, FCFG)
+    views = []
+    for env, rng in started:
+        env.reset()
+        views.append((env.terrain.cells.tobytes(), env.state.global_map.log_odds.tobytes(),
+                      rng.random()))
+    assert len(views) == 3
+    assert views[0] == views[1]
+    assert all(a != b for a, b in zip(views[1], views[2]))  # another mission differs in each
 
 
 def test_block_targets_follow_each_agent_episode():
