@@ -42,7 +42,7 @@ from .gridmap import (
     write_text_grid,
 )
 from .planners import PLANNER_NAMES
-from .policy import FeatureConfig, NetArch, actor_manifest, load_network
+from .policy import ACTOR_PLANES, FeatureConfig, NetArch, actor_manifest, load_network
 from .training import TrainConfig, VARIANTS, training_loop
 
 
@@ -234,8 +234,15 @@ def _start_run(args, config: dict, outputs: Sequence[str]) -> Path:
     return out
 
 
+def _check_actor_planes(fcfg: FeatureConfig, what: str) -> None:
+    if not actor_manifest(fcfg):
+        raise UsageError(f"{what} leaves the actor no input plane; enable one of "
+                         f"{', '.join(ACTOR_PLANES)}")
+
+
 def cmd_train(args) -> int:
     cfg, fcfg, tcfg = _load_configs(args)
+    _check_actor_planes(fcfg, "the feature config")
     out = _start_run(args, _config_record(cfg, fcfg, tcfg), ["training_log.csv", "actor.ckpt"])
     result = training_loop(
         cfg, tcfg, fcfg, args.seed, out,
@@ -335,8 +342,12 @@ def cmd_ablate_features(args) -> int:
         name = tok.lstrip("+-")
         if name not in feature_names:
             raise UsageError(f"unknown feature plane '{name}'")
-        plans.append((("with_" if enable else "without_") + name,
-                      fcfg.with_toggle(name, enable)))
+        label = ("with_" if enable else "without_") + name
+        if label in dict(plans):
+            raise UsageError(f"toggle '{tok}' repeats an earlier toggle of '{name}'")
+        plans.append((label, fcfg.with_toggle(name, enable)))
+    for label, toggled in plans:
+        _check_actor_planes(toggled, f"plan '{label}'")
     out = _start_run(args, _config_record(cfg, fcfg, tcfg),
                      [f"{label}/benchmark.csv" for label, _ in plans])
     for label, toggled in plans:

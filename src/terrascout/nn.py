@@ -144,7 +144,7 @@ _recording: ContextVar[bool] = ContextVar("recording", default=True)
 def no_grad() -> Iterator[None]:
     """Run ops without recording a tape: outputs keep no parents and no closure.
 
-    ``Linear`` also switches to one vector-matrix product per row inside it,
+    ``linear`` also switches to one vector-matrix product per row inside it,
     so a batch-N forward reproduces N batch-1 forwards bit for bit. The
     previous mode comes back on exit, exceptions included.
     """
@@ -359,6 +359,17 @@ def matmul(a, b) -> Tensor:
     return _make(data, (a, b), backward)
 
 
+def linear(x: Tensor, weight, bias) -> Tensor:
+    """Dense layer ``x @ weight + bias``: (B, in) rows, an (in, out) weight.
+
+    Under ``no_grad`` it takes one vector-matrix product per row: a batch-N
+    gemm sums in another order than batch 1, and this keeps every row's bits.
+    """
+    if _recording.get():
+        return add(matmul(x, weight), bias)
+    return Tensor(np.matmul(x.data[:, None, :], weight.data)[:, 0] + bias.data)
+
+
 # ---------------------------------------------------------------------------
 # convolution
 # ---------------------------------------------------------------------------
@@ -444,38 +455,8 @@ def masked_bounded_softmax(logits, mask: np.ndarray, epsilon) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# layers and networks
+# optimizer
 # ---------------------------------------------------------------------------
-
-
-class Conv2d:
-    def __init__(self, in_ch: int, out_ch: int, ksize: int, stride: int, padding: int,
-                 rng: np.random.Generator):
-        fan_in = in_ch * ksize * ksize
-        scale = math.sqrt(2.0 / fan_in)
-        self.weight = Tensor(rng.normal(0.0, scale, (out_ch, in_ch, ksize, ksize)),
-                             requires_grad=True)
-        self.bias = Tensor(np.zeros(out_ch), requires_grad=True)
-        self.stride = stride
-        self.padding = padding
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return conv2d(x, self.weight, self.bias, self.stride, self.padding)
-
-
-class Linear:
-    def __init__(self, in_features: int, out_features: int, rng: np.random.Generator):
-        scale = math.sqrt(2.0 / in_features)
-        self.weight = Tensor(rng.normal(0.0, scale, (in_features, out_features)),
-                             requires_grad=True)
-        self.bias = Tensor(np.zeros(out_features), requires_grad=True)
-
-    def __call__(self, x: Tensor) -> Tensor:
-        if _recording.get():
-            return add(matmul(x, self.weight), self.bias)
-        # A batch-N gemm sums in another order than batch 1; one vector-matrix
-        # product per row keeps every row's bits whatever the batch size.
-        return Tensor(np.matmul(x.data[:, None, :], self.weight.data)[:, 0] + self.bias.data)
 
 
 class Adam:
@@ -571,6 +552,8 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
                   for layer in header["layers"]]
         if any(n < 0 for _, shape in layers for n in shape):
             raise ValueError("negative layer dimension")
+        if len({name for name, _ in layers}) != len(layers):
+            raise ValueError("repeated layer name")
     except (ValueError, KeyError, TypeError) as exc:
         raise DataError(f"{path}: unreadable checkpoint header ({exc!r})") from exc
     if header.get("version") != 1:

@@ -18,7 +18,9 @@ A network reads the planes its ``FeatureConfig`` enables.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, fields, replace
+from itertools import zip_longest
 from typing import Optional, Sequence
 
 import numpy as np
@@ -27,7 +29,7 @@ from .environment import Action, AgentLocalState, EnvConfig, GlobalState, NUM_AC
 from .errors import ConfigurationError, ContractViolation, DataError, DomainError
 from .gridmap import OccupancyGrid, footprint, weighted_cell_entropy
 from . import nn
-from .nn import Conv2d, Linear, Tensor
+from .nn import Tensor
 
 OUT_OF_MAP = -1.0
 
@@ -329,34 +331,49 @@ class NetArch:
             )
 
 
+def layer_shapes(in_channels: int, grid_size: int, out_dim: int,
+                 arch: NetArch) -> list[tuple[str, tuple]]:
+    """Each parameter's (name, shape), in checkpoint order: per conv layer an
+    (out, in, k, k) kernel and its bias, then per dense layer and the head an
+    (in, out) weight and its bias."""
+    if min(in_channels, grid_size, out_dim) < 1:
+        raise ConfigurationError(f"a network needs positive in_channels, grid_size and out_dim, "
+                                 f"got {in_channels}, {grid_size} and {out_dim}")
+    k = arch.kernel_size
+    shapes = []
+    ch, side = in_channels, grid_size
+    for i, (out_ch, stride) in enumerate(zip(arch.conv_channels, arch.conv_strides)):
+        shapes += [(f"conv{i}.weight", (out_ch, ch, k, k)), (f"conv{i}.bias", (out_ch,))]
+        side = (side + 2 * arch.padding - k) // stride + 1
+        if side < 1:
+            raise ConfigurationError("encoder strides collapse the grid below 1x1")
+        ch = out_ch
+    dim = ch * side * side
+    names = [f"fc{i}" for i in range(len(arch.mlp_sizes))] + ["head"]
+    for name, width in zip(names, (*arch.mlp_sizes, out_dim)):
+        shapes += [(f"{name}.weight", (dim, width)), (f"{name}.bias", (width,))]
+        dim = width
+    return shapes
+
+
 class PolicyNet:
-    """Conv encoder + MLP head over a stack of G x G feature planes."""
+    """Conv encoder + MLP head over a stack of G x G feature planes. ``params``
+    holds a tensor per ``layer_shapes`` entry: each weight drawn He-normal over
+    its fan-in (a kernel's in * k * k, a dense weight's rows) in that order,
+    each bias zero."""
 
     def __init__(self, in_channels: int, grid_size: int, out_dim: int,
                  rng: np.random.Generator, arch: NetArch = NetArch()):
-        if min(in_channels, grid_size, out_dim) < 1:
-            raise ConfigurationError(f"a network needs positive in_channels, grid_size and out_dim, "
-                                     f"got {in_channels}, {grid_size} and {out_dim}")
         self.in_channels = in_channels
         self.grid_size = grid_size
         self.out_dim = out_dim
         self.arch = arch
-        self.convs: list[Conv2d] = []
-        ch = in_channels
-        side = grid_size
-        for out_ch, stride in zip(arch.conv_channels, arch.conv_strides):
-            self.convs.append(Conv2d(ch, out_ch, arch.kernel_size, stride, arch.padding, rng))
-            side = (side + 2 * arch.padding - arch.kernel_size) // stride + 1
-            if side < 1:
-                raise ConfigurationError("encoder strides collapse the grid below 1x1")
-            ch = out_ch
-        self.flat_dim = ch * side * side
-        self.fcs: list[Linear] = []
-        dim = self.flat_dim
-        for width in arch.mlp_sizes:
-            self.fcs.append(Linear(dim, width, rng))
-            dim = width
-        self.head = Linear(dim, out_dim, rng)
+        self.params: dict[str, Tensor] = {}
+        for name, shape in layer_shapes(in_channels, grid_size, out_dim, arch):
+            fan_in = math.prod(shape[1:]) if len(shape) == 4 else shape[0]
+            value = (np.zeros(shape) if name.endswith(".bias")
+                     else rng.normal(0.0, math.sqrt(2.0 / fan_in), shape))
+            self.params[name] = Tensor(value, requires_grad=True)
 
     def forward(self, x) -> Tensor:
         """x: (B, C, G, G) array or Tensor -> (B, out_dim) Tensor."""
@@ -366,42 +383,25 @@ class PolicyNet:
                 f"network expects (B, {self.in_channels}, {self.grid_size}, "
                 f"{self.grid_size}) inputs, got {t.data.shape}"
             )
+        p = self.params
         h = t
-        for conv in self.convs:
-            h = nn.relu(conv(h))
-        h = nn.reshape(h, (t.data.shape[0], self.flat_dim))
-        for fc in self.fcs:
-            h = nn.relu(fc(h))
-        return self.head(h)
+        for i, stride in enumerate(self.arch.conv_strides):
+            h = nn.relu(nn.conv2d(h, p[f"conv{i}.weight"], p[f"conv{i}.bias"], stride,
+                                  self.arch.padding))
+        h = nn.reshape(h, (t.data.shape[0], -1))
+        for i in range(len(self.arch.mlp_sizes)):
+            h = nn.relu(nn.linear(h, p[f"fc{i}.weight"], p[f"fc{i}.bias"]))
+        return nn.linear(h, p["head.weight"], p["head.bias"])
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
-        out = []
-        for i, conv in enumerate(self.convs):
-            out.append((f"conv{i}.weight", conv.weight))
-            out.append((f"conv{i}.bias", conv.bias))
-        for i, fc in enumerate(self.fcs):
-            out.append((f"fc{i}.weight", fc.weight))
-            out.append((f"fc{i}.bias", fc.bias))
-        out.append(("head.weight", self.head.weight))
-        out.append(("head.bias", self.head.bias))
-        return out
+        return list(self.params.items())
 
     def parameters(self) -> list[Tensor]:
-        return [p for _, p in self.named_parameters()]
-
-    def state_arrays(self) -> list[tuple[str, np.ndarray]]:
-        return [(name, p.data) for name, p in self.named_parameters()]
-
-    def load_state(self, params: dict[str, np.ndarray]) -> None:
-        for name, p in self.named_parameters():
-            if name not in params:
-                raise ConfigurationError(f"checkpoint is missing parameter '{name}'")
-            if params[name].shape != p.data.shape:
-                raise ConfigurationError(f"checkpoint shape mismatch for '{name}'")
-            p.data = params[name].astype(np.float64).copy()
+        return list(self.params.values())
 
     def copy_from(self, other: "PolicyNet") -> None:
-        self.load_state(dict(other.state_arrays()))
+        for p, q in zip(self.params.values(), other.params.values()):
+            p.data = q.data.copy()
 
 
 def make_actor(cfg: EnvConfig, fcfg: FeatureConfig, rng: np.random.Generator,
@@ -449,24 +449,28 @@ def save_network(path, net: PolicyNet, *, kind: str, manifest: Sequence[str],
     }
     if extra:
         metadata.update(extra)
-    nn.save_checkpoint(path, net.state_arrays(), metadata)
+    nn.save_checkpoint(path, [(name, p.data) for name, p in net.params.items()], metadata)
 
 
 def load_network(path) -> tuple[PolicyNet, dict]:
+    """The network of a ``save_network`` file, whose layers must be exactly
+    the ``layer_shapes`` of its header's sizes."""
     params, meta = nn.load_checkpoint(path)
     try:
         arch = NetArch(**meta["arch"])
-        net = PolicyNet(
-            int(meta["in_channels"]),
-            int(meta["grid_size"]),
-            int(meta["out_dim"]),
-            np.random.default_rng(0),
-            arch,
-        )
-        net.load_state(params)
-    except (KeyError, TypeError, ValueError, ConfigurationError) as exc:
+        sizes = (int(meta["in_channels"]), int(meta["grid_size"]), int(meta["out_dim"]))
+        want = layer_shapes(*sizes, arch)
+    except (KeyError, TypeError, ValueError, OverflowError, ConfigurationError) as exc:
         raise DataError(f"{path}: not a network checkpoint ({exc!r})") from exc
+    got = [(name, value.shape) for name, value in params.items()]
+    for w, g in zip_longest(want, got, fillvalue=("no layer",)):
+        if w != g:
+            raise DataError(f"{path}: the header's sizes give {' '.join(map(str, w))} where "
+                            f"the file holds {' '.join(map(str, g))}")
     bad = [name for name, value in params.items() if not np.isfinite(value).all()]
     if bad:
         raise DataError(f"{path}: non-finite parameters in {', '.join(bad)}")
+    net = PolicyNet(*sizes, np.random.default_rng(0), arch)
+    for name, value in params.items():
+        net.params[name].data = value
     return net, meta

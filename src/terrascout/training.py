@@ -70,16 +70,13 @@ class Rollout:
     actions: np.ndarray  # (n,) actions taken
     rewards: np.ndarray  # (n,) team reward of the step
     epsilons: np.ndarray  # (n,) exploration floor the action was drawn with
-    targets: Optional[np.ndarray] = None  # TD(lambda) regression targets, filled per block
-    v_targets: Optional[np.ndarray] = None  # state-value targets (central-qv only)
+    targets: Optional[np.ndarray] = None  # (n, critics) TD(lambda) targets, filled per block
 
     def __post_init__(self) -> None:
         if not np.isfinite(self.rewards).all():
             raise ContractViolation("non-finite reward")
         if self.targets is None:
-            self.targets = np.zeros(len(self))
-        if self.v_targets is None:
-            self.v_targets = np.zeros(len(self))
+            self.targets = np.zeros((len(self), 1))
 
     def __len__(self) -> int:
         return len(self.actions)
@@ -212,25 +209,25 @@ def _actor_probs(batch: Rollout, actor: PolicyNet) -> nn.Tensor:
     return nn.masked_bounded_softmax(logits, batch.masks, batch.epsilons[:, None])
 
 
+def _regressed(net: PolicyNet, actions: np.ndarray) -> np.ndarray:
+    """The output column each row regresses: Q of the taken action, or V's only one."""
+    return actions if net.out_dim > 1 else np.zeros_like(actions)
+
+
 def critic_update(batch: Rollout, critic: PolicyNet, targets: np.ndarray,
                   optimizer: nn.Adam, grad_clip: float) -> float:
-    """One Adam step on the MSE between Q(s, taken action) and the targets."""
-    q_taken = nn.gather_last(_forward(critic, batch.features), batch.actions)
-    return _regress(q_taken, targets, critic, optimizer, grad_clip)
-
-
-def _regress(pred: nn.Tensor, targets: np.ndarray, net: PolicyNet, optimizer: nn.Adam,
-             grad_clip: float) -> float:
-    """One Adam step of ``net`` on the MSE between ``pred`` and the targets,
-    which are checked finite before any gradient is taken."""
+    """One Adam step on the MSE between the critic's regressed column (Q of the
+    taken action, or V) and the targets, which are checked finite before any
+    gradient is taken."""
     targets = np.asarray(targets, dtype=np.float64)
     if not np.isfinite(targets).all():
         raise TrainingDivergenceError("non-finite TD target")
+    pred = nn.gather_last(_forward(critic, batch.features), _regressed(critic, batch.actions))
     err = nn.sub(pred, nn.Tensor(targets))
     loss = nn.mean(nn.mul(err, err))
     optimizer.zero_grad()
     loss.backward()
-    nn.clip_grad_norm(net.parameters(), grad_clip)
+    nn.clip_grad_norm(critic.parameters(), grad_clip)
     optimizer.step()
     return float(loss.data)
 
@@ -301,58 +298,55 @@ class TrainResult:
     target_critic: Optional[PolicyNet] = None
 
 
-def _fill_block_targets(block: Rollout, target_critic: PolicyNet,
-                        target_vnet: Optional[PolicyNet], tcfg: TrainConfig,
+def _fill_block_targets(block: Rollout, target_nets: Sequence[PolicyNet], tcfg: TrainConfig,
                         cfg: EnvConfig) -> None:
-    """Compute per-episode TD(lambda) targets from the frozen target nets.
+    """Compute per-episode TD(lambda) targets from the frozen target nets,
+    one column of ``block.targets`` each, bootstrapped from its regressed
+    column (``_regressed``).
 
     Every mission runs exactly ``cfg.budget`` steps, so the rows of agent i
     in mission m are ``arange(n).reshape(-1, budget, N)[m, :, i]``.
     """
     rows = np.arange(len(block)).reshape(-1, cfg.budget, cfg.num_agents)
     episodes = rows.transpose(0, 2, 1).reshape(-1, cfg.budget)  # one (m, i) per row
+    block.targets = np.empty((len(block), len(target_nets)))
     for idx in episodes:
-        feats = block.features[idx]
-        qs = _forward(target_critic, feats).data[np.arange(len(idx)), block.actions[idx]]
-        rewards = block.rewards[idx]
-        block.targets[idx] = td_lambda_targets(rewards, qs, tcfg.td_lambda, tcfg.gamma)
-        if target_vnet is not None:
-            vs = _forward(target_vnet, feats).data.reshape(-1)
-            block.v_targets[idx] = td_lambda_targets(rewards, vs, tcfg.td_lambda, tcfg.gamma)
+        for k, net in enumerate(target_nets):
+            out = _forward(net, block.features[idx]).data
+            values = out[np.arange(len(idx)), _regressed(net, block.actions[idx])]
+            block.targets[idx, k] = td_lambda_targets(block.rewards[idx], values,
+                                                      tcfg.td_lambda, tcfg.gamma)
 
 
-def _batch_advantages(batch: Rollout, actor: PolicyNet, critic: PolicyNet,
-                      vnet: Optional[PolicyNet], variant: str) -> tuple[np.ndarray, nn.Tensor]:
-    """Advantages from the current critic and current policy, and that policy's
+def _batch_advantages(batch: Rollout, actor: PolicyNet, critics: Sequence[PolicyNet],
+                      variant: str) -> tuple[np.ndarray, nn.Tensor]:
+    """Advantages from the current critics and current policy, and that policy's
     taped rows (``_actor_probs``) for the actor step.
 
-    The critic's tapes are dropped before the actor's is built, so only one
+    The critics' tapes are dropped before the actor's is built, so only one
     network's tape is alive at a time.
     """
-    q_rows = _forward(critic, batch.features).data
-    v_values = None
-    if variant == "central-qv":
-        v_values = _forward(vnet, batch.features).data.reshape(-1)
+    q_rows, *v_rows = (_forward(net, batch.features).data for net in critics)
+    v_values = v_rows[0].reshape(-1) if v_rows else None
     probs = _actor_probs(batch, actor)
     return advantage_variant(variant, q_rows, probs.data, batch.actions, v_values), probs
 
 
-def _optimise_minibatch(batch: Rollout, actor: PolicyNet, critic: PolicyNet,
-                        vnet: Optional[PolicyNet], opts: tuple, tcfg: TrainConfig
-                        ) -> tuple[float, float]:
-    """Critic (and V) step, then one actor step; returns (actor loss, critic loss).
+def _optimise_minibatch(batch: Rollout, actor: PolicyNet, critics: Sequence[PolicyNet],
+                        opts: Sequence[nn.Adam], tcfg: TrainConfig) -> tuple[float, float]:
+    """One step of each critic on its column of ``batch.targets``, then one
+    actor step; returns (actor loss, Q-critic loss). ``opts`` holds the
+    actor's optimizer, then each critic's.
 
     One taped actor forward feeds both the advantages and the actor's
     backward: the actor's parameters do not change between the two. Its
     tape dies with this scope, before the next minibatch's critic step.
     """
-    opt_actor, opt_critic, opt_vnet = opts
-    closs = critic_update(batch, critic, batch.targets, opt_critic, tcfg.grad_clip)
-    if vnet is not None:
-        v = nn.reshape(_forward(vnet, batch.features), (len(batch),))
-        _regress(v, batch.v_targets, vnet, opt_vnet, tcfg.grad_clip)
-    advantages, probs = _batch_advantages(batch, actor, critic, vnet, tcfg.variant)
-    return actor_update(batch, probs, actor, advantages, opt_actor, tcfg.grad_clip), closs
+    opt_actor, *critic_opts = opts
+    losses = [critic_update(batch, net, batch.targets[:, k], opt, tcfg.grad_clip)
+              for k, (net, opt) in enumerate(zip(critics, critic_opts))]
+    advantages, probs = _batch_advantages(batch, actor, critics, tcfg.variant)
+    return actor_update(batch, probs, actor, advantages, opt_actor, tcfg.grad_clip), losses[0]
 
 
 def training_loop(
@@ -377,20 +371,15 @@ def training_loop(
 
     init_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 11])))
     actor = make_actor(cfg, fcfg, init_rng, tcfg.arch)
-    critic = make_critic(cfg, ccfg, init_rng, tcfg.arch)
-    target_critic = make_critic(cfg, ccfg, init_rng, tcfg.arch)
-    target_critic.copy_from(critic)
-    vnet = target_vnet = None
-    if variant == "central-qv":
-        vnet = make_value_net(cfg, ccfg, init_rng, tcfg.arch)
-        target_vnet = make_value_net(cfg, ccfg, init_rng, tcfg.arch)
-        target_vnet.copy_from(vnet)
-
-    opts = (
-        nn.Adam(actor.parameters(), tcfg.actor_lr),
-        nn.Adam(critic.parameters(), tcfg.critic_lr),
-        nn.Adam(vnet.parameters(), tcfg.critic_lr) if vnet is not None else None,
-    )
+    makers = (make_critic, make_value_net) if variant == "central-qv" else (make_critic,)
+    critics: list[PolicyNet] = []  # the Q critic, then central-qv's V net
+    target_nets: list[PolicyNet] = []
+    for make in makers:
+        critics.append(make(cfg, ccfg, init_rng, tcfg.arch))
+        target_nets.append(make(cfg, ccfg, init_rng, tcfg.arch))
+        target_nets[-1].copy_from(critics[-1])
+    opts = (nn.Adam(actor.parameters(), tcfg.actor_lr),
+            *(nn.Adam(net.parameters(), tcfg.critic_lr) for net in critics))
 
     # variant and arch are recorded on their own; the checkpoint interval says nothing of a net
     meta = {
@@ -413,7 +402,6 @@ def training_loop(
     timing_rows: list[tuple[int, float]] = []
     missions_done = 0
     interactions = 0
-    copies_done = 0
     block = 0
 
     while missions_done < tcfg.total_missions:
@@ -432,7 +420,7 @@ def training_loop(
         rollout = Rollout.concat(parts)
         interactions += rows
 
-        _fill_block_targets(rollout, target_critic, target_vnet, tcfg, cfg)
+        _fill_block_targets(rollout, target_nets, tcfg, cfg)
 
         actor_losses: list[float] = []
         critic_losses: list[float] = []
@@ -443,7 +431,7 @@ def training_loop(
             perm = shuffle_rng.permutation(rows)
             for lo in range(0, rows, tcfg.batch_size):
                 batch = rollout.take(perm[lo : lo + tcfg.batch_size])
-                aloss, closs = _optimise_minibatch(batch, actor, critic, vnet, opts, tcfg)
+                aloss, closs = _optimise_minibatch(batch, actor, critics, opts, tcfg)
                 if not (np.isfinite(aloss) and np.isfinite(closs)):
                     raise TrainingDivergenceError(
                         f"non-finite loss in block {block} (actor {aloss}, critic {closs})"
@@ -451,11 +439,10 @@ def training_loop(
                 actor_losses.append(aloss)
                 critic_losses.append(closs)
 
-        while interactions // tcfg.target_copy_interval > copies_done:
-            target_critic.copy_from(critic)
-            if target_vnet is not None:
-                target_vnet.copy_from(vnet)
-            copies_done += 1
+        interval = tcfg.target_copy_interval
+        if (interactions - rows) // interval < interactions // interval:
+            for target, net in zip(target_nets, critics):
+                target.copy_from(net)
 
         row = {
             "block": block,
@@ -472,10 +459,10 @@ def training_loop(
         if progress is not None:
             progress(row)
         if (block + 1) % tcfg.checkpoint_every_blocks == 0:
-            _save_all(out_dir, actor, critic, vnet, ccfg, cfg, meta)
+            _save_all(out_dir, (actor, *critics), ccfg, cfg, meta)
         block += 1
 
-    _save_all(out_dir, actor, critic, vnet, ccfg, cfg, meta)
+    _save_all(out_dir, (actor, *critics), ccfg, cfg, meta)
     write_csv(
         out_dir / "missions.csv",
         ((i, r, tcfg.epsilon_at(i)) for i, r in enumerate(mission_returns)),
@@ -488,19 +475,17 @@ def training_loop(
         mission_returns=mission_returns,
         block_rows=block_rows,
         actor=actor,
-        critic=critic,
-        target_critic=target_critic,
+        critic=critics[0],
+        target_critic=target_nets[0],
     )
 
 
-def _save_all(out_dir: Path, actor: PolicyNet, critic: PolicyNet,
-              vnet: Optional[PolicyNet], ccfg: FeatureConfig, cfg: EnvConfig,
+def _save_all(out_dir: Path, nets: Sequence[PolicyNet], ccfg: FeatureConfig, cfg: EnvConfig,
               meta: dict) -> None:
-    """Each network's checkpoint; its manifest names the prefix of the
-    critic planes it reads (see ``Rollout``)."""
+    """Each network's checkpoint, ``nets`` being the actor then the critics;
+    its manifest names the prefix of the critic planes it reads (see ``Rollout``)."""
     planes = critic_manifest(ccfg, cfg.num_agents)
-    for name, kind, net in (("actor", "actor", actor), ("critic", "critic", critic),
-                            ("vnet", "state-value", vnet)):
-        if net is not None:
-            save_network(out_dir / f"{name}.ckpt", net, kind=kind,
-                         manifest=planes[: net.in_channels], extra=meta)
+    names = (("actor", "actor"), ("critic", "critic"), ("vnet", "state-value"))
+    for (name, kind), net in zip(names, nets):
+        save_network(out_dir / f"{name}.ckpt", net, kind=kind,
+                     manifest=planes[: net.in_channels], extra=meta)

@@ -124,7 +124,8 @@ def test_a_rollout_step_makes_one_batched_actor_call():
     assert names.count("policy.actor_forward") == names.count("environment.step") == cfg.budget
     convs = [s for s in recorded if s[0] == "nn.conv2d_fwd"]
     assert all(under_actor_forward(s) for s in convs)
-    assert [s[6] for s in convs] == [cfg.num_agents] * (cfg.budget * len(actor.convs))
+    layers = len(actor.arch.conv_channels)
+    assert [s[6] for s in convs] == [cfg.num_agents] * (cfg.budget * layers)
 
 
 def test_a_minibatch_runs_the_actor_forward_once():
@@ -135,7 +136,7 @@ def test_a_minibatch_runs_the_actor_forward_once():
 
     cfg, fcfg, actor, critic = _training_fixture()
     batch, _ = run_training_mission(actor, cfg, fcfg, 0, 0, 0.5, fcfg)
-    opts = (nn.Adam(actor.parameters(), 1e-3), nn.Adam(critic.parameters(), 1e-3), None)
-    recorded = _traced(_optimise_minibatch, batch, actor, critic, None, opts, TrainConfig())
+    opts = (nn.Adam(actor.parameters(), 1e-3), nn.Adam(critic.parameters(), 1e-3))
+    recorded = _traced(_optimise_minibatch, batch, actor, [critic], opts, TrainConfig())
     parents = sorted(recorded[s[3]][0] for s in recorded if s[0] == "policy.net_forward")
     assert parents == ["training.advantages", "training.advantages", "training.critic_update"]

@@ -561,6 +561,38 @@ def test_ablate_features_channel_bookkeeping(smoke_config, tmp_path):
     assert (out / "without_entropy_map" / "benchmark.csv").exists()
 
 
+@pytest.mark.parametrize("argv, keep", [
+    (["train", "--missions", "1"], ()),
+    (["ablate-features", "--toggles", "budget", "--missions", "2"], ("budget",)),
+    (["ablate-features", "--toggles", "entropy_map,budget", "--missions", "2"], ("budget",)),
+], ids=["train", "ablate", "ablate-second-toggle"])
+def test_a_config_leaving_the_actor_no_plane_is_usage_error(smoke_config, tmp_path, capsys,
+                                                            argv, keep):
+    from terrascout.policy import ACTOR_PLANES
+
+    config = tmp_path / "bare.cfg"
+    config.write_text(smoke_config.read_text() + "".join(
+        f"features.{name} = off\n" for name in ACTOR_PLANES if name not in keep))
+    out = tmp_path / "x"
+    rc = main([argv[0], "--config", str(config), "--out", str(out), *argv[1:]])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+    assert "no input plane" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("toggles", ["+budget,+budget", "budget,-budget"])
+def test_ablate_repeated_toggle_is_usage_error(smoke_config, tmp_path, capsys, toggles):
+    out = tmp_path / "x"
+    rc = main(["ablate-features", "--config", str(smoke_config), "--out", str(out),
+               "--toggles", toggles, "--missions", "2"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_ablate_unknown_plane_is_usage_error(smoke_config, tmp_path):
     rc = main(["ablate-features", "--config", str(smoke_config), "--out",
                str(tmp_path / "x"), "--toggles", "sharpness_map"])
@@ -824,6 +856,33 @@ def test_evaluate_checkpoint_with_non_finite_parameters_is_data_error(
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and err.count("\n") == 1
     assert "head.bias" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("edit", [
+    lambda params, meta: meta.update(grid_size=2_000_000),
+    lambda params, meta: meta.update(in_channels=10**12),
+    lambda params, meta: meta["arch"].update(mlp_sizes=[10**12, 64]),
+    lambda params, meta: params.update(extra=np.zeros(2)),
+    lambda params, meta: params.pop("head.bias"),
+    lambda params, meta: params.update({"fc0.bias": np.zeros(5)}),
+], ids=["huge-grid-size", "huge-in-channels", "huge-mlp-sizes", "extra-layer", "missing-layer",
+        "wrong-shape"])
+def test_evaluate_checkpoint_whose_layers_are_not_its_headers_is_data_error(
+        smoke_config, tmp_path, capsys, edit):
+    # a header whose sizes imply a network of many TB is refused before any is built
+    from terrascout.nn import save_checkpoint
+
+    ckpt = _toy_actor_checkpoint(smoke_config, tmp_path / "actor.ckpt")
+    params, meta = load_checkpoint(ckpt)
+    edit(params, meta)
+    save_checkpoint(ckpt, list(params.items()), meta)
+    out = tmp_path / "x"
+    rc = main(["evaluate", "--config", str(smoke_config), "--planner", "learned",
+               "--actor-weights", str(ckpt), "--missions", "2", "--out", str(out)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and err.count("\n") == 1
     assert not out.exists()
 
 

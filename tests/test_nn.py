@@ -11,9 +11,7 @@ from terrascout import nn
 from terrascout.errors import ContractViolation, DataError, TrainingDivergenceError
 from terrascout.nn import (
     Adam,
-    Conv2d,
     DimensionError,
-    Linear,
     Tensor,
     UsageError,
     clip_grad_norm,
@@ -265,11 +263,13 @@ def test_bounded_softmax_rejects_epsilon_outside_unit_interval(epsilon):
 
 def test_no_grad_records_no_tape():
     x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-    layer = Linear(3, 2, np.random.default_rng(0))
+    weight = Tensor(np.random.default_rng(0).normal(size=(3, 2)), requires_grad=True)
+    fc_bias = Tensor(np.zeros(2), requires_grad=True)
     kernel = Tensor(np.ones((1, 1, 2, 2)), requires_grad=True)
     bias = Tensor(np.zeros(1), requires_grad=True)
     with nn.no_grad():
-        outs = [x * 2.0, relu(x), layer(x), conv2d(x.data[None, None], kernel, bias)]
+        outs = [x * 2.0, relu(x), nn.linear(x, weight, fc_bias),
+                conv2d(x.data[None, None], kernel, bias)]
     for out in outs:
         assert out._parents == () and out._backward is None and not out._needs_grad
     taped = x * 2.0
@@ -387,21 +387,20 @@ def test_clip_grad_norm():
 
 def test_linear_layer_forward():
     rng = np.random.default_rng(0)
-    layer = Linear(3, 2, rng)
+    weight = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+    bias = Tensor(rng.normal(size=2), requires_grad=True)
     x = Tensor(np.ones((4, 3)))
-    out = layer(x)
-    np.testing.assert_allclose(out.data, x.data @ layer.weight.data + layer.bias.data)
+    out = nn.linear(x, weight, bias)
+    np.testing.assert_allclose(out.data, x.data @ weight.data + bias.data)
 
 
 def test_checkpoint_round_trip_bit_exact(tmp_path):
     rng = np.random.default_rng(1)
-    conv = Conv2d(3, 8, 3, 1, 1, rng)
-    fc = Linear(10, 4, rng)
     named = [
-        ("conv.weight", conv.weight.data),
-        ("conv.bias", conv.bias.data),
-        ("fc.weight", fc.weight.data),
-        ("fc.bias", fc.bias.data),
+        ("conv.weight", rng.normal(size=(8, 3, 3, 3))),
+        ("conv.bias", np.zeros(8)),
+        ("fc.weight", rng.normal(size=(10, 4))),
+        ("fc.bias", np.zeros(4)),
     ]
     path = tmp_path / "net.ckpt"
     save_checkpoint(path, named, {"kind": "actor", "planes": ["a", "b"]})
@@ -431,6 +430,14 @@ def test_checkpoint_rejects_garbage(tmp_path):
     path = tmp_path / "bad.ckpt"
     path.write_bytes(b"NOTACKPT anything")
     with pytest.raises(DataError):
+        load_checkpoint(path)
+
+
+def test_checkpoint_rejects_a_repeated_layer_name(tmp_path):
+    # a dict of the layers would keep one of the two and drop the other unseen
+    path = tmp_path / "twice.ckpt"
+    save_checkpoint(path, [("w", np.zeros(2)), ("w", np.ones(2))])
+    with pytest.raises(DataError, match="repeated layer name"):
         load_checkpoint(path)
 
 

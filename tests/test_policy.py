@@ -40,6 +40,7 @@ from terrascout.policy import (
     build_critic_features,
     critic_global_planes,
     critic_manifest,
+    layer_shapes,
     load_network,
     make_actor,
     make_critic,
@@ -356,6 +357,22 @@ def test_network_checkpoint_round_trip(tmp_path):
     np.testing.assert_array_equal(
         actor.forward(stack[None]).data, loaded.forward(stack[None]).data
     )
+
+
+@pytest.mark.parametrize("name", ["smoke.cfg", "full.cfg"])
+def test_layer_shapes_list_the_layers_save_network_writes(tmp_path, name):
+    raw = cli.parse_config_file(SMOKE_CFG.parent / name)
+    cfg, arch = cli.build_env_config(raw), cli.build_train_config(raw).arch
+    for make in (make_actor, make_critic, make_value_net):
+        net = make(cfg, FCFG, np.random.default_rng(0), arch)
+        save_network(tmp_path / "net.ckpt", net, kind="net", manifest=())
+        params, _ = nn.load_checkpoint(tmp_path / "net.ckpt")
+        want = layer_shapes(net.in_channels, net.grid_size, net.out_dim, arch)
+        assert [(layer, value.shape) for layer, value in params.items()] == want
+        layers = [f"conv{i}" for i in range(len(arch.conv_channels))]
+        layers += [f"fc{i}" for i in range(len(arch.mlp_sizes))] + ["head"]
+        assert [layer for layer, _ in want] == [f"{layer}.{kind}" for layer in layers
+                                                for kind in ("weight", "bias")]
 
 
 def test_full_network_gradient_check():

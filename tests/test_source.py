@@ -46,3 +46,21 @@ def test_every_function_parameter_is_read():
                     for param, read in seen.items() if not read)
     assert len(reads) > 100  # the walk found the package's functions
     assert unread == []
+
+
+def test_only_policy_creates_parameter_tensors():
+    # a network's parameters are made in one place, from its layer_shapes
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "policy.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            flags = [kw.value for kw in node.keywords if kw.arg == "requires_grad"]
+            if name == "Tensor" and len(node.args) > 1:
+                flags.append(node.args[1])
+            if any(not (isinstance(v, ast.Constant) and v.value is False) for v in flags):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

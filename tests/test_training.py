@@ -219,7 +219,7 @@ def test_coma_equals_actor_independent_on_action_blind_critic():
     n_planes = len(critic_manifest(FCFG, cfg.num_agents))
     n_action_planes = NUM_ACTIONS * (cfg.num_agents - 1)
     # zero every first-layer weight reading the action planes
-    critic.convs[0].weight.data[:, n_planes - n_action_planes :] = 0.0
+    critic.params["conv0.weight"].data[:, n_planes - n_action_planes :] = 0.0
     rng = np.random.default_rng(2)
     feats_a = fake_rollout(cfg, rng).features[0]
     feats_b = feats_a.copy()
@@ -333,10 +333,11 @@ def test_non_finite_value_target_raises_before_any_gradient():
     actor, critic, vnet = nets
     opts = tuple(nn.Adam(net.parameters(), lr=1e-3) for net in nets)
     batch = fake_rollout(cfg, rng, actions=[0, 1, 2])
-    batch.v_targets[1] = np.nan
+    batch.targets = np.zeros((len(batch), 2))
+    batch.targets[1, 1] = np.nan
     before = [p.data.copy() for p in vnet.parameters()]
     with pytest.raises(TrainingDivergenceError, match="non-finite TD target"):
-        _optimise_minibatch(batch, actor, critic, vnet, opts, micro_tcfg(variant="central-qv"))
+        _optimise_minibatch(batch, actor, [critic, vnet], opts, micro_tcfg(variant="central-qv"))
     for p, b in zip(vnet.parameters(), before):
         assert (p.grad == 0.0).all()
         assert p.data.tobytes() == b.tobytes()
@@ -441,7 +442,7 @@ def test_block_targets_follow_each_agent_episode():
     block = Rollout.concat([
         run_training_mission(actor, cfg, FCFG, 1, m, 0.2, FCFG)[0] for m in (0, 1)
     ])
-    _fill_block_targets(block, critic, vnet, tcfg, cfg)
+    _fill_block_targets(block, [critic, vnet], tcfg, cfg)
     n_value = len(critic_manifest(replace(FCFG, action_maps=False), cfg.num_agents))
     per_mission = cfg.budget * cfg.num_agents
     for m in (0, 1):
@@ -451,11 +452,11 @@ def test_block_targets_follow_each_agent_episode():
             qs = critic.forward(feats).data[np.arange(cfg.budget), block.actions[rows]]
             rewards = block.rewards[rows]
             np.testing.assert_array_equal(
-                block.targets[rows], td_lambda_targets(rewards, qs, 0.6, 0.9)
+                block.targets[rows, 0], td_lambda_targets(rewards, qs, 0.6, 0.9)
             )
             vs = vnet.forward(feats[:, :n_value]).data.reshape(-1)
             np.testing.assert_array_equal(
-                block.v_targets[rows], td_lambda_targets(rewards, vs, 0.6, 0.9)
+                block.targets[rows, 1], td_lambda_targets(rewards, vs, 0.6, 0.9)
             )
 
 
