@@ -41,7 +41,7 @@ from .gridmap import (
     write_csv,
     write_text_grid,
 )
-from .planners import PLANNER_NAMES
+from .planners import PLANNERS
 from .policy import ACTOR_PLANES, FeatureConfig, NetArch, actor_manifest, load_network
 from .training import TrainConfig, VARIANTS, training_loop
 
@@ -261,26 +261,26 @@ def _print_block(row: dict) -> None:
 
 def _planner_specs(args, cfg: EnvConfig, fcfg: FeatureConfig) -> list[PlannerSpec]:
     specs = []
-    actor = None
-    for name in args.planner:
-        if name not in PLANNER_NAMES:
-            raise UsageError(f"unknown planner '{name}' (choose from {PLANNER_NAMES})")
+    for k, name in enumerate(args.planner):
+        if name not in PLANNERS:
+            raise UsageError(f"unknown planner '{name}' (choose from {tuple(PLANNERS)})")
+        if name in args.planner[:k]:
+            raise UsageError(f"--planner '{name}' is given more than once")
         if name == "learned":
             if not args.actor_weights:
                 raise UsageError("--actor-weights is required for the learned planner")
             if not args.actor_weights.is_file():
                 raise UsageError(f"actor weights not found: {args.actor_weights}")
-            if actor is None:
-                actor, meta = load_network(args.actor_weights)
-                kind, planes = meta.get("kind"), meta.get("manifest")
-                if kind != "actor" or planes != list(actor_manifest(fcfg)):
-                    raise DataError(
-                        f"{args.actor_weights}: a {kind} network reading {planes}; the "
-                        f"configured features need an actor reading {list(actor_manifest(fcfg))}"
-                    )
-                if actor.grid_size != cfg.lattice_cols:
-                    raise DataError(f"{args.actor_weights}: an actor for a {actor.grid_size}-column "
-                                    f"lattice; the config's lattice has {cfg.lattice_cols} columns")
+            actor, meta = load_network(args.actor_weights)
+            kind, planes = meta.get("kind"), meta.get("manifest")
+            if kind != "actor" or planes != list(actor_manifest(fcfg)):
+                raise DataError(
+                    f"{args.actor_weights}: a {kind} network reading {planes}; the "
+                    f"configured features need an actor reading {list(actor_manifest(fcfg))}"
+                )
+            if actor.grid_size != cfg.lattice_cols:
+                raise DataError(f"{args.actor_weights}: an actor for a {actor.grid_size}-column "
+                                f"lattice; the config's lattice has {cfg.lattice_cols} columns")
             specs.append(PlannerSpec("learned", actor=actor, mode=args.learned_mode))
         else:
             specs.append(PlannerSpec(name))
@@ -427,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("evaluate", help="benchmark planners on seeded missions")
     common(p_eval)
     p_eval.add_argument("--planner", action="append", default=[],
-                        help=f"one of {PLANNER_NAMES}; repeatable")
+                        help=f"one of {tuple(PLANNERS)}; repeatable")
     p_eval.add_argument("--missions", type=int, default=50)
     p_eval.add_argument("--threads", type=int, default=1,
                         help="worker processes that run the missions")

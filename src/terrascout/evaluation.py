@@ -25,7 +25,7 @@ from .environment import (
     start_mission,
     write_episode_csv,
 )
-from .errors import ContractViolation, DegenerateTerrainError
+from .errors import ConfigurationError, ContractViolation, DegenerateTerrainError
 from .gridmap import (
     ImportanceWeights,
     OccupancyGrid,
@@ -34,7 +34,7 @@ from .gridmap import (
     weighted_cell_entropy,
     write_csv,
 )
-from .planners import make_planner
+from .planners import LearnedPlanner, PLANNERS
 from .policy import FeatureConfig, PolicyNet
 
 LOCAL_METRICS_HEADER = ("mission", "step", "agent", "roi_entropy", "f1")
@@ -61,7 +61,11 @@ class PlannerSpec:
     mode: str = "sample"
 
     def build(self, fcfg: FeatureConfig):
-        return make_planner(self.name, actor=self.actor, fcfg=fcfg, mode=self.mode)
+        if self.name != "learned":
+            return PLANNERS[self.name]()
+        if self.actor is None:
+            raise ConfigurationError("learned planner needs actor weights")
+        return LearnedPlanner(self.actor, fcfg, self.mode)
 
 
 @dataclass
@@ -211,11 +215,7 @@ def run_mission(
     t = 0
     while not done:
         t += 1
-        masks = env.masks()
-        joint = [
-            planner.act(env.locals[i], masks[i], cfg, rng)
-            for i in range(cfg.num_agents)
-        ]
+        joint = planner.act_team(env.locals, env.masks(), cfg, rng)
         r, done = env.step(joint)
         probs, cell_entropy = env.state.map_planes(cfg.weights)
         h, f1 = scores.catch_up(lambda cells, roi: (probs[cells], cell_entropy[cells][roi]))

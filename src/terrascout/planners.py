@@ -1,13 +1,13 @@
-"""Action selection: non-learned baselines and the trained-actor wrapper.
+"""Action selection: non-learned baselines and the learned team policy.
 
-Every planner returns an action that passes the environment mask. The
-random and greedy planners are stateless; the coverage planner keeps a
-per-agent sweep cursor; the learned planner wraps a frozen actor network.
+A planner's ``act_team`` returns each agent's action, in agent order, passing
+its mask. Random and greedy are stateless, coverage keeps a per-agent sweep
+cursor, and the learned planner is the actor of evaluation and of training.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -23,7 +23,15 @@ from .gridmap import ImportanceWeights, footprint, weighted_cell_entropy
 from .policy import FeatureConfig, PolicyNet, actor_forward, build_actor_features
 
 
-class RandomPlanner:
+class PerAgentPlanner:
+    """Acts for the team through each agent's ``act``, in agent order, on one ``rng``."""
+
+    def act_team(self, locals: Sequence[AgentLocalState], masks: Sequence[np.ndarray],
+                 cfg: EnvConfig, rng: np.random.Generator) -> list[int]:
+        return [self.act(local, mask, cfg, rng) for local, mask in zip(locals, masks)]
+
+
+class RandomPlanner(PerAgentPlanner):
     """Uniform draw over the valid actions."""
 
     def act(self, local: AgentLocalState, mask: np.ndarray, cfg: EnvConfig,
@@ -66,7 +74,7 @@ def expected_entropy_reduction(patches: Sequence[np.ndarray], accuracy: float,
     return [float(block.sum()) for block in blocks]
 
 
-class GreedyInfoGainPlanner:
+class GreedyInfoGainPlanner(PerAgentPlanner):
     """Pick the move whose footprint promises the largest expected
     entropy reduction of the agent's local map; ties break in the fixed
     action order (up, north, east, south, west, down).
@@ -94,7 +102,7 @@ class GreedyInfoGainPlanner:
         return int(np.argmax(gains))  # the first maximum: ties go to the earlier action
 
 
-class CoveragePlanner:
+class CoveragePlanner(PerAgentPlanner):
     """Non-adaptive boustrophedon sweep of per-agent vertical stripes.
 
     The terrain is split into N near-equal-width column stripes; agent k
@@ -158,38 +166,28 @@ def _sweep_plan(local: AgentLocalState, cfg: EnvConfig) -> list[tuple[int, int]]
 
 
 class LearnedPlanner:
-    """Frozen actor network driven by the agent's local features."""
+    """The actor acting for the team: one ``actor_forward`` at exploration floor
+    ``epsilon`` over every agent's local stack (kept in ``stacks`` until the
+    next step), then one draw per agent in agent order, or each row's argmax."""
 
-    def __init__(self, actor: PolicyNet, fcfg: FeatureConfig, mode: str = "sample"):
+    def __init__(self, actor: PolicyNet, fcfg: FeatureConfig, mode: str = "sample",
+                 epsilon: float = 0.0):
         if mode not in ("sample", "argmax"):
             raise ConfigurationError(f"unknown learned-planner mode '{mode}'")
         self.actor = actor
         self.fcfg = fcfg
         self.mode = mode
+        self.epsilon = epsilon
+        self.stacks: list[np.ndarray] = []
 
-    def act(self, local: AgentLocalState, mask: np.ndarray, cfg: EnvConfig,
-            rng: np.random.Generator) -> int:
-        stack = build_actor_features(local, cfg, self.fcfg)
-        probs = actor_forward(self.actor, [stack], [mask], 0.0)[0]
+    def act_team(self, locals: Sequence[AgentLocalState], masks: Sequence[np.ndarray],
+                 cfg: EnvConfig, rng: np.random.Generator) -> list[int]:
+        self.stacks = [build_actor_features(local, cfg, self.fcfg) for local in locals]
+        pis = actor_forward(self.actor, self.stacks, masks, self.epsilon)
         if self.mode == "argmax":
-            return int(np.argmax(probs))
-        return int(rng.choice(NUM_ACTIONS, p=probs))
+            return [int(np.argmax(pi)) for pi in pis]
+        return [int(rng.choice(NUM_ACTIONS, p=pi)) for pi in pis]
 
 
-PLANNER_NAMES = ("random", "coverage", "greedy-ig", "learned")
-
-
-def make_planner(name: str, *, actor: Optional[PolicyNet] = None,
-                 fcfg: FeatureConfig = FeatureConfig(), mode: str = "sample"):
-    """Fresh planner instance for one mission."""
-    if name == "random":
-        return RandomPlanner()
-    if name == "coverage":
-        return CoveragePlanner()
-    if name == "greedy-ig":
-        return GreedyInfoGainPlanner()
-    if name == "learned":
-        if actor is None:
-            raise ConfigurationError("learned planner needs actor weights")
-        return LearnedPlanner(actor, fcfg, mode=mode)
-    raise ConfigurationError(f"unknown planner '{name}'")
+PLANNERS = {"random": RandomPlanner, "coverage": CoveragePlanner,
+            "greedy-ig": GreedyInfoGainPlanner, "learned": LearnedPlanner}

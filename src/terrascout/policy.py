@@ -360,19 +360,24 @@ class PolicyNet:
     """Conv encoder + MLP head over a stack of G x G feature planes. ``params``
     holds a tensor per ``layer_shapes`` entry: each weight drawn He-normal over
     its fan-in (a kernel's in * k * k, a dense weight's rows) in that order,
-    each bias zero."""
+    each bias zero; or, with ``values``, its array there, drawing nothing."""
 
     def __init__(self, in_channels: int, grid_size: int, out_dim: int,
-                 rng: np.random.Generator, arch: NetArch = NetArch()):
+                 rng: Optional[np.random.Generator], arch: NetArch = NetArch(),
+                 values: Optional[dict[str, np.ndarray]] = None):
         self.in_channels = in_channels
         self.grid_size = grid_size
         self.out_dim = out_dim
         self.arch = arch
         self.params: dict[str, Tensor] = {}
         for name, shape in layer_shapes(in_channels, grid_size, out_dim, arch):
-            fan_in = math.prod(shape[1:]) if len(shape) == 4 else shape[0]
-            value = (np.zeros(shape) if name.endswith(".bias")
-                     else rng.normal(0.0, math.sqrt(2.0 / fan_in), shape))
+            if values is not None:
+                value = values[name]
+            elif name.endswith(".bias"):
+                value = np.zeros(shape)
+            else:
+                fan_in = math.prod(shape[1:]) if len(shape) == 4 else shape[0]
+                value = rng.normal(0.0, math.sqrt(2.0 / fan_in), shape)
             self.params[name] = Tensor(value, requires_grad=True)
 
     def forward(self, x) -> Tensor:
@@ -470,7 +475,4 @@ def load_network(path) -> tuple[PolicyNet, dict]:
     bad = [name for name, value in params.items() if not np.isfinite(value).all()]
     if bad:
         raise DataError(f"{path}: non-finite parameters in {', '.join(bad)}")
-    net = PolicyNet(*sizes, np.random.default_rng(0), arch)
-    for name, value in params.items():
-        net.params[name].data = value
-    return net, meta
+    return PolicyNet(*sizes, None, arch, values=params), meta

@@ -22,18 +22,17 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .environment import EnvConfig, NUM_ACTIONS, start_mission
+from .environment import EnvConfig, start_mission
 from .errors import ConfigurationError, ContractViolation, TrainingDivergenceError
 from . import nn
 from .gridmap import write_csv
+from .planners import LearnedPlanner
 from .policy import (
     CRITIC_GLOBAL_PLANES,
     FeatureConfig,
     NetArch,
     PolicyNet,
-    actor_forward,
     actor_manifest,
-    build_actor_features,
     build_critic_features,
     critic_global_planes,
     critic_manifest,
@@ -246,22 +245,21 @@ def run_training_mission(
     epsilon: float,
     critic_fcfg: FeatureConfig,
 ) -> tuple[Rollout, float]:
-    """Play one on-policy mission and record every agent decision; the actor
-    reads the planes of ``fcfg``, and each row holds those of ``critic_fcfg``."""
+    """Play one on-policy mission through a ``LearnedPlanner`` on the planes of
+    ``fcfg``, and record every agent decision; each row holds those of ``critic_fcfg``."""
     env, rng = start_mission(cfg, seed, mission_index)
     env.reset()
+    planner = LearnedPlanner(actor, fcfg, epsilon=epsilon)
     features, masks, actions, rewards = [], [], [], []
     mission_return = 0.0
     done = False
     while not done:
         step_masks = env.masks()
-        stacks = [build_actor_features(loc, cfg, fcfg) for loc in env.locals]
-        pis = actor_forward(actor, stacks, step_masks, epsilon)
-        step_actions = [int(rng.choice(NUM_ACTIONS, p=pi)) for pi in pis]
+        step_actions = planner.act_team(env.locals, step_masks, cfg, rng)
         shared = None
         if any(getattr(critic_fcfg, name) for name in CRITIC_GLOBAL_PLANES):
             shared = critic_global_planes(env.state, cfg)
-        for i, stack in enumerate(stacks):
+        for i, stack in enumerate(planner.stacks):
             others = step_actions[:i] + step_actions[i + 1 :]
             features.append(build_critic_features(
                 env.state, stack, i, others, cfg, critic_fcfg, global_planes=shared

@@ -593,6 +593,25 @@ def test_ablate_repeated_toggle_is_usage_error(smoke_config, tmp_path, capsys, t
     assert not out.exists()
 
 
+@pytest.mark.parametrize("planners", [
+    ["random", "random"],
+    ["greedy-ig", "coverage", "greedy-ig"],
+    ["learned", "random", "learned"],
+], ids=["random-twice", "greedy-ig-twice", "learned-twice"])
+def test_evaluate_repeated_planner_is_usage_error(smoke_config, tmp_path, capsys, planners):
+    # a repeat would run every mission twice, and its dumps would overwrite the first run's
+    actor = _toy_actor_checkpoint(smoke_config, tmp_path / "actor.ckpt")
+    out = tmp_path / "x"
+    argv = ["evaluate", "--config", str(smoke_config), "--out", str(out), "--missions", "2",
+            "--actor-weights", str(actor), "--dump-maps", "--local-metrics"]
+    for name in planners:
+        argv += ["--planner", name]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"usage error: --planner '{planners[0]}' is given more than once\n"
+    assert not out.exists()
+
+
 def test_ablate_unknown_plane_is_usage_error(smoke_config, tmp_path):
     rc = main(["ablate-features", "--config", str(smoke_config), "--out",
                str(tmp_path / "x"), "--toggles", "sharpness_map"])

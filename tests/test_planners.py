@@ -33,7 +33,7 @@ from terrascout.planners import (
     RandomPlanner,
     expected_entropy_reduction,
 )
-from terrascout.policy import FeatureConfig, NetArch, make_actor
+from terrascout.policy import FeatureConfig, NetArch, build_actor_features, make_actor
 
 W = ImportanceWeights(0.8, 0.2)
 
@@ -377,7 +377,7 @@ def test_learned_uniform_logits_sample_uniformly():
     rng = np.random.default_rng(5)
     counts = np.zeros(6)
     for _ in range(6000):
-        counts[planner.act(env.locals[0], mask, env.cfg, rng)] += 1
+        counts[planner.act_team([env.locals[0]], [mask], env.cfg, rng)[0]] += 1
     freqs = counts / 6000
     assert (freqs >= 0.13).all() and (freqs <= 0.20).all()
 
@@ -388,11 +388,11 @@ def test_learned_dominant_logit():
     logits[2] = 10.0
     mask = np.ones(6, dtype=bool)
     argmax = LearnedPlanner(StubNet(logits), FeatureConfig(), mode="argmax")
-    assert argmax.act(env.locals[0], mask, env.cfg, np.random.default_rng(0)) == 2
+    assert argmax.act_team([env.locals[0]], [mask], env.cfg, np.random.default_rng(0))[0] == 2
     sampler = LearnedPlanner(StubNet(logits), FeatureConfig(), mode="sample")
     rng = np.random.default_rng(1)
     hits = sum(
-        sampler.act(env.locals[0], mask, env.cfg, rng) == 2 for _ in range(1000)
+        sampler.act_team([env.locals[0]], [mask], env.cfg, rng)[0] == 2 for _ in range(1000)
     )
     assert hits >= 990
 
@@ -407,7 +407,32 @@ def test_learned_masked_dominant_never_returned():
     for mode in ("sample", "argmax"):
         planner = LearnedPlanner(StubNet(logits), FeatureConfig(), mode=mode)
         for _ in range(200):
-            assert planner.act(env.locals[0], mask, env.cfg, rng) != 2
+            assert planner.act_team([env.locals[0]], [mask], env.cfg, rng)[0] != 2
+
+
+@pytest.mark.parametrize("mode, epsilon", [("sample", 0.0), ("sample", 0.3), ("argmax", 0.0)])
+def test_learned_team_call_equals_one_agent_calls_in_agent_order(mode, epsilon):
+    # one forward for the team, then the draws of N one-agent calls on one generator
+    env = small_env(seed=3, num_agents=4, budget=6)
+    fcfg = FeatureConfig()
+    actor = make_actor(env.cfg, fcfg, np.random.default_rng(1),
+                       NetArch(conv_channels=(4,), conv_strides=(2,), mlp_sizes=(8,)))
+    planner = LearnedPlanner(actor, fcfg, mode=mode, epsilon=epsilon)
+    team_rng, one_rng = np.random.default_rng(11), np.random.default_rng(11)
+    taken = set()
+    done = False
+    while not done:
+        masks = env.masks()
+        joint = planner.act_team(env.locals, masks, env.cfg, team_rng)
+        stacks = planner.stacks
+        singles = [planner.act_team([loc], [mask], env.cfg, one_rng)[0]
+                   for loc, mask in zip(env.locals, masks)]
+        assert joint == singles
+        assert [s.tobytes() for s in stacks] == [
+            build_actor_features(loc, env.cfg, fcfg).tobytes() for loc in env.locals]
+        taken.update(joint)
+        _, done = env.step(joint)
+    assert len(taken) > 1
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +473,7 @@ def test_every_planner_respects_masks_over_randomized_states():
                 )
                 # an out-of-band write logs its rectangle for the cached planes
                 loc.local_map.fused.append(CellRect(0, 99, 0, 99))
-            a = planner.act(loc, mask, env.cfg, mask_rng)
+            a = planner.act_team([loc], [mask], env.cfg, mask_rng)[0]
             assert mask[a]
             checked += 1
     # full env rollouts: coverage needs genuine trajectories

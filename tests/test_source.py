@@ -64,3 +64,33 @@ def test_only_policy_creates_parameter_tensors():
             if any(not (isinstance(v, ast.Constant) and v.value is False) for v in flags):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_random_generators_are_built_only_from_keyed_seeds():
+    # every draw comes from a stream keyed by the run's seed (and the mission,
+    # step, agent, block or epoch) in one of these places, so a run's draws
+    # depend on its seed and config alone, and a resumed run can rebuild them
+    allowed = {
+        "environment._stream",
+        "environment.TerrainEnv._measure_and_fuse",
+        "training.training_loop",
+        "gridmap._virtual_uniforms",
+    }
+    constructors = {"default_rng", "Generator", "PCG64", "Philox", "SeedSequence"}
+    found = []
+
+    def visit(node, scope, path):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}"
+            if isinstance(child, ast.Call):
+                name = getattr(child.func, "id", getattr(child.func, "attr", None))
+                if name in constructors:
+                    found.append((scope, f"{path.name}:{child.lineno} {name}"))
+            visit(child, inner, path)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, path)
+    assert {scope for scope, _ in found} & allowed  # the walk sees the keyed streams
+    assert [where for scope, where in found if scope not in allowed] == []

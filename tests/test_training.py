@@ -433,6 +433,20 @@ def test_a_mission_is_keyed_alike_by_both_runners(monkeypatch):
     assert all(a != b for a, b in zip(views[1], views[2]))  # another mission differs in each
 
 
+@pytest.mark.parametrize("agents", [2, 4])
+def test_training_rollout_at_epsilon_zero_acts_as_the_learned_planner(agents):
+    # both runners act through one policy path: same (seed, mission), same actions
+    cfg = micro_cfg(num_agents=agents, budget=5)
+    actor = make_actor(cfg, FCFG, np.random.default_rng(3), TOY_ARCH)
+    spec = PlannerSpec("learned", actor=actor)
+    for mission in (0, 1):
+        rollout, _ = run_training_mission(actor, cfg, FCFG, 6, mission, 0.0, FCFG)
+        rows = evaluation.run_mission(spec, cfg, 6, mission, fcfg=FCFG).episode_rows
+        taken = [int(Action[row["action"].upper()]) for row in rows if row["step"] > 0]
+        assert rollout.actions.tolist() == taken
+        assert len(set(taken)) > 1
+
+
 def test_block_targets_follow_each_agent_episode():
     cfg = micro_cfg()
     tcfg = micro_tcfg(td_lambda=0.6, gamma=0.9)
