@@ -281,11 +281,16 @@ def _planner_specs(args, cfg: EnvConfig, fcfg: FeatureConfig) -> list[PlannerSpe
             if actor.grid_size != cfg.lattice_cols:
                 raise DataError(f"{args.actor_weights}: an actor for a {actor.grid_size}-column "
                                 f"lattice; the config's lattice has {cfg.lattice_cols} columns")
-            specs.append(PlannerSpec("learned", actor=actor, mode=args.learned_mode))
+            specs.append(PlannerSpec("learned", actor=actor, mode=args.learned_mode or "sample"))
         else:
             specs.append(PlannerSpec(name))
     if not specs:
         raise UsageError("at least one --planner is required")
+    if "learned" not in args.planner:
+        for flag, value in (("--actor-weights", args.actor_weights),
+                            ("--learned-mode", args.learned_mode)):
+            if value is not None:
+                raise UsageError(f"{flag} is read only with --planner learned")
     return specs
 
 
@@ -436,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--comm-radius", dest="comm_radius", metavar="COMM_RADIUS", default=None,
                         help="override communication radius in metres, or 'inf'")
     p_eval.add_argument("--actor-weights", type=Path, default=None)
-    p_eval.add_argument("--learned-mode", choices=("sample", "argmax"), default="sample")
+    p_eval.add_argument("--learned-mode", choices=("sample", "argmax"), help="default: sample")
     p_eval.add_argument("--terrain", type=Path, default=None,
                         help="fixed ground-truth text grid instead of random terrains")
     p_eval.add_argument("--dump-maps", action="store_true")

@@ -37,7 +37,7 @@ from .errors import (
 # read, so log-odds stay finite and fusion remains exactly commutative.
 PROB_FLOOR = 1e-4
 
-# Cells per band of the entropy kernel: its three float buffers stay in cache.
+# Cells per band of the entropy kernel: its two float buffers stay in cache.
 _ENTROPY_BAND = 8192
 # The weighted class-term sum at p = 0.5: both terms are 0.5 * log2(0.5) and
 # both carry the weight 0.5, whatever w1 and w2 are.
@@ -418,13 +418,14 @@ def fuse_measurement(grid: OccupancyGrid, m: Measurement) -> OccupancyGrid:
 def weighted_cell_entropy(p, w: ImportanceWeights):
     """Class-importance-weighted binary entropy, in bits.
 
-    The weight applied to each class term depends on which side of 0.5 the
-    posterior lies (w1 backs the interesting class when it is the likely
-    one); both terms share the weight 0.5 exactly at p = 0.5, and
-    0 log 0 := 0.
+    With y = min(p, 1 - p) and m = 1 - y, a cell's entropy is
+    -(w2 y log2 y + w1 m log2 m): the likelier class carries w1, both terms
+    carry 0.5 at p = 0.5, and 0 log 0 := 0. It equals the textbook formula
+    with side-dependent weights bit for bit, because for p >= 0.5 the
+    subtraction 1 - p is exact and 1 - (1 - p) = p, so each cell gets the
+    same two products, added in the other order.
 
-    Cells are processed in cache-sized bands of a flat C-order view, with
-    the same IEEE operations per cell as the textbook formula.
+    Cells are processed in cache-sized bands of a flat C-order view.
     """
     arr = np.asarray(p, dtype=np.float64)
     if arr.size == 0:
@@ -435,31 +436,25 @@ def weighted_cell_entropy(p, w: ImportanceWeights):
     x = arr.ravel()
     out = np.empty(x.size)
     n = min(x.size, _ENTROPY_BAND)
-    t_pos, t_neg, tmp = np.empty(n), np.empty(n), np.empty(n)
+    y_buf, m_buf = np.empty(n), np.empty(n)
     w1, w2 = w.w1, w.w2
     with np.errstate(divide="ignore", invalid="ignore"):  # 0 * log2(0), fixed below
         for start in range(0, x.size, _ENTROPY_BAND):
             xb = x[start:start + _ENTROPY_BAND]
             ob = out[start:start + _ENTROPY_BAND]
-            k = xb.size
-            tp, tn, u = t_pos[:k], t_neg[:k], tmp[:k]
-            np.log2(xb, out=tp)
-            tp *= xb  # x log2 x
-            np.subtract(1.0, xb, out=u)
-            np.log2(u, out=tn)
-            tn *= u  # (1 - x) log2(1 - x)
-            if lo == 0.0:
-                tp[xb == 0.0] = 0.0
-            if hi == 1.0:
-                tn[xb == 1.0] = 0.0
-            # x < 0.5: w2 backs the positive term; x > 0.5: w1 does
-            np.multiply(tp, w2, out=ob)
-            np.multiply(tn, w1, out=u)
-            ob += u
-            tp *= w1
-            tn *= w2
-            tp += tn
-            np.copyto(ob, tp, where=xb > 0.5)
+            y, m = y_buf[:xb.size], m_buf[:xb.size]
+            np.subtract(1.0, xb, out=y)
+            np.minimum(xb, y, out=y)
+            np.subtract(1.0, y, out=m)
+            np.log2(y, out=ob)
+            ob *= y  # y log2 y
+            if lo == 0.0 or hi == 1.0:
+                ob[y == 0.0] = 0.0
+            ob *= w2
+            np.log2(m, out=y)
+            y *= m  # m log2 m
+            y *= w1
+            ob += y
             ob[xb == 0.5] = _SUM_AT_HALF
     np.negative(out, out=out)
     if np.ndim(p) == 0:

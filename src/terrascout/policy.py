@@ -187,10 +187,9 @@ def _measurement_entropy_plane(local: AgentLocalState, cfg: EnvConfig) -> np.nda
     """Row-tile sums of the footprint's whole tiles only, pooled at full width.
 
     A patch holds two observation probabilities, ``1 - acc`` for label 0 and
-    ``acc`` for label 1. Their weighted entropies are equal bit for bit:
-    ``1 - acc`` is exact for acc in [0.5, 1], and the kernel adds the same
-    two weighted terms in swapped order. So every footprint cell holds the
-    entropy of ``acc``, whatever its label.
+    ``acc`` for label 1, with acc in (0.5, 1]. The entropy kernel reads both
+    as y = 1 - acc and m = acc, because ``1 - acc`` is exact there, so every
+    footprint cell holds the entropy of ``acc`` bit for bit, whatever its label.
     """
     f, g = cfg.pool_factor, cfg.lattice_cols
     plane = np.zeros((g, g))

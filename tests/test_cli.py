@@ -12,6 +12,7 @@ from terrascout.cli import (
     CONFIG_KEYS,
     _config_record,
     _load_configs,
+    _planner_specs,
     build_env_config,
     build_feature_config,
     build_parser,
@@ -910,3 +911,35 @@ def test_evaluate_missing_checkpoint_is_usage_error(smoke_config, tmp_path):
                "--actor-weights", str(tmp_path / "none.ckpt"), "--missions", "2",
                "--out", str(tmp_path / "x")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("flags", [
+    ["--actor-weights", "/nonexistent.ckpt"],
+    ["--learned-mode", "argmax"],
+    ["--learned-mode", "sample"],
+    ["--actor-weights", "/nonexistent.ckpt", "--learned-mode", "argmax"],
+], ids=["weights", "argmax", "sample", "both"])
+def test_evaluate_learned_flags_without_learned_planner_are_usage_error(
+    smoke_config, tmp_path, capsys, flags
+):
+    # a flag no planner of the run reads would be dropped without a word
+    out = tmp_path / "x"
+    rc = main(["evaluate", "--config", str(smoke_config), "--planner", "random",
+               "--planner", "greedy-ig", "--missions", "2", "--out", str(out), *flags])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"usage error: {flags[0]} is read only with --planner learned\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, mode", [
+    ([], "sample"), (["--learned-mode", "sample"], "sample"), (["--learned-mode", "argmax"], "argmax"),
+], ids=["default", "sample", "argmax"])
+def test_evaluate_learned_mode_defaults_to_sample(smoke_config, tmp_path, flags, mode):
+    actor = _toy_actor_checkpoint(smoke_config, tmp_path / "actor.ckpt")
+    args = build_parser().parse_args(["evaluate", "--config", str(smoke_config), "--out",
+                                      str(tmp_path / "x"), "--planner", "learned",
+                                      "--actor-weights", str(actor), *flags])
+    cfg, fcfg, _ = _load_configs(args)
+    assert [spec.mode for spec in _planner_specs(args, cfg, fcfg)] == [mode]

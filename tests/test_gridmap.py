@@ -517,6 +517,30 @@ def test_entropy_kernel_rejects_nan_and_keeps_empty_shapes():
         assert out.shape == shape and out.dtype == np.float64
 
 
+# p's mirror 1 - p is exact for p in [0.5, 1]. PROB_FLOOR has no exact mirror
+# there (1 - PROB_FLOOR rounds), so the clamp enters through 1 - PROB_FLOOR.
+MIRROR_PINS = [0.5, 1.0, 1.0 - PROB_FLOOR, 1.0 - 2.0**-53]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    p=st.lists(st.floats(0.5, 1.0), max_size=40),
+    w1=st.floats(0.0, 1.0),
+    slack=st.floats(-5e-13, 5e-13),
+)
+def test_entropy_of_p_and_of_its_mirror_are_bit_identical(p, w1, slack):
+    # both name the same two class probabilities, and the likelier class
+    # carries w1 whichever of them is p
+    w = ImportanceWeights(w1, max(0.0, 1.0 - w1 + slack))
+    p = np.array(p + MIRROR_PINS)
+    mirror = 1.0 - p
+    assert (1.0 - mirror == p).all()
+    assert weighted_cell_entropy(p, w).tobytes() == weighted_cell_entropy(mirror, w).tobytes()
+    for a, b in zip(p.tolist(), mirror.tolist()):
+        assert np.float64(weighted_cell_entropy(a, w)).tobytes() == (
+            np.float64(weighted_cell_entropy(b, w)).tobytes())
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),

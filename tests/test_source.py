@@ -66,6 +66,21 @@ def test_only_policy_creates_parameter_tensors():
     assert found == []
 
 
+def _scoped_nodes():
+    """Every AST node of the package with its scope, e.g. ``gridmap.OccupancyGrid.probs``,
+    and its ``file:line``."""
+    def visit(node, scope, path):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}"
+            yield scope, f"{path.name}:{getattr(child, 'lineno', '?')}", child
+            yield from visit(child, inner, path)
+
+    for path in sorted(SRC.glob("*.py")):
+        yield from visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, path)
+
+
 def test_random_generators_are_built_only_from_keyed_seeds():
     # every draw comes from a stream keyed by the run's seed (and the mission,
     # step, agent, block or epoch) in one of these places, so a run's draws
@@ -77,20 +92,54 @@ def test_random_generators_are_built_only_from_keyed_seeds():
         "gridmap._virtual_uniforms",
     }
     constructors = {"default_rng", "Generator", "PCG64", "Philox", "SeedSequence"}
-    found = []
-
-    def visit(node, scope, path):
-        for child in ast.iter_child_nodes(node):
-            inner = scope
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                inner = f"{scope}.{child.name}"
-            if isinstance(child, ast.Call):
-                name = getattr(child.func, "id", getattr(child.func, "attr", None))
-                if name in constructors:
-                    found.append((scope, f"{path.name}:{child.lineno} {name}"))
-            visit(child, inner, path)
-
-    for path in sorted(SRC.glob("*.py")):
-        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, path)
+    found = [(scope, where) for scope, where, node in _scoped_nodes()
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "id", getattr(node.func, "attr", None)) in constructors]
     assert {scope for scope, _ in found} & allowed  # the walk sees the keyed streams
     assert [where for scope, where in found if scope not in allowed] == []
+
+
+def test_only_fusion_writes_log_odds():
+    # every cached plane catches up from the grid's fusion log, which holds
+    # only what fuse_measurement logged; a write anywhere else would leave
+    # those planes stale without a trace
+    allowed = {"gridmap.fuse_measurement", "gridmap.OccupancyGrid.__post_init__"}
+    found = []
+    for scope, where, node in _scoped_nodes():
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AugAssign):
+            targets = [node.target]
+        elif isinstance(node, ast.Call):
+            targets = [kw.value for kw in node.keywords if kw.arg == "out"]
+        else:
+            continue
+        if any(getattr(t, "attr", getattr(t, "id", None)) == "log_odds"
+               for target in targets for t in ast.walk(target)):
+            found.append((scope, where))
+    assert "gridmap.fuse_measurement" in {scope for scope, _ in found}  # the walk sees it
+    assert [where for scope, where in found if scope not in allowed] == []
+
+
+def test_wall_clock_is_read_only_by_the_training_loop():
+    # wall-clock numbers go only to timing.csv, which training_loop writes;
+    # every other output of a run is a function of its seed and config
+    clocks = {"perf_counter", "perf_counter_ns", "time", "time_ns", "monotonic", "monotonic_ns"}
+    found = []
+    for scope, where, node in _scoped_nodes():
+        if isinstance(node, ast.Attribute):
+            read = node.attr == "datetime" or (
+                node.attr in clocks and getattr(node.value, "id", None) == "time")
+        elif isinstance(node, ast.Name):
+            read = node.id == "datetime"
+        elif isinstance(node, ast.Import):
+            read = any(alias.name.split(".")[0] == "datetime" for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            read = node.module == "datetime" or (
+                node.module == "time" and any(alias.name in clocks for alias in node.names))
+        else:
+            continue
+        if read:
+            found.append((scope, where))
+    assert "training.training_loop" in {scope for scope, _ in found}  # the walk sees it
+    assert [where for scope, where in found if scope != "training.training_loop"] == []
