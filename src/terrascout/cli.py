@@ -244,11 +244,8 @@ def cmd_train(args) -> int:
     cfg, fcfg, tcfg = _load_configs(args)
     _check_actor_planes(fcfg, "the feature config")
     out = _start_run(args, _config_record(cfg, fcfg, tcfg), ["training_log.csv", "actor.ckpt"])
-    result = training_loop(
-        cfg, tcfg, fcfg, args.seed, out,
-        progress=None if args.quiet else _print_block,
-    )
-    print(f"trained {len(result.mission_returns)} missions -> {out / 'actor.ckpt'}")
+    training_loop(cfg, tcfg, fcfg, args.seed, out, progress=None if args.quiet else _print_block)
+    print(f"trained {tcfg.total_missions} missions -> {out / 'actor.ckpt'}")
     return 0
 
 
@@ -357,9 +354,9 @@ def cmd_ablate_features(args) -> int:
                      [f"{label}/benchmark.csv" for label, _ in plans])
     for label, toggled in plans:
         run_dir = out / label
-        result = training_loop(cfg, tcfg, toggled, args.seed, run_dir)
+        actor = training_loop(cfg, tcfg, toggled, args.seed, run_dir)
         stats = run_benchmark(
-            [PlannerSpec("learned", actor=result.actor)],
+            [PlannerSpec("learned", actor=actor)],
             args.missions, args.seed + 1, cfg, fcfg=toggled,
         )
         write_benchmark_csv(run_dir / "benchmark.csv", stats)

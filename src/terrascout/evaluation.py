@@ -291,8 +291,9 @@ def run_benchmark(
 
     Terrain and sensor noise are keyed by (base_seed, mission) alone, so
     all planners see identical worlds. Aggregates use the unbiased (n-1)
-    standard deviation. Each mission runs once, in a pool of ``threads``
-    processes when ``threads > 1``. As its result arrives, ``dump_dir``
+    standard deviation. Each mission runs once, in a pool of
+    ``min(threads, n_missions)`` processes when ``threads > 1``, since a
+    pool starts all its workers at once. As its result arrives, ``dump_dir``
     receives its trajectory CSV and final belief PGM, and ``local_dir``
     gets its local-map rows appended to ``<planner>_local_metrics.csv``;
     only the records are kept.
@@ -320,7 +321,7 @@ def run_benchmark(
             # single-process run never needs
             from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=threads) as pool:
+            with ProcessPoolExecutor(max_workers=min(threads, n_missions)) as pool:
                 per_mission = list(map(keep, pool.map(run, range(n_missions))))
         else:
             per_mission = list(map(keep, map(run, range(n_missions))))

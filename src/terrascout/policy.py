@@ -397,9 +397,6 @@ class PolicyNet:
             h = nn.relu(nn.linear(h, p[f"fc{i}.weight"], p[f"fc{i}.bias"]))
         return nn.linear(h, p["head.weight"], p["head.bias"])
 
-    def named_parameters(self) -> list[tuple[str, Tensor]]:
-        return list(self.params.items())
-
     def parameters(self) -> list[Tensor]:
         return list(self.params.values())
 

@@ -286,16 +286,6 @@ def run_training_mission(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class TrainResult:
-    out_dir: Path
-    mission_returns: list[float]
-    block_rows: list[dict]
-    actor: Optional[PolicyNet] = None
-    critic: Optional[PolicyNet] = None
-    target_critic: Optional[PolicyNet] = None
-
-
 def _fill_block_targets(block: Rollout, target_nets: Sequence[PolicyNet], tcfg: TrainConfig,
                         cfg: EnvConfig) -> None:
     """Compute per-episode TD(lambda) targets from the frozen target nets,
@@ -355,12 +345,14 @@ def training_loop(
     out_dir,
     *,
     progress: Optional[Callable[[dict], None]] = None,
-) -> TrainResult:
+) -> PolicyNet:
     """Alternate rollout blocks and optimization epochs until the mission
-    budget is exhausted; emits checkpoints and a deterministic CSV log.
+    budget is exhausted; return the trained actor.
 
-    Wallclock timings go to a separate ``timing.csv`` so the main log stays
-    byte-identical across reruns of the same seed and config.
+    Each block appends its rows to ``training_log.csv``, ``missions.csv``
+    and ``timing.csv`` before ``progress`` sees it, so a crash keeps the
+    finished blocks' rows. Wallclock timings go only to ``timing.csv``, so
+    the other two are byte-identical across reruns of the same seed and config.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -390,20 +382,19 @@ def training_loop(
     save_network(out_dir / "actor_init.ckpt", actor, kind="actor",
                  manifest=actor_manifest(fcfg), extra=meta)
 
-    log_path = out_dir / "training_log.csv"
     log_fields = ["block", "missions_done", "env_interactions", "mean_return", "actor_loss",
                   "critic_loss", "epsilon"]
-    write_csv(log_path, [], log_fields)  # streamed: a crash keeps the finished blocks' rows
+    write_csv(out_dir / "training_log.csv", [], log_fields)
+    write_csv(out_dir / "missions.csv", [], ["mission", "return", "epsilon"])
+    write_csv(out_dir / "timing.csv", [], ["block", "wallclock_s"])
 
-    mission_returns: list[float] = []
-    block_rows: list[dict] = []
-    timing_rows: list[tuple[int, float]] = []
     missions_done = 0
     interactions = 0
     block = 0
 
     while missions_done < tcfg.total_missions:
         t0 = time.perf_counter()
+        first_mission = missions_done
         parts: list[Rollout] = []
         rows = 0
         block_returns: list[float] = []
@@ -413,7 +404,6 @@ def training_loop(
             parts.append(part)
             rows += len(part)
             block_returns.append(ret)
-            mission_returns.append(ret)
             missions_done += 1
         rollout = Rollout.concat(parts)
         interactions += rows
@@ -451,9 +441,11 @@ def training_loop(
             "critic_loss": float(np.mean(critic_losses)),
             "epsilon": tcfg.epsilon_at(missions_done - 1),
         }
-        block_rows.append(row)
-        timing_rows.append((block, time.perf_counter() - t0))
-        write_csv(log_path, [[row[k] for k in log_fields]])
+        wallclock = time.perf_counter() - t0
+        write_csv(out_dir / "training_log.csv", [[row[k] for k in log_fields]])
+        write_csv(out_dir / "missions.csv", ((i, r, tcfg.epsilon_at(i))
+                                             for i, r in enumerate(block_returns, first_mission)))
+        write_csv(out_dir / "timing.csv", [(block, f"{wallclock:.3f}")])
         if progress is not None:
             progress(row)
         if (block + 1) % tcfg.checkpoint_every_blocks == 0:
@@ -461,21 +453,7 @@ def training_loop(
         block += 1
 
     _save_all(out_dir, (actor, *critics), ccfg, cfg, meta)
-    write_csv(
-        out_dir / "missions.csv",
-        ((i, r, tcfg.epsilon_at(i)) for i, r in enumerate(mission_returns)),
-        ["mission", "return", "epsilon"],
-    )
-    write_csv(out_dir / "timing.csv", ((b, f"{dt:.3f}") for b, dt in timing_rows),
-              ["block", "wallclock_s"])
-    return TrainResult(
-        out_dir=out_dir,
-        mission_returns=mission_returns,
-        block_rows=block_rows,
-        actor=actor,
-        critic=critics[0],
-        target_critic=target_nets[0],
-    )
+    return actor
 
 
 def _save_all(out_dir: Path, nets: Sequence[PolicyNet], ccfg: FeatureConfig, cfg: EnvConfig,

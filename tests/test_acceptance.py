@@ -216,7 +216,7 @@ def test_criterion_2_gradient_checks():
         return tnn.mean(-tnn.log(tnn.gather_last(p, np.array([action]))) * 1.7)
 
     actor_loss().backward()
-    for name, p in actor.named_parameters():
+    for name, p in actor.params.items():
         _check(p.grad, _numeric_grad(lambda: float(actor_loss().data), p.data))
 
     critic = make_critic(cfg, FCFG, np.random.default_rng(6), arch)
@@ -227,7 +227,7 @@ def test_criterion_2_gradient_checks():
         return tnn.mean(tnn.mul(err, err))
 
     critic_loss().backward()
-    for name, p in critic.named_parameters():
+    for name, p in critic.params.items():
         _check(p.grad, _numeric_grad(lambda: float(critic_loss().data), p.data))
 
     _report(2, "finite-difference checks pass for all layers and full actor/critic graphs")
@@ -341,10 +341,13 @@ def test_criterion_6_rl_learning_progress(tmp_path):
     tcfg = smoke_train_config()
     assert tcfg.variant == "coma"
     seed = 3
-    result = training_loop(cfg, tcfg, FCFG, seed=seed, out_dir=tmp_path / "smoke")
-    last20 = result.mission_returns[-20:]
+    run = tmp_path / "smoke"
+    training_loop(cfg, tcfg, FCFG, seed=seed, out_dir=run)
+    returns = np.loadtxt(run / "missions.csv", delimiter=",", skiprows=1, usecols=1)
+    assert len(returns) == tcfg.total_missions
+    last20 = returns[-20:]
     final_eps = tcfg.epsilon_at(tcfg.total_missions - 1)
-    init_actor, _ = load_network(result.out_dir / "actor_init.ckpt")
+    init_actor, _ = load_network(run / "actor_init.ckpt")
     idx = list(range(tcfg.total_missions - 20, tcfg.total_missions))
     untrained = evaluate_policy_returns(init_actor, cfg, FCFG, seed, idx, final_eps)
     t, p = stats.ttest_ind(last20, untrained, equal_var=False)

@@ -329,6 +329,34 @@ def test_benchmark_threads_match_serial():
     assert serial["greedy-ig"].f1_mean == parallel["greedy-ig"].f1_mean
 
 
+def test_benchmark_pool_starts_at_most_one_worker_per_mission(monkeypatch):
+    """A process pool forks all its workers at the first submit, so the pool
+    is sized to the missions; a serial stand-in records the size and starts
+    no process."""
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
+    cfg = cfg_(num_agents=2, budget=3)
+    serial = run_benchmark([PlannerSpec("random")], 2, 31, cfg)["random"]
+    wide = run_benchmark([PlannerSpec("random")], 2, 31, cfg, threads=500)["random"]
+    run_benchmark([PlannerSpec("random")], 3, 31, cfg, threads=2)
+    assert sizes == [2, 2]
+    assert wide.entropy_mean == serial.entropy_mean
+
+
 def test_benchmark_csv_layout(tmp_path):
     cfg = cfg_(num_agents=2, budget=6)
     stats = run_benchmark([PlannerSpec("random"), PlannerSpec("coverage")], 2, 41, cfg)

@@ -393,7 +393,7 @@ def test_full_network_gradient_check():
 
     out = loss()
     out.backward()
-    for name, p in actor.named_parameters():
+    for name, p in actor.params.items():
         if p.data.size > 200:  # keep FD affordable on the big conv kernels
             continue
         num = numeric_grad(lambda: float(loss().data), p.data)

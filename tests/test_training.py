@@ -22,6 +22,7 @@ from terrascout.policy import (
     CRITIC_GLOBAL_PLANES,
     FeatureConfig,
     NetArch,
+    PolicyNet,
     build_actor_features,
     critic_manifest,
     load_network,
@@ -505,16 +506,19 @@ def test_train_config_validation():
 
 def test_training_loop_smoke_and_artifacts(tmp_path):
     cfg = micro_cfg()
-    result = training_loop(cfg, micro_tcfg(), FCFG, seed=3, out_dir=tmp_path / "run")
-    run = result.out_dir
-    assert run == tmp_path / "run"
+    run = tmp_path / "run"
+    trained = training_loop(cfg, micro_tcfg(), FCFG, seed=3, out_dir=run)
     for name in ("actor.ckpt", "critic.ckpt", "actor_init.ckpt", "training_log.csv",
                  "missions.csv", "timing.csv"):
         assert (run / name).exists()
     assert not (run / "vnet.ckpt").exists()
-    assert len(result.mission_returns) == 4
+    missions = (run / "missions.csv").read_text().splitlines()
+    assert missions[0] == "mission,return,epsilon"
+    assert [line.split(",")[0] for line in missions[1:]] == ["0", "1", "2", "3"]
     actor, meta = load_network(run / "actor.ckpt")
     assert meta["variant"] == "coma"
+    for name, p in actor.params.items():  # the returned actor is the one saved last
+        np.testing.assert_array_equal(p.data, trained.params[name].data)
     rows = (run / "training_log.csv").read_text().splitlines()
     assert rows[0] == "block,missions_done,env_interactions,mean_return,actor_loss,critic_loss,epsilon"
     assert len(rows) >= 2
@@ -523,8 +527,8 @@ def test_training_loop_smoke_and_artifacts(tmp_path):
 def test_checkpoint_header_records_every_train_and_feature_value(tmp_path):
     tcfg = micro_tcfg(total_missions=2, td_lambda=0.6, grad_clip=3.5)
     fcfg = FeatureConfig(agent_id=False, global_footprint_map=False)
-    result = training_loop(micro_cfg(), tcfg, fcfg, seed=4, out_dir=tmp_path / "run")
-    _, meta = load_network(result.out_dir / "actor.ckpt")
+    training_loop(micro_cfg(), tcfg, fcfg, seed=4, out_dir=tmp_path / "run")
+    _, meta = load_network(tmp_path / "run" / "actor.ckpt")
     recorded = meta["train_config"]
     names = {f.name for f in fields(TrainConfig)} - {"variant", "arch", "checkpoint_every_blocks"}
     assert set(recorded) == names
@@ -534,34 +538,42 @@ def test_checkpoint_header_records_every_train_and_feature_value(tmp_path):
 
 def test_training_loop_deterministic(tmp_path):
     cfg = micro_cfg()
-    r1 = training_loop(cfg, micro_tcfg(), FCFG, seed=9, out_dir=tmp_path / "a")
-    r2 = training_loop(cfg, micro_tcfg(), FCFG, seed=9, out_dir=tmp_path / "b")
+    training_loop(cfg, micro_tcfg(), FCFG, seed=9, out_dir=tmp_path / "a")
+    training_loop(cfg, micro_tcfg(), FCFG, seed=9, out_dir=tmp_path / "b")
     for name in ("training_log.csv", "missions.csv", "actor.ckpt"):
-        assert filecmp.cmp(r1.out_dir / name, r2.out_dir / name, shallow=False)
+        assert filecmp.cmp(tmp_path / "a" / name, tmp_path / "b" / name, shallow=False)
 
 
-def test_training_loop_target_copy_instants(tmp_path):
+def test_training_loop_target_copy_instants(tmp_path, monkeypatch):
+    # every (target, critic) pair that PolicyNet.copy_from syncs, in call order
+    copies = []
+    copy_from = PolicyNet.copy_from
+
+    def record(target, source):
+        copies.append((target, source))
+        copy_from(target, source)
+
+    monkeypatch.setattr(PolicyNet, "copy_from", record)
     cfg = micro_cfg()
     # 4 missions x 2 agents x 3 steps = 24 interactions; interval 24 copies
     # exactly once, right after the last optimize phase
     tcfg = micro_tcfg(target_copy_interval=24)
-    result = training_loop(cfg, tcfg, FCFG, seed=5, out_dir=tmp_path / "copy")
-    assert result.block_rows[-1]["env_interactions"] == 24
-    for (_, a), (_, b) in zip(
-        result.critic.named_parameters(), result.target_critic.named_parameters()
-    ):
+    training_loop(cfg, tcfg, FCFG, seed=5, out_dir=tmp_path / "copy")
+    last = (tmp_path / "copy" / "training_log.csv").read_text().splitlines()[-1]
+    assert last.split(",")[2] == "24"  # env_interactions
+    assert len(copies) == 2  # the initial clone, then the one sync
+    target, critic = copies[-1]
+    for a, b in zip(critic.parameters(), target.parameters()):
         np.testing.assert_array_equal(a.data, b.data)
     # without a copy instant, target stays at its initial clone
-    never = training_loop(
+    copies.clear()
+    training_loop(
         cfg, micro_tcfg(target_copy_interval=10_000), FCFG, seed=5,
         out_dir=tmp_path / "nocopy",
     )
-    diffs = max(
-        np.abs(a.data - b.data).max()
-        for (_, a), (_, b) in zip(
-            never.critic.named_parameters(), never.target_critic.named_parameters()
-        )
-    )
+    [(target, critic)] = copies
+    diffs = max(np.abs(a.data - b.data).max()
+                for a, b in zip(critic.parameters(), target.parameters()))
     assert diffs > 0.0
 
 
@@ -569,9 +581,9 @@ def test_training_loop_variants_produce_checkpoints(tmp_path):
     cfg = micro_cfg()
     for variant in ("central-qv", "actor-independent", "decentralised"):
         tcfg = micro_tcfg(variant=variant, total_missions=2)
-        result = training_loop(cfg, tcfg, FCFG, seed=1, out_dir=tmp_path / variant)
-        assert (result.out_dir / "vnet.ckpt").exists() == (variant == "central-qv")
-        critic, meta = load_network(result.out_dir / "critic.ckpt")
+        training_loop(cfg, tcfg, FCFG, seed=1, out_dir=tmp_path / variant)
+        assert (tmp_path / variant / "vnet.ckpt").exists() == (variant == "central-qv")
+        critic, meta = load_network(tmp_path / variant / "critic.ckpt")
         assert meta["variant"] == variant
         expected_channels = {
             "central-qv": 7 + 4 + 6,
@@ -599,7 +611,8 @@ def test_each_variant_checkpoints_the_planes_its_critic_reads(tmp_path, off):
         assert [len(local + shared + actions), len(local + shared), len(local)] == [29, 11, 7]
     for variant, (critic_planes, value_planes) in expected.items():
         tcfg = micro_tcfg(variant=variant, total_missions=1)
-        run = training_loop(cfg, tcfg, fcfg, seed=1, out_dir=tmp_path / variant).out_dir
+        run = tmp_path / variant
+        training_loop(cfg, tcfg, fcfg, seed=1, out_dir=run)
         critic, meta = load_network(run / "critic.ckpt")
         assert meta["manifest"] == critic_planes
         assert critic.in_channels == len(critic_planes)
@@ -614,7 +627,7 @@ def test_each_variant_checkpoints_the_planes_its_critic_reads(tmp_path, off):
 def test_training_log_is_streamed_per_block(tmp_path):
     cfg = micro_cfg()
     tcfg = micro_tcfg(rollout_block=6)  # one mission per block, four blocks
-    full = training_loop(cfg, tcfg, FCFG, seed=2, out_dir=tmp_path / "full")
+    training_loop(cfg, tcfg, FCFG, seed=2, out_dir=tmp_path / "full")
 
     def crash_after_block_1(row):
         if row["block"] == 1:
@@ -623,7 +636,14 @@ def test_training_log_is_streamed_per_block(tmp_path):
     with pytest.raises(KeyboardInterrupt):
         training_loop(cfg, tcfg, FCFG, seed=2, out_dir=tmp_path / "cut",
                       progress=crash_after_block_1)
-    cut = (tmp_path / "cut" / "training_log.csv").read_bytes()
-    whole = (full.out_dir / "training_log.csv").read_bytes()
-    assert cut.splitlines() == whole.splitlines()[:3]
-    assert whole.startswith(cut)
+    # blocks 0 and 1 each ran one mission: a header and two rows in each file
+    for name in ("training_log.csv", "missions.csv"):
+        cut = (tmp_path / "cut" / name).read_bytes()
+        whole = (tmp_path / "full" / name).read_bytes()
+        assert cut.splitlines() == whole.splitlines()[:3]
+        assert whole.startswith(cut)
+    missions = (tmp_path / "cut" / "missions.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in missions[1:]] == ["0", "1"]
+    timing = (tmp_path / "cut" / "timing.csv").read_text().splitlines()
+    assert timing[0] == "block,wallclock_s"
+    assert [line.split(",")[0] for line in timing[1:]] == ["0", "1"]
