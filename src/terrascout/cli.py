@@ -43,7 +43,7 @@ from .gridmap import (
 )
 from .planners import PLANNERS
 from .policy import ACTOR_PLANES, FeatureConfig, NetArch, actor_manifest, load_network
-from .training import TrainConfig, VARIANTS, training_loop
+from .training import TrainConfig, VARIANTS, run_outputs, training_loop
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +243,7 @@ def _check_actor_planes(fcfg: FeatureConfig, what: str) -> None:
 def cmd_train(args) -> int:
     cfg, fcfg, tcfg = _load_configs(args)
     _check_actor_planes(fcfg, "the feature config")
-    out = _start_run(args, _config_record(cfg, fcfg, tcfg), ["training_log.csv", "actor.ckpt"])
+    out = _start_run(args, _config_record(cfg, fcfg, tcfg), run_outputs(tcfg.variant))
     training_loop(cfg, tcfg, fcfg, args.seed, out, progress=None if args.quiet else _print_block)
     print(f"trained {tcfg.total_missions} missions -> {out / 'actor.ckpt'}")
     return 0

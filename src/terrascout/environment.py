@@ -239,13 +239,13 @@ def generate_terrain(
     n = cfg.map_cells
     res = cfg.map_resolution
     centers = (np.arange(n) + 0.5) * res
-    xs, ys = np.meshgrid(centers, centers)  # ys varies along rows
 
     for _ in range(16):
         theta = rng.uniform(0.0, 2.0 * math.pi) if angle is None else angle
         target = rng.uniform(0.3, 0.6) if fraction is None else fraction
         target = min(max(target, 0.3), 0.6)
-        proj = math.cos(theta) * xs + math.sin(theta) * ys
+        # x varies along columns, y along rows: one full-map array, no meshgrid copies
+        proj = math.cos(theta) * centers[None, :] + math.sin(theta) * centers[:, None]
         lo, hi = proj.min() - 1.0, proj.max() + 1.0
         # count(proj >= mid) / size > target holds exactly when mid <= v, the
         # k-th largest value of proj for the smallest count k above the target
@@ -411,16 +411,17 @@ class TerrainEnv:
     def masks(self) -> np.ndarray:
         return valid_actions(self.state, self.cfg)
 
-    def step(self, joint_action: Sequence[int]) -> tuple[float, bool]:
-        """Advance one synchronized decision step; returns (reward, done).
+    def step(self, joint_action: Sequence[int]) -> bool:
+        """Advance one synchronized decision step; returns whether the budget is spent.
 
         All agents move simultaneously (masks are checked against current
         positions; if two agents still pick the same free 2D cell, the
         lower-id agent moves and the other holds). Each agent then measures
         at its new pose, in-range measurements are exchanged and fused
-        locally, all measurements are fused globally, and the team reward is
-        the relative global entropy reduction. A rejected step changes
-        nothing.
+        locally, and all measurements are fused globally. A rejected step
+        changes nothing. The team reward is left to the reader that needs it:
+        ``reward(h_before, global_entropy(), ...)``, ``h_before`` being
+        ``global_entropy()`` before the step.
         """
         cfg, state = self.cfg, self.state
         n = cfg.num_agents
@@ -446,14 +447,15 @@ class TerrainEnv:
             loc.position = pos.copy()
 
         self.step_index += 1
-        r = self._measure_and_fuse()
+        self._measure_and_fuse()
         state.remaining_budget -= 1
         for loc in self.locals:
             loc.remaining_budget = state.remaining_budget
-        return r, state.remaining_budget == 0
+        return state.remaining_budget == 0
 
-    def _measure_and_fuse(self) -> float:
-        """Sense at current positions, communicate, fuse; returns the step reward."""
+    def _measure_and_fuse(self) -> None:
+        """Sense at current positions, communicate, and fuse: each local map on
+        its next read, the global map at once, without reading its entropy."""
         cfg, state = self.cfg, self.state
         positions_m = np.stack([cfg.position_m(p) for p in state.positions])
         measurements = [
@@ -477,16 +479,14 @@ class TerrainEnv:
                 loc.pending.append(heard)
                 loc.known_positions[heard.agent_id] = state.positions[heard.agent_id]
 
-        h_before = self.global_entropy()
         for m in measurements:
             fuse_measurement(state.global_map, m)
-        h_after = self.global_entropy()
-        return reward(h_before, h_after, cfg.reward_alpha, cfg.reward_beta)
 
     def global_entropy(self) -> float:
         """Summed weighted entropy of the global map, computed once per length
-        of its fusion log: a step's ``h_before`` is the previous ``h_after``,
-        and a logged out-of-band write forces a fresh sum."""
+        of its fusion log: read before and after each step, a step's
+        ``h_before`` is the previous ``h_after``, and a logged out-of-band
+        write forces a fresh sum. The first read fills ``state``'s planes."""
         grid = self.state.global_map
         summed_grid, count, h = self._entropy
         if summed_grid is not grid or count != len(grid.fused):

@@ -22,6 +22,7 @@ from .environment import (
     EnvConfig,
     GroundTruthMap,
     TerrainEnv,
+    reward,
     start_mission,
     write_episode_csv,
 )
@@ -82,7 +83,7 @@ class TrialStats:
 class MissionResult:
     mission: int
     records: list[MetricsRecord]
-    episode_rows: list[dict]
+    episode_rows: list[dict]  # empty unless run_mission was asked for them
     final_map: OccupancyGrid
     local_rows: list[tuple]  # LOCAL_METRICS_HEADER rows, one per (step, agent)
 
@@ -132,15 +133,16 @@ class MapScorer:
     ``roi_index`` order, the 'p > 0.5' plane with its predicted-positive and
     true-positive counts, and the number of ``grid.fused`` entries they
     include (see ``OccupancyGrid``). They start from ``grid.prior``;
-    :meth:`catch_up` recomputes the cells under each later entry. The
-    scores equal a from-scratch ``roi_entropy`` and ``f1_score`` bit for
-    bit: the ROI sum runs over the same values in the same order, and F1
-    comes from the same integer counts.
+    :meth:`catch_up` recomputes the probabilities under each later entry
+    and the weighted entropies of its interesting cells only. The scores
+    equal a from-scratch ``roi_entropy`` and ``f1_score`` bit for bit: both
+    kernels work cell by cell, the ROI sum runs over the same values in the
+    same order, and F1 comes from the same integer counts.
     """
 
     def __init__(self, grid: OccupancyGrid, gt: GroundTruthMap, w: ImportanceWeights):
         count = _roi_count(grid, gt)
-        self.grid, self.gt = grid, gt
+        self.grid, self.gt, self.w = grid, gt, w
         p, h = grid.prior_cell(w)
         positive = bool(p[0, 0] > 0.5)
         self.roi_h = np.full(count, h[0, 0])
@@ -150,16 +152,14 @@ class MapScorer:
         self.h0 = weighted_cell_entropy(0.5, w) * count
         self.seen = 0
 
-    def catch_up(self, fine) -> tuple[float, float]:
-        """(normalized ROI entropy, F1) of the grid now. ``fine(cells, roi)``
-        returns the probabilities of the cell slices ``cells`` and the
-        weighted entropies of their interesting cells, ``roi`` being the
-        boolean mask of those within the slices."""
+    def catch_up(self) -> tuple[float, float]:
+        """(normalized ROI entropy, F1) of the grid now."""
         gt = self.gt
         for rect in self.grid.fused[self.seen:]:
             cells = rect.slices
             roi = gt.cells[cells].view(bool)
-            probs, roi_h = fine(cells, roi)
+            probs = self.grid.probs_slice(cells)
+            roi_h = weighted_cell_entropy(probs[roi], self.w)
             pred, old = probs > 0.5, self.pred[cells]
             self.positives += np.count_nonzero(pred) - np.count_nonzero(old)
             self.true_pos += np.count_nonzero(pred & roi) - np.count_nonzero(old & roi)
@@ -190,6 +190,7 @@ def run_mission(
     fcfg: FeatureConfig = FeatureConfig(),
     terrain: Optional[GroundTruthMap] = None,
     local_metrics: bool = False,
+    episode_rows: bool = False,
 ) -> MissionResult:
     """One seeded mission; metrics are recorded against the global map.
 
@@ -198,8 +199,9 @@ def run_mission(
     taken at the uniform prior (normalized ROI entropy exactly 1), before
     the start measurement is fused; each of the B planning steps then
     appends one record. ``local_metrics`` adds per-agent rows scored
-    against each agent's own (communication-limited) local map. Everything
-    a benchmark writes about the mission comes from this one pass.
+    against each agent's own (communication-limited) local map, and
+    ``episode_rows`` the trajectory rows, the only readers of the global
+    entropy. Everything a benchmark writes about the mission comes from this one pass.
     """
     env, rng = start_mission(cfg, base_seed, mission_index, terrain)
     terrain = env.terrain
@@ -210,21 +212,21 @@ def run_mission(
     scores = MapScorer(env.state.global_map, terrain, cfg.weights)
     local_scores = [MapScorer(loc.local_map, terrain, cfg.weights)
                     for loc in env.locals] if local_metrics else []
-    rows = _episode_rows(0, env, ["init"] * cfg.num_agents, 0.0)
+    rows = _episode_rows(0, env, ["init"] * cfg.num_agents, 0.0) if episode_rows else []
     done = False
     t = 0
     while not done:
         t += 1
         joint = planner.act_team(env.locals, env.masks(), cfg, rng)
-        r, done = env.step(joint)
-        probs, cell_entropy = env.state.map_planes(cfg.weights)
-        h, f1 = scores.catch_up(lambda cells, roi: (probs[cells], cell_entropy[cells][roi]))
-        records.append(MetricsRecord(h, f1))
-        rows += _episode_rows(t, env, [Action(a).name.lower() for a in joint], r)
+        h_before = env.global_entropy() if episode_rows else 0.0
+        done = env.step(joint)
+        records.append(MetricsRecord(*scores.catch_up()))
+        if episode_rows:
+            r = reward(h_before, env.global_entropy(), cfg.reward_alpha, cfg.reward_beta)
+            rows += _episode_rows(t, env, [Action(a).name.lower() for a in joint], r)
         for i, (loc, local) in enumerate(zip(env.locals, local_scores)):
-            grid = loc.local_map  # fuses what the step delivered
-            local_rows.append((mission_index, t, i, *local.catch_up(
-                partial(_probs_and_roi_entropy, grid, cfg.weights))))
+            loc.local_map  # reading it fuses what the step delivered
+            local_rows.append((mission_index, t, i, *local.catch_up()))
     if len(records) != cfg.budget + 1:
         raise ContractViolation(
             f"mission ended after {len(records) - 1} steps, budget is {cfg.budget}"
@@ -238,28 +240,14 @@ def _prior_record(cfg: EnvConfig, terrain: GroundTruthMap) -> MetricsRecord:
     return MetricsRecord(roi_entropy(prior, terrain, cfg.weights), f1_score(prior, terrain))
 
 
-def _probs_and_roi_entropy(grid: OccupancyGrid, w: ImportanceWeights, cells, roi):
-    """A ``MapScorer.catch_up`` callback for a grid without cached planes."""
-    probs = grid.probs_slice(cells)
-    return probs, weighted_cell_entropy(probs[roi], w)
-
-
 def _episode_rows(step: int, env: TerrainEnv, actions: Sequence[str], r: float) -> list[dict]:
     """One trajectory row per agent; the global entropy is summed once per step."""
     h = env.global_entropy()
     rows = []
     for agent, action in enumerate(actions):
-        pos = env.cfg.position_m(env.state.positions[agent])
-        rows.append({
-            "step": step,
-            "agent": agent,
-            "x": float(pos[0]),
-            "y": float(pos[1]),
-            "z": float(pos[2]),
-            "action": action,
-            "reward": r,
-            "global_entropy": h,
-        })
+        x, y, z = (float(v) for v in env.cfg.position_m(env.state.positions[agent]))
+        rows.append(dict(step=step, agent=agent, x=x, y=y, z=z, action=action, reward=r,
+                         global_entropy=h))
     return rows
 
 
@@ -312,7 +300,7 @@ def run_benchmark(
             local_csv = Path(local_dir) / f"{spec.name}_local_metrics.csv"
             write_csv(local_csv, [], LOCAL_METRICS_HEADER)
         run = partial(run_mission, spec, cfg, base_seed, fcfg=fcfg, terrain=terrain,
-                      local_metrics=local_csv is not None)
+                      local_metrics=local_csv is not None, episode_rows=dump_dir is not None)
         keep = partial(_keep_records, label=label, dump_dir=dump_dir, local_csv=local_csv)
         # map(keep, ...) holds no result past its keep() call, so a mission's
         # final map is freed before the next mission starts

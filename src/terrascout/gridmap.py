@@ -391,7 +391,9 @@ def _virtual_uniforms(
     """
     bitgen = np.random.Philox(seed)
     state = bitgen.state  # counter 0, buffer empty
-    counter = state["state"]["counter"]
+    counter = [0, 0, 0, 0]  # the state setter converts each element: ints beat numpy scalars
+    state["state"] = {"counter": counter, "key": state["state"]["key"].tolist()}
+    state["buffer"] = [0, 0, 0, 0]
     c0 = int(cols.min())
     offsets = cols - c0
     blocks, lead = np.divmod(rows * width + c0, 4)

@@ -22,7 +22,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .environment import EnvConfig, start_mission
+from .environment import EnvConfig, reward, start_mission
 from .errors import ConfigurationError, ContractViolation, TrainingDivergenceError
 from . import nn
 from .gridmap import write_csv
@@ -43,6 +43,21 @@ from .policy import (
 )
 
 VARIANTS = ("coma", "central-qv", "actor-independent", "decentralised")
+# training_loop's files: the logs with their headers, the initial actor, a checkpoint per network
+LOGS = {
+    "training_log.csv": ("block", "missions_done", "env_interactions", "mean_return",
+                         "actor_loss", "critic_loss", "epsilon"),
+    "missions.csv": ("mission", "return", "epsilon"),
+    "timing.csv": ("block", "wallclock_s"),
+}
+INIT_ACTOR = "actor_init.ckpt"
+NETWORKS = (("actor", "actor"), ("critic", "critic"), ("vnet", "state-value"))
+
+
+def run_outputs(variant: str) -> list[str]:
+    """The files ``training_loop`` writes for ``variant``; only central-qv trains a V net."""
+    nets = NETWORKS if variant == "central-qv" else NETWORKS[:2]
+    return [*LOGS, INIT_ACTOR, *(f"{stem}.ckpt" for stem, _ in nets)]
 
 
 def critic_feature_config(variant: str, fcfg: FeatureConfig) -> FeatureConfig:
@@ -264,7 +279,9 @@ def run_training_mission(
             features.append(build_critic_features(
                 env.state, stack, i, others, cfg, critic_fcfg, global_planes=shared
             ))
-        r, done = env.step(step_actions)
+        h_before = env.global_entropy()
+        done = env.step(step_actions)
+        r = reward(h_before, env.global_entropy(), cfg.reward_alpha, cfg.reward_beta)
         mission_return += r
         masks.extend(step_masks)
         actions += step_actions
@@ -379,14 +396,10 @@ def training_loop(
         "train_config": {f.name: getattr(tcfg, f.name) for f in fields(tcfg)
                          if f.name not in ("variant", "arch", "checkpoint_every_blocks")},
     }
-    save_network(out_dir / "actor_init.ckpt", actor, kind="actor",
+    save_network(out_dir / INIT_ACTOR, actor, kind="actor",
                  manifest=actor_manifest(fcfg), extra=meta)
-
-    log_fields = ["block", "missions_done", "env_interactions", "mean_return", "actor_loss",
-                  "critic_loss", "epsilon"]
-    write_csv(out_dir / "training_log.csv", [], log_fields)
-    write_csv(out_dir / "missions.csv", [], ["mission", "return", "epsilon"])
-    write_csv(out_dir / "timing.csv", [], ["block", "wallclock_s"])
+    for name, header in LOGS.items():
+        write_csv(out_dir / name, [], header)
 
     missions_done = 0
     interactions = 0
@@ -442,7 +455,7 @@ def training_loop(
             "epsilon": tcfg.epsilon_at(missions_done - 1),
         }
         wallclock = time.perf_counter() - t0
-        write_csv(out_dir / "training_log.csv", [[row[k] for k in log_fields]])
+        write_csv(out_dir / "training_log.csv", [[row[k] for k in LOGS["training_log.csv"]]])
         write_csv(out_dir / "missions.csv", ((i, r, tcfg.epsilon_at(i))
                                              for i, r in enumerate(block_returns, first_mission)))
         write_csv(out_dir / "timing.csv", [(block, f"{wallclock:.3f}")])
@@ -461,7 +474,6 @@ def _save_all(out_dir: Path, nets: Sequence[PolicyNet], ccfg: FeatureConfig, cfg
     """Each network's checkpoint, ``nets`` being the actor then the critics;
     its manifest names the prefix of the critic planes it reads (see ``Rollout``)."""
     planes = critic_manifest(ccfg, cfg.num_agents)
-    names = (("actor", "actor"), ("critic", "critic"), ("vnet", "state-value"))
-    for (name, kind), net in zip(names, nets):
-        save_network(out_dir / f"{name}.ckpt", net, kind=kind,
+    for (stem, kind), net in zip(NETWORKS, nets):
+        save_network(out_dir / f"{stem}.ckpt", net, kind=kind,
                      manifest=planes[: net.in_channels], extra=meta)

@@ -117,7 +117,7 @@ def test_criterion_1c_telescoping_every_planner():
         # fresh random-weight actor exercises the learned path
         spec = PlannerSpec(name, actor=toy_actor if name == "learned" else None)
         for mission in range(20):
-            result = run_mission(spec, cfg, 404, mission, fcfg=FCFG)
+            result = run_mission(spec, cfg, 404, mission, fcfg=FCFG, episode_rows=True)
             by_step = {}
             for row in result.episode_rows:
                 by_step.setdefault(row["step"], row["global_entropy"])
@@ -407,7 +407,7 @@ def test_criterion_8_td_lambda_limits():
     rng = np.random.default_rng(801)
     episodes = 0
     for mission in range(50):
-        result = run_mission(PlannerSpec("random"), cfg, 800, mission)
+        result = run_mission(PlannerSpec("random"), cfg, 800, mission, episode_rows=True)
         rewards = []
         seen = set()
         for row in result.episode_rows:

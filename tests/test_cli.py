@@ -352,6 +352,16 @@ def test_train_variant_recorded_in_checkpoints(smoke_config, tmp_path):
     assert manifest["config"]["train.variant"] == "central-qv"
 
 
+@pytest.mark.parametrize("variant", ["coma", "central-qv", "actor-independent", "decentralised"])
+def test_train_manifest_lists_exactly_the_files_written(variant, smoke_config, tmp_path):
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(smoke_config), "--seed", "2", "--out", str(out),
+                 "--variant", variant, "--missions", "2", "--quiet"]) == 0
+    listed = json.loads((out / "manifest.json").read_text())["outputs"]
+    assert sorted(listed) == sorted(str(p) for p in out.iterdir() if p.name != "manifest.json")
+    assert (str(out / "vnet.ckpt") in listed) == (variant == "central-qv")
+
+
 def test_manifest_records_every_train_key(smoke_config, tmp_path):
     config = tmp_path / "keys.cfg"
     config.write_text(smoke_config.read_text()

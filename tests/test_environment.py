@@ -128,6 +128,17 @@ def test_terrain_retry_path_equals_the_reference_loop():
     assert retried > 0
 
 
+def test_full_scale_terrains_equal_the_meshgrid_form():
+    # generate_terrain broadcasts the cell centres; the reference projects
+    # through two meshgrid copies, so every projected value must be the same
+    cfg = EnvConfig()
+    for seed in range(20):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = generate_terrain(rng, cfg)
+        want = reference.generate_terrain(ref_rng, cfg)
+        assert got.cells.tobytes() == want.cells.tobytes()
+
+
 def test_terrain_region_connected_along_split():
     cfg = EnvConfig(terrain_size=10.0, map_resolution=0.2, num_agents=1)
     gt = generate_terrain(np.random.default_rng(5), cfg)
@@ -324,7 +335,7 @@ def test_full_comms_keeps_local_equal_to_global():
     done = False
     while not done:
         joint = [int(rng.choice(np.flatnonzero(m))) for m in env.masks()]
-        _, done = env.step(joint)
+        done = env.step(joint)
         for loc in env.locals:
             np.testing.assert_allclose(
                 loc.local_map.probs(), env.state.global_map.probs(), atol=1e-12
@@ -336,8 +347,9 @@ def test_first_step_reward_positive_with_accurate_sensor():
     gt = generate_terrain(np.random.default_rng(2), cfg)
     env = TerrainEnv(cfg, gt, 2)
     env.reset()
-    r, done = env.step([int(Action.NORTH)])
-    assert r > 0.0
+    h_before = env.global_entropy()
+    done = env.step([int(Action.NORTH)])
+    assert reward(h_before, env.global_entropy(), cfg.reward_alpha, cfg.reward_beta) > 0.0
     assert not done
 
 
@@ -346,7 +358,7 @@ def test_budget_exhaustion_sets_done():
     gt = generate_terrain(np.random.default_rng(3), cfg)
     env = TerrainEnv(cfg, gt, 3)
     env.reset()
-    _, done = env.step([int(Action.NORTH)])
+    done = env.step([int(Action.NORTH)])
     assert done
     with pytest.raises(RejectedStepError):
         env.step([int(Action.NORTH)])
@@ -374,6 +386,7 @@ def test_rejected_step_changes_nothing():
     # the next step draws the noise of step 1, as if nothing had been rejected
     joint = [int(Action.NORTH), int(Action.NORTH)]
     assert rejected.step(joint) == clean.step(joint)
+    assert rejected.global_entropy() == clean.global_entropy()
     assert rejected.step_index == 1
     np.testing.assert_array_equal(
         rejected.state.global_map.log_odds, clean.state.global_map.log_odds
@@ -436,7 +449,7 @@ def test_positions_stay_distinct_and_on_lattice():
     done = False
     while not done:
         joint = [int(rng.choice(np.flatnonzero(m))) for m in env.masks()]
-        _, done = env.step(joint)
+        done = env.step(joint)
         pos = env.state.positions
         cells = {(int(p[0]), int(p[1])) for p in pos}
         assert len(cells) == len(pos)
@@ -455,7 +468,7 @@ def test_local_maps_fuse_subset_of_global():
     done = False
     while not done:
         joint = [int(rng.choice(np.flatnonzero(m))) for m in env.masks()]
-        _, done = env.step(joint)
+        done = env.step(joint)
     for loc in env.locals:
         # every fused local observation is part of the global fusion
         assert np.abs(loc.local_map.log_odds).sum() <= np.abs(
@@ -469,14 +482,16 @@ def test_rewards_telescope_against_entropy_log():
     env = TerrainEnv(cfg, gt, 8)
     env.reset()
     rng = np.random.default_rng(3)
-    entropies = [env.global_entropy()]
+    # rewards as a reader computes them, from the cached sums; entropies from scratch
+    entropies = [map_entropy(env.state.global_map, cfg.weights)]
     rewards = []
     done = False
     while not done:
         joint = [int(rng.choice(np.flatnonzero(m))) for m in env.masks()]
-        r, done = env.step(joint)
-        rewards.append(r)
-        entropies.append(env.global_entropy())
+        h_before = env.global_entropy()
+        done = env.step(joint)
+        rewards.append(reward(h_before, env.global_entropy(), cfg.reward_alpha, cfg.reward_beta))
+        entropies.append(map_entropy(env.state.global_map, cfg.weights))
     recomputed = [
         (h0 - h1) / h0 for h0, h1 in zip(entropies, entropies[1:])
     ]
@@ -496,7 +511,7 @@ def test_stale_positions_update_only_via_messages():
     rng = np.random.default_rng(4)
     while not done:
         joint = [int(rng.choice(np.flatnonzero(m))) for m in env.masks()]
-        _, done = env.step(joint)
+        done = env.step(joint)
     # no comms: each agent still believes the other is at its start pose
     np.testing.assert_array_equal(env.locals[0].known_positions[1], start[1])
     np.testing.assert_array_equal(env.locals[1].known_positions[0], start[0])
@@ -515,7 +530,8 @@ def test_cached_map_planes_track_full_map_every_step():
         h_before = map_entropy(env.state.global_map, cfg.weights)
         assert env.global_entropy() == h_before
         joint = [int(rng.choice(np.flatnonzero(m))) for m in env.masks()]
-        r, done = env.step(joint)
+        done = env.step(joint)
+        r = reward(h_before, env.global_entropy(), cfg.reward_alpha, cfg.reward_beta)
         fresh = env.state.global_map.probs()
         np.testing.assert_array_equal(env.state.probs, fresh)
         np.testing.assert_array_equal(
@@ -537,10 +553,11 @@ def test_cached_map_planes_track_full_map_every_step():
 
 
 def test_global_entropy_is_summed_once_per_step(monkeypatch):
-    """``h_before`` reuses the previous step's ``h_after``: the reset sums the
-    prior and its fused map, and each step then sums its fused map only."""
+    """The env itself never sums the global map. A reader of ``h_before`` and
+    ``h_after`` around every step sums each fused map once: ``h_before``
+    reuses the previous step's ``h_after``."""
     cfg = small_cfg(terrain_size=50.0, num_agents=2, budget=4)
-    env = TerrainEnv(cfg, generate_terrain(np.random.default_rng(3), cfg), 3)
+    terrain = generate_terrain(np.random.default_rng(3), cfg)
     sums = []
     map_planes = GlobalState.map_planes
 
@@ -549,12 +566,19 @@ def test_global_entropy_is_summed_once_per_step(monkeypatch):
         return map_planes(state, w)
 
     monkeypatch.setattr(GlobalState, "map_planes", counted)
-    env.reset()
-    for t in range(cfg.budget):
-        env.global_entropy()
-        env.step([int(np.flatnonzero(m)[0]) for m in env.masks()])
+    for read in (False, True):
+        env = TerrainEnv(cfg, terrain, 3)
+        env.reset()
+        for t in range(cfg.budget):
+            if read:
+                env.global_entropy()
+            env.step([int(np.flatnonzero(m)[0]) for m in env.masks()])
+            if read:
+                env.global_entropy()
+        if not read:
+            assert sums == []
     n = cfg.num_agents
-    assert sums == [n * k for k in range(cfg.budget + 2)]
+    assert sums == [n * k for k in range(1, cfg.budget + 2)]
 
 
 # ---------------------------------------------------------------------------
@@ -605,7 +629,7 @@ def test_local_maps_fused_on_read_equal_eager_fusion(reads):
         else:  # a step nobody read leaves its deliveries pending
             assert all(loc.pending for loc in env.locals)
         joint = [int(rng.choice(np.flatnonzero(m))) for m in env.masks()]
-        _, done = env.step(joint)
+        done = env.step(joint)
         twin.take(env)
     if reads == "random steps":
         assert 0 < read < cfg.budget
@@ -617,16 +641,16 @@ def test_local_metrics_run_equals_eager_fusion(planner, monkeypatch):
     cfg = small_cfg(terrain_size=50.0, num_agents=3, budget=6, comm_radius=20.0)
 
     def run():
-        return run_mission(PlannerSpec(planner), cfg, 4, 1, local_metrics=True)
+        return run_mission(PlannerSpec(planner), cfg, 4, 1, local_metrics=True,
+                           episode_rows=True)
 
     lazy = run()
     measure_and_fuse = TerrainEnv._measure_and_fuse
 
     def eager(self):
-        r = measure_and_fuse(self)
+        measure_and_fuse(self)
         for loc in self.locals:
             loc.local_map  # fuses what the step delivered
-        return r
 
     monkeypatch.setattr(TerrainEnv, "_measure_and_fuse", eager)
     want = run()

@@ -1,5 +1,6 @@
 """Metrics, mission runner determinism, and paired benchmarks."""
 
+import csv
 from functools import partial
 
 import numpy as np
@@ -9,7 +10,14 @@ from hypothesis import strategies as st
 
 import reference_kernels as reference
 from terrascout import evaluation
-from terrascout.environment import EnvConfig, GlobalState, generate_terrain, start_mission
+from terrascout.environment import (
+    EnvConfig,
+    GlobalState,
+    TerrainEnv,
+    generate_terrain,
+    reward,
+    start_mission,
+)
 from terrascout.errors import ContractViolation, DegenerateTerrainError
 from terrascout.evaluation import (
     MapScorer,
@@ -28,8 +36,11 @@ from terrascout.gridmap import (
     ImportanceWeights,
     Measurement,
     OccupancyGrid,
+    fmt,
     fuse_measurement,
+    map_entropy,
 )
+from terrascout.policy import FeatureConfig
 
 W = ImportanceWeights(0.8, 0.2)
 HALF = ImportanceWeights(0.5, 0.5)
@@ -155,20 +166,18 @@ def _roi_cells(rng, shape, roi):
     fusions=st.integers(1, 10),
     every=st.integers(1, 3),
     out_of_band=st.booleans(),
-    planes=st.sampled_from(["global", "local"]),
 )
 @example(seed=1, shape=(30, 30), roi="one", start="uniform", fusions=10, every=1,
-         out_of_band=True, planes="global")
+         out_of_band=True)
 @example(seed=2, shape=(1, 1), roi="all", start="positive", fusions=3, every=2,
-         out_of_band=True, planes="local")
+         out_of_band=True)
 def test_scorer_caught_up_from_the_log_equals_scores_from_scratch(
-        seed, shape, roi, start, fusions, every, out_of_band, planes):
+        seed, shape, roi, start, fusions, every, out_of_band):
     rng = np.random.default_rng(seed)
     gt = GroundTruthMap(_roi_cells(rng, shape, roi), 0.5)
     log_odds = {"uniform": np.zeros(shape), "positive": np.full(shape, 3.0),
                 "non-uniform": rng.normal(0.0, 3.0, shape)}[start]
-    state = GlobalState(OccupancyGrid(log_odds, 0.5), np.zeros((1, 3), dtype=np.int64), 1)
-    grid = state.global_map
+    grid = OccupancyGrid(log_odds, 0.5)
     scorer = MapScorer(grid, gt, W)
     h, w = shape
     for k in range(fusions):
@@ -184,11 +193,7 @@ def test_scorer_caught_up_from_the_log_equals_scores_from_scratch(
             grid.log_odds[: h // 2 + 1, w // 3:] = rng.choice([0.0, 40.0, -2.0])
             grid.fused.append(CellRect(w // 3, w - 1, 0, h // 2))
         if k % every == 0 or k == fusions - 1:
-            if planes == "global":
-                probs, cell_entropy = state.map_planes(W)
-                got = scorer.catch_up(lambda cells, roi: (probs[cells], cell_entropy[cells][roi]))
-            else:
-                got = scorer.catch_up(partial(evaluation._probs_and_roi_entropy, grid, W))
+            got = scorer.catch_up()
             assert all(type(v) is float for v in got)
             assert _hex(got) == _hex((roi_entropy(grid, gt, W), f1_score(grid, gt)))
 
@@ -199,7 +204,7 @@ class _ScoredFromScratch:
     def __init__(self, grid, gt, w):
         self.grid, self.gt, self.w = grid, gt, w
 
-    def catch_up(self, fine):
+    def catch_up(self):
         return roi_entropy(self.grid, self.gt, self.w), f1_score(self.grid, self.gt)
 
 
@@ -220,6 +225,27 @@ def test_mission_scores_and_local_rows_equal_scores_from_scratch(planner, monkey
         [_hex((r.roi_entropy, r.f1)) for r in scratch.records]
 
 
+@pytest.mark.parametrize("planner", ["random", "greedy-ig"])
+def test_scorers_equal_scores_from_scratch_after_every_step(planner):
+    # the global scorer and each agent's local scorer, on a seeded mission
+    cfg = cfg_(num_agents=3, budget=6, comm_radius=20.0)
+    gt = generate_terrain(np.random.default_rng(0), cfg, angle=-1.2, fraction=0.45)
+    env, rng = start_mission(cfg, 8, 1, gt)
+    env.reset()
+    team = PlannerSpec(planner).build(FeatureConfig())
+    grids = [env.state.global_map, *(loc.local_map for loc in env.locals)]
+    scorers = [MapScorer(grid, gt, cfg.weights) for grid in grids]
+    done = False
+    while not done:
+        done = env.step(team.act_team(env.locals, env.masks(), cfg, rng))
+        for loc in env.locals:
+            loc.local_map  # reading it fuses what the step delivered
+        for grid, scorer in zip(grids, scorers):
+            assert _hex(scorer.catch_up()) == \
+                _hex((roi_entropy(grid, gt, cfg.weights), f1_score(grid, gt)))
+    assert all(scorer.seen == len(grid.fused) > 0 for grid, scorer in zip(grids, scorers))
+
+
 def test_checkpoint_steps():
     assert checkpoint_steps(15) == [5, 10, 15]
     assert checkpoint_steps(8) == [3, 6, 8]
@@ -232,8 +258,8 @@ def test_checkpoint_steps():
 
 def test_mission_deterministic_per_seed():
     cfg = cfg_(num_agents=2, budget=6)
-    a = run_mission(PlannerSpec("random"), cfg, 5, 0)
-    b = run_mission(PlannerSpec("random"), cfg, 5, 0)
+    a = run_mission(PlannerSpec("random"), cfg, 5, 0, episode_rows=True)
+    b = run_mission(PlannerSpec("random"), cfg, 5, 0, episode_rows=True)
     assert a.episode_rows == b.episode_rows
     assert [r.roi_entropy for r in a.records] == [r.roi_entropy for r in b.records]
 
@@ -254,7 +280,7 @@ def test_metrics_record_out_of_range_raises(roi, f1):
 
 
 def test_mission_ending_before_budget_raises(monkeypatch):
-    monkeypatch.setattr(evaluation.TerrainEnv, "step", lambda self, joint: (0.0, True))
+    monkeypatch.setattr(evaluation.TerrainEnv, "step", lambda self, joint: True)
     with pytest.raises(ContractViolation, match="budget"):
         run_mission(PlannerSpec("random"), cfg_(budget=4), 0)
 
@@ -267,7 +293,7 @@ def test_random_planner_reduces_roi_entropy():
 
 def test_rewards_in_log_match_entropy_column():
     cfg = cfg_(num_agents=2, budget=6)
-    result = run_mission(PlannerSpec("random"), cfg, 3, 0)
+    result = run_mission(PlannerSpec("random"), cfg, 3, 0, episode_rows=True)
     rows = result.episode_rows
     by_step = {}
     for row in rows:
@@ -367,6 +393,44 @@ def test_benchmark_csv_layout(tmp_path):
     assert len(lines) == 1 + 2 * 3
     assert lines[1].startswith("coverage,33%")
     assert lines[4].startswith("random,33%")
+
+
+def test_benchmark_sums_the_global_map_only_for_dumped_episode_rows(tmp_path, monkeypatch):
+    """Without ``dump_dir`` no step fills the global planes or sums the global
+    map; with it, every dumped row holds reward(h_{t-1}, h_t, alpha, beta) of
+    the from-scratch entropies, as written text."""
+    calls = {"map_planes": 0, "global_entropy": 0}
+    for owner, name in ((GlobalState, "map_planes"), (TerrainEnv, "global_entropy")):
+        def counted(*args, _original=getattr(owner, name), _name=name):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+    cfg = cfg_(num_agents=2, budget=4, reward_alpha=1.5, reward_beta=0.25)
+    specs = [PlannerSpec(name) for name in ("random", "coverage", "greedy-ig")]
+    plain = run_benchmark(specs, 2, 66, cfg, local_dir=tmp_path)
+    assert calls == {"map_planes": 0, "global_entropy": 0}
+    dumped = run_benchmark(specs, 2, 66, cfg, dump_dir=tmp_path / "dumps")
+    assert calls["map_planes"] > 0 and calls["global_entropy"] > 0
+    assert {k: v.entropy_mean + v.f1_mean for k, v in dumped.items()} == \
+        {k: v.entropy_mean + v.f1_mean for k, v in plain.items()}
+    for spec in specs:
+        for mission in range(2):
+            env, rng = start_mission(cfg, 66, mission)
+            env.reset()
+            team = spec.build(FeatureConfig())
+            hs = [map_entropy(env.state.global_map, cfg.weights)]
+            want = [("0", fmt(hs[0]))] * cfg.num_agents
+            done = False
+            while not done:
+                done = env.step(team.act_team(env.locals, env.masks(), cfg, rng))
+                hs.append(map_entropy(env.state.global_map, cfg.weights))
+                r = reward(hs[-2], hs[-1], cfg.reward_alpha, cfg.reward_beta)
+                want += [(fmt(r), fmt(hs[-1]))] * cfg.num_agents
+            path = tmp_path / "dumps" / f"{spec.name}_mission{mission:03d}.csv"
+            with open(path, newline="") as fh:
+                got = [(row["reward"], row["global_entropy"]) for row in csv.DictReader(fh)]
+            assert got == want
 
 
 def test_coverage_results_invariant_to_comm_radius():

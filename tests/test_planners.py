@@ -431,7 +431,7 @@ def test_learned_team_call_equals_one_agent_calls_in_agent_order(mode, epsilon):
         assert [s.tobytes() for s in stacks] == [
             build_actor_features(loc, env.cfg, fcfg).tobytes() for loc in env.locals]
         taken.update(joint)
-        _, done = env.step(joint)
+        done = env.step(joint)
     assert len(taken) > 1
 
 
@@ -492,5 +492,5 @@ def test_every_planner_respects_masks_over_randomized_states():
             for i, a in enumerate(joint):
                 assert masks[i][a]
                 checked += 1
-            _, done = env.step(joint)
+            done = env.step(joint)
     assert checked >= 10000

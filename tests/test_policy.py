@@ -169,7 +169,7 @@ def test_entropy_planes_bounded():
     done = False
     while not done:
         joint = [int(rng.choice(np.flatnonzero(m))) for m in env.masks()]
-        _, done = env.step(joint)
+        done = env.step(joint)
         for loc in env.locals:
             stack = build_actor_features(loc, env.cfg, FCFG)
             assert np.isfinite(stack).all()
@@ -549,7 +549,7 @@ def test_cached_planes_equal_full_rebuild_bit_for_bit(scale, comm_radius, toggle
                 assert_stacks_identical(
                     critic, ref_build_critic_features(env.state, stack, i, others, cfg, ccfg)
                 )
-        _, done = env.step(actions)
+        done = env.step(actions)
 
 
 def test_out_of_band_write_then_logged_rect_matches_fresh_build():
@@ -744,7 +744,7 @@ def test_once_per_step_global_planes_equal_per_agent_builds(scale, comm_radius, 
                                             global_planes=critic_global_planes(twin.state, cfg))
                 assert_stacks_identical(once, own)
         env.step(actions)
-        _, done = twin.step(actions)
+        done = twin.step(actions)
 
 
 # the default and the desk-scale architectures, and one with stride-2 layers only

@@ -399,8 +399,8 @@ def test_training_mission_rejects_a_short_mission(monkeypatch):
     step = TerrainEnv.step
 
     def stop_after_one(self, joint_action):
-        r, _ = step(self, joint_action)
-        return r, True
+        step(self, joint_action)
+        return True
 
     monkeypatch.setattr(TerrainEnv, "step", stop_after_one)
     with pytest.raises(ContractViolation):
@@ -442,7 +442,8 @@ def test_training_rollout_at_epsilon_zero_acts_as_the_learned_planner(agents):
     spec = PlannerSpec("learned", actor=actor)
     for mission in (0, 1):
         rollout, _ = run_training_mission(actor, cfg, FCFG, 6, mission, 0.0, FCFG)
-        rows = evaluation.run_mission(spec, cfg, 6, mission, fcfg=FCFG).episode_rows
+        rows = evaluation.run_mission(spec, cfg, 6, mission, fcfg=FCFG,
+                                      episode_rows=True).episode_rows
         taken = [int(Action[row["action"].upper()]) for row in rows if row["step"] > 0]
         assert rollout.actions.tolist() == taken
         assert len(set(taken)) > 1
