@@ -217,9 +217,16 @@ def _load_configs(args) -> tuple[EnvConfig, FeatureConfig, TrainConfig]:
 
 
 def _start_run(args, config: dict, outputs: Sequence[str]) -> Path:
-    """Create ``--out`` and write its manifest.json before any work is done."""
+    """Create ``--out`` and write its manifest.json before any work is done.
+    An ``--out`` that already holds a manifest is another run's: writing
+    beside its files would mix the two runs, so it is a usage error."""
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    if (out / "manifest.json").exists():
+        raise UsageError(f"--out {out} already holds a run's manifest.json; choose a new directory")
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise UsageError(f"--out {out}: cannot make a directory there ({exc.strerror})") from exc
     manifest = {
         "command": args.command,
         "argv": list(sys.argv[1:]),

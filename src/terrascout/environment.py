@@ -200,7 +200,9 @@ class AgentLocalState:
     last_measurement: Optional[Measurement] = None
     inbox: list = field(default_factory=list)  # teammates' Measurements received this step
     # Measurements delivered but not yet fused into grid (own first, then the
-    # inbox in order); reading local_map fuses them.
+    # inbox in order); reading local_map fuses them. An unread one holds its
+    # labels only: the first local map that fuses it keeps its float patch
+    # for the others, and the global fusion keeps none.
     pending: list = field(default_factory=list, repr=False, compare=False)
     # The row-tile sums behind the pooled local planes and the number of
     # local_map.fused entries they include (see OccupancyGrid), kept by
@@ -214,7 +216,9 @@ class AgentLocalState:
         after a step: equal to eager fusion bit for bit, skipped if unread."""
         pending = self.pending
         while pending:  # a fusion that raises leaves itself and the rest pending
-            fuse_measurement(self.grid, pending[0])
+            m = pending[0]
+            m.kept_patch = m.log_odds_patch()  # the first local map builds it for the rest
+            fuse_measurement(self.grid, m)
             del pending[0]
         return self.grid
 

@@ -250,6 +250,11 @@ class Measurement:
     accuracy: float  # per-cell accuracy used to generate it
     agent_id: int
     step: int
+    # The float patch (8 B a cell, against 1 B for a label), kept by the first
+    # local map that fuses this measurement for the others (see
+    # environment.AgentLocalState.local_map); until then every fusion builds
+    # a one-off patch, so a delivery that nobody reads holds its labels only.
+    kept_patch: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.position = np.asarray(self.position, dtype=np.float64)
@@ -257,9 +262,11 @@ class Measurement:
         if self.values.shape != (self.rect.height, self.rect.width):
             raise InvalidMeasurementError("measurement values do not match the footprint")
 
-    @cached_property
     def log_odds_patch(self) -> np.ndarray:
-        """Per-cell log-odds increment, built once for every map it is fused into."""
+        """Per-cell log-odds increment, a pure function of ``values`` and
+        ``accuracy``: ``kept_patch`` if a local map kept one, else built afresh."""
+        if self.kept_patch is not None:
+            return self.kept_patch
         # Accuracy 1.0 would give infinite log-odds; cap so arithmetic stays finite.
         acc = min(self.accuracy, 1.0 - 1e-9)
         delta = math.log(acc / (1.0 - acc))
@@ -412,7 +419,7 @@ def fuse_measurement(grid: OccupancyGrid, m: Measurement) -> OccupancyGrid:
     bounds = CellRect(0, grid.width - 1, 0, grid.height - 1)
     if not bounds.contains(m.rect):
         raise InvalidMeasurementError("measurement footprint outside the grid")
-    grid.log_odds[m.rect.slices] += m.log_odds_patch
+    grid.log_odds[m.rect.slices] += m.log_odds_patch()
     grid.fused.append(m.rect)
     return grid
 

@@ -404,6 +404,12 @@ class PolicyNet:
         for p, q in zip(self.params.values(), other.params.values()):
             p.data = q.data.copy()
 
+    def freeze(self) -> None:
+        """Drop every parameter's gradient, so forwards record no tape; the
+        ops stay those of a taped forward, and so do the output's bits."""
+        for name, p in self.params.items():
+            self.params[name] = Tensor(p.data)
+
 
 def make_actor(cfg: EnvConfig, fcfg: FeatureConfig, rng: np.random.Generator,
                arch: NetArch = NetArch()) -> PolicyNet:

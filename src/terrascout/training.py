@@ -381,10 +381,11 @@ def training_loop(
     makers = (make_critic, make_value_net) if variant == "central-qv" else (make_critic,)
     critics: list[PolicyNet] = []  # the Q critic, then central-qv's V net
     target_nets: list[PolicyNet] = []
-    for make in makers:
+    for make in makers:  # a target's draw is overwritten, but it keeps init_rng's order
         critics.append(make(cfg, ccfg, init_rng, tcfg.arch))
         target_nets.append(make(cfg, ccfg, init_rng, tcfg.arch))
         target_nets[-1].copy_from(critics[-1])
+        target_nets[-1].freeze()
     opts = (nn.Adam(actor.parameters(), tcfg.actor_lr),
             *(nn.Adam(net.parameters(), tcfg.critic_lr) for net in critics))
 

@@ -362,6 +362,30 @@ def test_train_manifest_lists_exactly_the_files_written(variant, smoke_config, t
     assert (str(out / "vnet.ckpt") in listed) == (variant == "central-qv")
 
 
+@pytest.mark.parametrize("under", [False, True])
+def test_train_out_that_is_a_file_is_usage_error(under, smoke_config, tmp_path, capsys):
+    out = smoke_config / "run" if under else smoke_config
+    before = smoke_config.read_bytes()
+    assert main(["train", "--config", str(smoke_config), "--missions", "2",
+                 "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: --out {out}: ") and err.count("\n") == 1
+    assert smoke_config.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["smoke.cfg"]
+
+
+def test_train_out_holding_another_run_is_usage_error(smoke_config, tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(smoke_config), "--variant", "central-qv",
+                 "--missions", "2", "--out", str(out), "--quiet"]) == 0
+    written = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert main(["train", "--config", str(smoke_config), "--missions", "2",
+                 "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: --out {out} already holds") and err.count("\n") == 1
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == written
+
+
 def test_manifest_records_every_train_key(smoke_config, tmp_path):
     config = tmp_path / "keys.cfg"
     config.write_text(smoke_config.read_text()

@@ -658,3 +658,49 @@ def test_local_metrics_run_equals_eager_fusion(planner, monkeypatch):
     assert lazy.records == want.records
     assert lazy.episode_rows == want.episode_rows
     assert lazy.final_map.log_odds.tobytes() == want.final_map.log_odds.tobytes()
+
+
+def _holds_float_patch(m: Measurement) -> bool:
+    # any float array shaped like the labels, wherever the measurement keeps it
+    return any(isinstance(v, np.ndarray) and v.dtype.kind == "f" and v.shape == m.values.shape
+               for v in vars(m).values())
+
+
+@pytest.mark.parametrize("planner", ["coverage", "random"])
+def test_unread_local_maps_pin_labels_only(planner, monkeypatch):
+    # cfg/smoke.cfg's scenario; neither planner reads a local map
+    cfg = small_cfg(terrain_size=50.0, num_agents=2, budget=8, comm_radius=25.0)
+    step = TerrainEnv.step
+    pending = []
+
+    def checked_step(self, joint_action):
+        done = step(self, joint_action)
+        held = [m for loc in self.locals for m in loc.pending]
+        assert not any(_holds_float_patch(m) for m in held)
+        pending.append(len(held))
+        return done
+
+    monkeypatch.setattr(TerrainEnv, "step", checked_step)
+    run_mission(PlannerSpec(planner), cfg, 3, 0)
+    assert len(pending) == cfg.budget
+    assert pending[-1] >= cfg.num_agents * (cfg.budget + 1)  # nothing was read
+
+
+def test_first_local_fusion_keeps_the_patch_for_the_other_maps():
+    cfg = small_cfg(terrain_size=50.0, num_agents=3, budget=4, comm_radius=math.inf)
+    env = TerrainEnv(cfg, generate_terrain(np.random.default_rng(2), cfg), 2)
+    env.reset()
+    env.step([int(np.flatnonzero(m)[0]) for m in env.masks()])
+    delivered = list(env.locals[0].pending)
+    assert len(delivered) == 2 * cfg.num_agents  # the reset's and the step's, all heard
+    assert not any(_holds_float_patch(m) for m in delivered)
+    env.locals[0].local_map
+    kept = [m.kept_patch for m in delivered]
+    assert all(_holds_float_patch(m) for m in delivered)
+    for m, patch in zip(delivered, kept):
+        want = reference.fusion_patch(m.values, math.log(m.accuracy / (1.0 - m.accuracy)))
+        assert patch.tobytes() == want.tobytes()
+    assert {id(m) for m in env.locals[1].pending} == {id(m) for m in delivered}
+    env.locals[1].local_map  # fuses the same measurements with the kept arrays
+    assert env.locals[1].pending == []
+    assert all(m.kept_patch is patch for m, patch in zip(delivered, kept))

@@ -580,10 +580,12 @@ def test_fusion_patch_equals_reference_bit_for_bit(seed, size, rect, accuracy):
     want = start.copy()
     want[r.slices] += reference.fusion_patch(m.values, delta)
     assert grid.log_odds.tobytes() == want.tobytes()
-    # the patch is built once and serves every map the measurement is fused into
-    patch = m.log_odds_patch
+    # fusion builds a one-off patch; a kept one serves every later map
+    assert m.kept_patch is None
+    m.kept_patch = patch = m.log_odds_patch()
+    assert patch.tobytes() == reference.fusion_patch(m.values, delta).tobytes()
     again = fuse_measurement(OccupancyGrid(start.copy(), 0.1), m)
-    assert m.log_odds_patch is patch
+    assert m.log_odds_patch() is patch
     assert again.log_odds.tobytes() == want.tobytes()
 
 

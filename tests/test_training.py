@@ -578,6 +578,30 @@ def test_training_loop_target_copy_instants(tmp_path, monkeypatch):
     assert diffs > 0.0
 
 
+def test_target_nets_forward_without_a_tape(tmp_path, monkeypatch):
+    # central-qv has two target nets; a taped forward of each gives the same bits
+    fill = training._fill_block_targets
+    seen = []
+
+    def spy(block, target_nets, tcfg, cfg):
+        for net in target_nets:
+            x = block.features[:, : net.in_channels]
+            out = net.forward(x)
+            assert out._parents == () and out._backward is None
+            assert all(p.grad is None for p in net.parameters())
+            taped = copy.deepcopy(net)
+            for name, p in taped.params.items():
+                taped.params[name] = nn.Tensor(p.data, requires_grad=True)
+            want = taped.forward(x)
+            assert want._backward is not None and out.data.tobytes() == want.data.tobytes()
+            seen.append(net)
+        fill(block, target_nets, tcfg, cfg)
+
+    monkeypatch.setattr(training, "_fill_block_targets", spy)
+    training_loop(micro_cfg(), micro_tcfg(variant="central-qv"), FCFG, seed=3, out_dir=tmp_path)
+    assert len(seen) == 4  # two blocks, two target nets
+
+
 def test_training_loop_variants_produce_checkpoints(tmp_path):
     cfg = micro_cfg()
     for variant in ("central-qv", "actor-independent", "decentralised"):
