@@ -223,8 +223,9 @@ class AgentLocalState:
         return self.grid
 
 
-def _stream(tag: int, *key: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([*key, tag])))
+def keyed_generator(*key: int) -> np.random.Generator:
+    """The generator of the stream keyed by ``key``, e.g. (seed, mission, tag)."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(list(key))))
 
 
 def generate_terrain(
@@ -283,8 +284,9 @@ def start_mission(cfg: EnvConfig, seed: int, mission_index: int,
     of (seed, mission_index) alone, so every runner and planner meets the
     same world in the same mission."""
     if terrain is None:
-        terrain = generate_terrain(_stream(_TAG_TERRAIN, seed, mission_index), cfg)
-    return TerrainEnv(cfg, terrain, seed, mission_index), _stream(_TAG_POLICY, seed, mission_index)
+        terrain = generate_terrain(keyed_generator(seed, mission_index, _TAG_TERRAIN), cfg)
+    return (TerrainEnv(cfg, terrain, seed, mission_index),
+            keyed_generator(seed, mission_index, _TAG_POLICY))
 
 
 def check_terrain(terrain: GroundTruthMap, cfg: EnvConfig) -> None:

@@ -22,7 +22,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .environment import EnvConfig, reward, start_mission
+from .environment import EnvConfig, keyed_generator, reward, start_mission
 from .errors import ConfigurationError, ContractViolation, TrainingDivergenceError
 from . import nn
 from .gridmap import write_csv
@@ -303,6 +303,39 @@ def run_training_mission(
 # ---------------------------------------------------------------------------
 
 
+@dataclass
+class TrainState:
+    """All that a run carries from one block to the next. Every draw is keyed
+    by the seed and the counters, so no generator is kept."""
+
+    actor: PolicyNet
+    critics: list[PolicyNet]  # the Q critic, then central-qv's V net
+    target_nets: list[PolicyNet]  # frozen copies of the critics, synced by run_block
+    opts: tuple[nn.Adam, ...]  # the actor's, then each critic's
+    missions_done: int
+    interactions: int  # agent decisions collected
+    block: int  # blocks run
+
+    @classmethod
+    def initial(cls, cfg: EnvConfig, tcfg: TrainConfig, fcfg: FeatureConfig,
+                seed: int) -> "TrainState":
+        """Fresh networks, all drawn from the (seed, 11) stream."""
+        ccfg = critic_feature_config(tcfg.variant, fcfg)
+        init_rng = keyed_generator(seed, 11)
+        actor = make_actor(cfg, fcfg, init_rng, tcfg.arch)
+        makers = (make_critic, make_value_net) if tcfg.variant == "central-qv" else (make_critic,)
+        critics: list[PolicyNet] = []
+        target_nets: list[PolicyNet] = []
+        for make in makers:  # a target's draw is overwritten, but it keeps init_rng's order
+            critics.append(make(cfg, ccfg, init_rng, tcfg.arch))
+            target_nets.append(make(cfg, ccfg, init_rng, tcfg.arch))
+            target_nets[-1].copy_from(critics[-1])
+            target_nets[-1].freeze()
+        opts = (nn.Adam(actor.parameters(), tcfg.actor_lr),
+                *(nn.Adam(net.parameters(), tcfg.critic_lr) for net in critics))
+        return cls(actor, critics, target_nets, opts, 0, 0, 0)
+
+
 def _fill_block_targets(block: Rollout, target_nets: Sequence[PolicyNet], tcfg: TrainConfig,
                         cfg: EnvConfig) -> None:
     """Compute per-episode TD(lambda) targets from the frozen target nets,
@@ -337,21 +370,70 @@ def _batch_advantages(batch: Rollout, actor: PolicyNet, critics: Sequence[Policy
     return advantage_variant(variant, q_rows, probs.data, batch.actions, v_values), probs
 
 
-def _optimise_minibatch(batch: Rollout, actor: PolicyNet, critics: Sequence[PolicyNet],
-                        opts: Sequence[nn.Adam], tcfg: TrainConfig) -> tuple[float, float]:
+def _optimise_minibatch(batch: Rollout, state: TrainState,
+                        tcfg: TrainConfig) -> tuple[float, float]:
     """One step of each critic on its column of ``batch.targets``, then one
-    actor step; returns (actor loss, Q-critic loss). ``opts`` holds the
-    actor's optimizer, then each critic's.
+    actor step; returns (actor loss, Q-critic loss).
 
     One taped actor forward feeds both the advantages and the actor's
     backward: the actor's parameters do not change between the two. Its
     tape dies with this scope, before the next minibatch's critic step.
     """
-    opt_actor, *critic_opts = opts
+    opt_actor, *critic_opts = state.opts
     losses = [critic_update(batch, net, batch.targets[:, k], opt, tcfg.grad_clip)
-              for k, (net, opt) in enumerate(zip(critics, critic_opts))]
-    advantages, probs = _batch_advantages(batch, actor, critics, tcfg.variant)
-    return actor_update(batch, probs, actor, advantages, opt_actor, tcfg.grad_clip), losses[0]
+              for k, (net, opt) in enumerate(zip(state.critics, critic_opts))]
+    advantages, probs = _batch_advantages(batch, state.actor, state.critics, tcfg.variant)
+    return actor_update(batch, probs, state.actor, advantages, opt_actor, tcfg.grad_clip), losses[0]
+
+
+def run_block(state: TrainState, cfg: EnvConfig, tcfg: TrainConfig, fcfg: FeatureConfig,
+              seed: int) -> tuple[dict, dict[int, float]]:
+    """Collect a rollout block, fill its targets, run the epochs and sync the
+    targets if an interval ends in the block; advance ``state`` and return the
+    block's ``training_log.csv`` row and its returns by mission. A mission is B*N
+    rows, so a block is the fewest missions that reach ``rollout_block`` rows."""
+    ccfg = critic_feature_config(tcfg.variant, fcfg)
+    per_block = -(-tcfg.rollout_block // (cfg.budget * cfg.num_agents))
+    missions = range(state.missions_done, min(state.missions_done + per_block, tcfg.total_missions))
+    parts, returns = zip(*(
+        run_training_mission(state.actor, cfg, fcfg, seed, m, tcfg.epsilon_at(m), ccfg)
+        for m in missions
+    ))
+    rollout = Rollout.concat(parts)
+    rows = len(rollout)
+    state.missions_done = missions.stop
+    state.interactions += rows
+
+    _fill_block_targets(rollout, state.target_nets, tcfg, cfg)
+
+    losses: list[tuple[float, float]] = []  # (actor, Q-critic) of each minibatch
+    for epoch in range(tcfg.epochs):
+        perm = keyed_generator(seed, 13, state.block, epoch).permutation(rows)
+        for lo in range(0, rows, tcfg.batch_size):
+            batch = rollout.take(perm[lo : lo + tcfg.batch_size])
+            aloss, closs = _optimise_minibatch(batch, state, tcfg)
+            if not (np.isfinite(aloss) and np.isfinite(closs)):
+                raise TrainingDivergenceError(
+                    f"non-finite loss in block {state.block} (actor {aloss}, critic {closs})"
+                )
+            losses.append((aloss, closs))
+
+    interval = tcfg.target_copy_interval
+    if (state.interactions - rows) // interval < state.interactions // interval:
+        for target, net in zip(state.target_nets, state.critics):
+            target.copy_from(net)
+
+    row = {
+        "block": state.block,
+        "missions_done": state.missions_done,
+        "env_interactions": state.interactions,
+        "mean_return": float(np.mean(returns)),
+        "actor_loss": float(np.mean([a for a, _ in losses])),
+        "critic_loss": float(np.mean([c for _, c in losses])),
+        "epsilon": tcfg.epsilon_at(state.missions_done - 1),
+    }
+    state.block += 1
+    return row, dict(zip(missions, returns))
 
 
 def training_loop(
@@ -363,118 +445,39 @@ def training_loop(
     *,
     progress: Optional[Callable[[dict], None]] = None,
 ) -> PolicyNet:
-    """Alternate rollout blocks and optimization epochs until the mission
-    budget is exhausted; return the trained actor.
-
-    Each block appends its rows to ``training_log.csv``, ``missions.csv``
-    and ``timing.csv`` before ``progress`` sees it, so a crash keeps the
-    finished blocks' rows. Wallclock timings go only to ``timing.csv``, so
-    the other two are byte-identical across reruns of the same seed and config.
-    """
+    """Run blocks until the mission budget is spent; return the trained actor.
+    Each block appends its rows to the ``LOGS`` before ``progress`` sees them,
+    so a crash keeps the finished blocks' rows; only ``timing.csv`` holds clock
+    times, so the rest repeats byte for byte. Every ``checkpoint_every_blocks``-th
+    block and the last save each network with the critic planes it reads."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    variant = tcfg.variant
-    ccfg = critic_feature_config(variant, fcfg)
-
-    init_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 11])))
-    actor = make_actor(cfg, fcfg, init_rng, tcfg.arch)
-    makers = (make_critic, make_value_net) if variant == "central-qv" else (make_critic,)
-    critics: list[PolicyNet] = []  # the Q critic, then central-qv's V net
-    target_nets: list[PolicyNet] = []
-    for make in makers:  # a target's draw is overwritten, but it keeps init_rng's order
-        critics.append(make(cfg, ccfg, init_rng, tcfg.arch))
-        target_nets.append(make(cfg, ccfg, init_rng, tcfg.arch))
-        target_nets[-1].copy_from(critics[-1])
-        target_nets[-1].freeze()
-    opts = (nn.Adam(actor.parameters(), tcfg.actor_lr),
-            *(nn.Adam(net.parameters(), tcfg.critic_lr) for net in critics))
-
+    state = TrainState.initial(cfg, tcfg, fcfg, seed)
     # variant and arch are recorded on their own; the checkpoint interval says nothing of a net
     meta = {
         "feature_config": asdict(fcfg),
-        "variant": variant,
+        "variant": tcfg.variant,
         "seed": seed,
         "train_config": {f.name: getattr(tcfg, f.name) for f in fields(tcfg)
                          if f.name not in ("variant", "arch", "checkpoint_every_blocks")},
     }
-    save_network(out_dir / INIT_ACTOR, actor, kind="actor",
+    save_network(out_dir / INIT_ACTOR, state.actor, kind="actor",
                  manifest=actor_manifest(fcfg), extra=meta)
     for name, header in LOGS.items():
         write_csv(out_dir / name, [], header)
+    planes = critic_manifest(critic_feature_config(tcfg.variant, fcfg), cfg.num_agents)
 
-    missions_done = 0
-    interactions = 0
-    block = 0
-
-    while missions_done < tcfg.total_missions:
+    while state.missions_done < tcfg.total_missions:
         t0 = time.perf_counter()
-        first_mission = missions_done
-        parts: list[Rollout] = []
-        rows = 0
-        block_returns: list[float] = []
-        while rows < tcfg.rollout_block and missions_done < tcfg.total_missions:
-            epsilon = tcfg.epsilon_at(missions_done)
-            part, ret = run_training_mission(actor, cfg, fcfg, seed, missions_done, epsilon, ccfg)
-            parts.append(part)
-            rows += len(part)
-            block_returns.append(ret)
-            missions_done += 1
-        rollout = Rollout.concat(parts)
-        interactions += rows
-
-        _fill_block_targets(rollout, target_nets, tcfg, cfg)
-
-        actor_losses: list[float] = []
-        critic_losses: list[float] = []
-        for epoch in range(tcfg.epochs):
-            shuffle_rng = np.random.Generator(
-                np.random.PCG64(np.random.SeedSequence([seed, 13, block, epoch]))
-            )
-            perm = shuffle_rng.permutation(rows)
-            for lo in range(0, rows, tcfg.batch_size):
-                batch = rollout.take(perm[lo : lo + tcfg.batch_size])
-                aloss, closs = _optimise_minibatch(batch, actor, critics, opts, tcfg)
-                if not (np.isfinite(aloss) and np.isfinite(closs)):
-                    raise TrainingDivergenceError(
-                        f"non-finite loss in block {block} (actor {aloss}, critic {closs})"
-                    )
-                actor_losses.append(aloss)
-                critic_losses.append(closs)
-
-        interval = tcfg.target_copy_interval
-        if (interactions - rows) // interval < interactions // interval:
-            for target, net in zip(target_nets, critics):
-                target.copy_from(net)
-
-        row = {
-            "block": block,
-            "missions_done": missions_done,
-            "env_interactions": interactions,
-            "mean_return": float(np.mean(block_returns)),
-            "actor_loss": float(np.mean(actor_losses)),
-            "critic_loss": float(np.mean(critic_losses)),
-            "epsilon": tcfg.epsilon_at(missions_done - 1),
-        }
-        wallclock = time.perf_counter() - t0
+        row, returns = run_block(state, cfg, tcfg, fcfg, seed)
+        write_csv(out_dir / "timing.csv", [(row["block"], f"{time.perf_counter() - t0:.3f}")])
         write_csv(out_dir / "training_log.csv", [[row[k] for k in LOGS["training_log.csv"]]])
-        write_csv(out_dir / "missions.csv", ((i, r, tcfg.epsilon_at(i))
-                                             for i, r in enumerate(block_returns, first_mission)))
-        write_csv(out_dir / "timing.csv", [(block, f"{wallclock:.3f}")])
+        write_csv(out_dir / "missions.csv", ((m, r, tcfg.epsilon_at(m)) for m, r in returns.items()))
         if progress is not None:
             progress(row)
-        if (block + 1) % tcfg.checkpoint_every_blocks == 0:
-            _save_all(out_dir, (actor, *critics), ccfg, cfg, meta)
-        block += 1
-
-    _save_all(out_dir, (actor, *critics), ccfg, cfg, meta)
-    return actor
-
-
-def _save_all(out_dir: Path, nets: Sequence[PolicyNet], ccfg: FeatureConfig, cfg: EnvConfig,
-              meta: dict) -> None:
-    """Each network's checkpoint, ``nets`` being the actor then the critics;
-    its manifest names the prefix of the critic planes it reads (see ``Rollout``)."""
-    planes = critic_manifest(ccfg, cfg.num_agents)
-    for (stem, kind), net in zip(NETWORKS, nets):
-        save_network(out_dir / f"{stem}.ckpt", net, kind=kind,
-                     manifest=planes[: net.in_channels], extra=meta)
+        last = state.missions_done == tcfg.total_missions
+        if last or state.block % tcfg.checkpoint_every_blocks == 0:
+            for (stem, kind), net in zip(NETWORKS, (state.actor, *state.critics)):
+                save_network(out_dir / f"{stem}.ckpt", net, kind=kind,
+                             manifest=planes[: net.in_channels], extra=meta)
+    return state.actor

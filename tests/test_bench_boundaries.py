@@ -132,11 +132,13 @@ def test_a_minibatch_runs_the_actor_forward_once():
     """Per minibatch: the critic step's forward, the advantages' critic and
     actor forwards, and no forward inside the actor step."""
     from terrascout import nn
-    from terrascout.training import TrainConfig, _optimise_minibatch, run_training_mission
+    from terrascout.training import (TrainConfig, TrainState, _optimise_minibatch,
+                                     run_training_mission)
 
     cfg, fcfg, actor, critic = _training_fixture()
     batch, _ = run_training_mission(actor, cfg, fcfg, 0, 0, 0.5, fcfg)
     opts = (nn.Adam(actor.parameters(), 1e-3), nn.Adam(critic.parameters(), 1e-3))
-    recorded = _traced(_optimise_minibatch, batch, actor, [critic], opts, TrainConfig())
+    state = TrainState(actor, [critic], [], opts, 0, 0, 0)
+    recorded = _traced(_optimise_minibatch, batch, state, TrainConfig())
     parents = sorted(recorded[s[3]][0] for s in recorded if s[0] == "policy.net_forward")
     assert parents == ["training.advantages", "training.advantages", "training.critic_update"]

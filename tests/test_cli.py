@@ -180,6 +180,18 @@ def test_out_of_range_config_value_is_usage_error(smoke_config, tmp_path, capsys
     assert not out.exists()
 
 
+def test_td_zero_config_trains(smoke_config, tmp_path):
+    # lambda = 0 is TD(0), one-step targets: a valid setting, not a zero to reject
+    assert build_train_config({"train.lambda": "0"}).td_lambda == 0.0
+    config = tmp_path / "td0.cfg"
+    config.write_text(smoke_config.read_text() + "train.lambda = 0\n")
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(config), "--missions", "1", "--out", str(out),
+                 "--quiet"]) == 0
+    _, meta = load_checkpoint(out / "critic.ckpt")
+    assert meta["train_config"]["td_lambda"] == 0.0
+
+
 @pytest.mark.parametrize("argv", [
     ["train", "--missions", "0", "--quiet"],
     ["evaluate", "--planner", "random", "--agents", "0"],

@@ -27,7 +27,6 @@ from terrascout.policy import FeatureConfig, NetArch
 from terrascout.training import INIT_ACTOR, VARIANTS, TrainConfig, training_loop
 
 GOLDEN = Path(__file__).with_name("golden") / "train.json"
-UNPINNED = "timing.csv"
 
 
 def host() -> dict:
@@ -62,7 +61,7 @@ def train_digests(variant: str, out_dir: Path) -> dict[str, str]:
                 digests[f"block {row['block']}: {path.name}"] = sha256(path)
 
     training_loop(cfg, tcfg, FeatureConfig(), seed=5, out_dir=out_dir, progress=snapshot)
-    digests.update({p.name: sha256(p) for p in sorted(out_dir.iterdir()) if p.name != UNPINNED})
+    digests.update({p.name: sha256(p) for p in sorted(out_dir.iterdir()) if p.name != "timing.csv"})
     return digests
 
 

@@ -442,6 +442,8 @@ def test_sensor_model_validation():
         SensorModel(((5.0, 0.99), (5.0, 0.7)))
     with pytest.raises(ConfigurationError):
         SensorModel(((5.0, 0.4),))
+    with pytest.raises(ConfigurationError):  # a coin flip carries no information
+        SensorModel(((5.0, 0.5),))
     with pytest.raises(ConfigurationError):
         ImportanceWeights(0.7, 0.2)
 

@@ -201,6 +201,9 @@ def test_conv_kernel_too_large():
     w = Tensor(np.ones((1, 1, 5, 5)))
     with pytest.raises(DimensionError):
         conv2d(x, w, Tensor(np.zeros(1)), 1, 0)
+    for shape in ((1, 1, 2, 5), (1, 1, 5, 2)):  # too tall but not too wide, and the reverse
+        with pytest.raises(DimensionError):
+            conv2d(Tensor(np.ones(shape)), Tensor(np.ones((1, 1, 3, 3))), Tensor(np.zeros(1)), 1, 0)
     with pytest.raises(DimensionError):
         conv2d(Tensor(np.ones((1, 2, 4, 4))), Tensor(np.ones((1, 1, 2, 2))),
                Tensor(np.zeros(1)), 1, 0)

@@ -86,9 +86,8 @@ def test_random_generators_are_built_only_from_keyed_seeds():
     # step, agent, block or epoch) in one of these places, so a run's draws
     # depend on its seed and config alone, and a resumed run can rebuild them
     allowed = {
-        "environment._stream",
+        "environment.keyed_generator",
         "environment.TerrainEnv._measure_and_fuse",
-        "training.training_loop",
         "gridmap._virtual_uniforms",
     }
     constructors = {"default_rng", "Generator", "PCG64", "Philox", "SeedSequence"}

@@ -34,12 +34,14 @@ from terrascout.training import (
     VARIANTS,
     Rollout,
     TrainConfig,
+    TrainState,
     _actor_probs,
     _fill_block_targets,
     _optimise_minibatch,
     actor_update,
     advantage_variant,
     critic_update,
+    run_block,
     run_training_mission,
     td_lambda_targets,
     training_loop,
@@ -338,7 +340,8 @@ def test_non_finite_value_target_raises_before_any_gradient():
     batch.targets[1, 1] = np.nan
     before = [p.data.copy() for p in vnet.parameters()]
     with pytest.raises(TrainingDivergenceError, match="non-finite TD target"):
-        _optimise_minibatch(batch, actor, [critic, vnet], opts, micro_tcfg(variant="central-qv"))
+        _optimise_minibatch(batch, TrainState(actor, [critic, vnet], [], opts, 0, 0, 0),
+                            micro_tcfg(variant="central-qv"))
     for p, b in zip(vnet.parameters(), before):
         assert (p.grad == 0.0).all()
         assert p.data.tobytes() == b.tobytes()
@@ -672,3 +675,35 @@ def test_training_log_is_streamed_per_block(tmp_path):
     timing = (tmp_path / "cut" / "timing.csv").read_text().splitlines()
     assert timing[0] == "block,wallclock_s"
     assert [line.split(",")[0] for line in timing[1:]] == ["0", "1"]
+
+
+def _state_bits(state: TrainState):
+    nets = [state.actor, *state.critics, *state.target_nets]
+    return (
+        [p.data.tobytes() for net in nets for p in net.parameters()],
+        [(opt.t, [m.tobytes() for m in opt.m], [v.tobytes() for v in opt.v])
+         for opt in state.opts],
+        (state.missions_done, state.interactions, state.block),
+    )
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_a_copy_of_the_state_after_a_block_finishes_the_run_bit_for_bit(variant):
+    # a TrainState is all that a run carries across a block end, which an
+    # exact resume needs: a deep copy taken after block k runs the remaining
+    # blocks to the rows and the bits of the run that went on
+    cfg = micro_cfg()
+    # one mission a block, five blocks; the targets sync after blocks 1 and 3
+    tcfg = micro_tcfg(variant=variant, rollout_block=6, total_missions=5,
+                      target_copy_interval=12, epochs=2, batch_size=4)
+    state = TrainState.initial(cfg, tcfg, FCFG, seed=6)
+    blocks, copies = [], []
+    while state.missions_done < tcfg.total_missions:
+        blocks.append(run_block(state, cfg, tcfg, FCFG, 6))
+        copies.append(copy.deepcopy(state))
+    assert len(blocks) == 5
+    for k in (0, 1, len(blocks) - 2):
+        resumed = copies[k]
+        rest = [run_block(resumed, cfg, tcfg, FCFG, 6) for _ in blocks[k + 1 :]]
+        assert rest == blocks[k + 1 :]
+        assert _state_bits(resumed) == _state_bits(state)
