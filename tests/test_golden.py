@@ -8,6 +8,13 @@ Every file the run writes is compared with ``golden/train.json``, except
 digested as they stand when each block's row is reported, so a mid-run
 checkpoint that a later one overwrites is checked too.
 
+``evaluate`` runs through the command line with ``--dump-maps
+--local-metrics``: every planner, the learned one sampling from a keyed
+initial actor, and then the learned one in argmax mode. Each runs serially
+and with ``--threads 2``, and both must write the files of
+``golden/evaluate.json``; ``manifest.json``, which holds paths and argv, is
+left out.
+
 A change that moves outputs on purpose re-records the digests, and its
 CHANGES.md entry says which moved and why:
 
@@ -22,11 +29,30 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from terrascout.environment import EnvConfig
-from terrascout.policy import FeatureConfig, NetArch
+from terrascout.cli import build_env_config, main, parse_config_file
+from terrascout.environment import EnvConfig, keyed_generator
+from terrascout.planners import PLANNERS
+from terrascout.policy import FeatureConfig, NetArch, actor_manifest, make_actor, save_network
 from terrascout.training import INIT_ACTOR, VARIANTS, TrainConfig, training_loop
 
 GOLDEN = Path(__file__).with_name("golden") / "train.json"
+EVAL_GOLDEN = GOLDEN.with_name("evaluate.json")
+
+# 2 agents 10 m apart at the start, out of each other's 8 m range, so the
+# local maps differ from the global one
+EVAL_CONFIG = """\
+terrain_size = 20.0
+map_resolution = 0.5
+planning_resolution = 5.0
+num_agents = 2
+budget = 4
+comm_radius = 8.0
+"""
+# the learned planner's two modes; the first run holds every planner
+EVAL_RUNS = {
+    "sample": [arg for name in PLANNERS for arg in ("--planner", name)],
+    "argmax": ["--planner", "learned", "--learned-mode", "argmax"],
+}
 
 
 def host() -> dict:
@@ -65,21 +91,55 @@ def train_digests(variant: str, out_dir: Path) -> dict[str, str]:
     return digests
 
 
-@pytest.mark.parametrize("variant", VARIANTS)
-def test_train_outputs_match_the_golden_digests(variant, tmp_path):
-    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    want = golden["train"][variant]
-    got = train_digests(variant, tmp_path)
+def evaluate_digests(run: str, threads: int, work: Path) -> dict[str, str]:
+    """Digests of one micro ``evaluate`` run, by path under ``--out``."""
+    work.mkdir(parents=True, exist_ok=True)
+    config, actor, out = work / "eval.cfg", work / "actor.ckpt", work / "out"
+    config.write_text(EVAL_CONFIG, encoding="ascii")
+    cfg, fcfg = build_env_config(parse_config_file(config)), FeatureConfig()
+    net = make_actor(cfg, fcfg, keyed_generator(5, 11),
+                     NetArch(conv_channels=(3, 4), conv_strides=(1, 2), mlp_sizes=(12,)))
+    save_network(actor, net, kind="actor", manifest=actor_manifest(fcfg))
+    argv = ["evaluate", "--config", str(config), "--seed", "7", "--missions", "2",
+            "--threads", str(threads), "--actor-weights", str(actor), "--dump-maps",
+            "--local-metrics", "--out", str(out), *EVAL_RUNS[run]]
+    if main(argv) != 0:
+        raise AssertionError(f"evaluate {run} exited non-zero")
+    return {p.relative_to(out).as_posix(): sha256(p) for p in sorted(out.rglob("*"))
+            if p.is_file() and p.name != "manifest.json"}
+
+
+def assert_unmoved(golden: dict, want: dict, got: dict, what: str) -> None:
     moved = sorted(name for name in want.keys() | got.keys() if want.get(name) != got.get(name))
     recorded, running = golden["host"], host()
     note = "" if recorded == running else f"; recorded on {recorded}, running on {running}"
-    assert not moved, f"train {variant}: moved {', '.join(moved)}{note}"
+    assert not moved, f"{what}: moved {', '.join(moved)}{note}"
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_train_outputs_match_the_golden_digests(variant, tmp_path):
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert_unmoved(golden, golden["train"][variant], train_digests(variant, tmp_path),
+                   f"train {variant}")
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("run", EVAL_RUNS)
+def test_evaluate_outputs_match_the_golden_digests(run, threads, tmp_path):
+    golden = json.loads(EVAL_GOLDEN.read_text(encoding="utf-8"))
+    assert_unmoved(golden, golden["evaluate"][run], evaluate_digests(run, threads, tmp_path),
+                   f"evaluate {run} with {threads} thread(s)")
 
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
-        record = {"host": host(),
-                  "train": {v: train_digests(v, Path(tmp) / v) for v in VARIANTS}}
+        records = {
+            GOLDEN: {"host": host(),
+                     "train": {v: train_digests(v, Path(tmp) / v) for v in VARIANTS}},
+            EVAL_GOLDEN: {"host": host(),
+                          "evaluate": {r: evaluate_digests(r, 1, Path(tmp) / r) for r in EVAL_RUNS}},
+        }
     GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"recorded {GOLDEN}")
+    for path, record in records.items():
+        path.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+        print(f"recorded {path}")
