@@ -160,15 +160,13 @@ class GlobalState:
     global_map: OccupancyGrid
     positions: np.ndarray  # (N, 3) lattice indices (col, row, level)
     remaining_budget: int
-    # Planes derived from global_map, each with the number of global_map.fused
-    # entries it includes (see OccupancyGrid): probs() and its per-cell
-    # weighted entropy (map_planes), and the row-tile sums behind the critic's
-    # pooled planes (policy.build_critic_features).
+    # The planes derived from global_map and the number of global_map.fused
+    # entries they include (see OccupancyGrid): probs() and its per-cell
+    # weighted entropy (map_planes). The team reward sums the second, and the
+    # critic's pooled planes pool both (policy.critic_global_planes).
     probs: Optional[np.ndarray] = None
     cell_entropy: Optional[np.ndarray] = None
     seen: int = 0
-    row_sums: Optional[np.ndarray] = None
-    row_sums_seen: int = 0
 
     def map_planes(self, w: ImportanceWeights) -> tuple[np.ndarray, np.ndarray]:
         """(probs, cell_entropy) of the global map, equal bit for bit to a fresh
@@ -206,7 +204,7 @@ class AgentLocalState:
     pending: list = field(default_factory=list, repr=False, compare=False)
     # The row-tile sums behind the pooled local planes and the number of
     # local_map.fused entries they include (see OccupancyGrid), kept by
-    # policy.build_actor_features.
+    # policy._local_planes.
     row_sums: Optional[np.ndarray] = None
     row_sums_seen: int = 0
 
@@ -237,9 +235,10 @@ def generate_terrain(
 ) -> GroundTruthMap:
     """Random half-plane split covering 30-60% of the terrain.
 
-    A line of uniform random orientation splits the map; its offset is
-    found by bisection so the interesting side hits the drawn target
-    fraction. The interesting region is connected by construction.
+    A line of uniform random orientation splits the map; its offset is a
+    cell's projection, so that the interesting side holds the largest share
+    of cells that does not exceed the drawn target fraction. The interesting
+    region is connected by construction.
     """
     n = cfg.map_cells
     res = cfg.map_resolution
@@ -251,9 +250,9 @@ def generate_terrain(
         target = min(max(target, 0.3), 0.6)
         # x varies along columns, y along rows: one full-map array, no meshgrid copies
         proj = math.cos(theta) * centers[None, :] + math.sin(theta) * centers[:, None]
-        lo, hi = proj.min() - 1.0, proj.max() + 1.0
-        # count(proj >= mid) / size > target holds exactly when mid <= v, the
-        # k-th largest value of proj for the smallest count k above the target
+        # v is the k-th largest value of proj for the smallest count k above
+        # the target: the k or more cells at or above it exceed the target,
+        # and the fewer than k above it do not
         size, v = proj.size, -math.inf  # no count is above a NaN target
         if target == target:
             k = int(target * size)
@@ -262,13 +261,7 @@ def generate_terrain(
             while k / size <= target:
                 k += 1
             v = np.partition(proj, size - k, axis=None)[size - k]
-        for _ in range(64):
-            mid = 0.5 * (lo + hi)
-            if mid <= v:
-                lo = mid
-            else:
-                hi = mid
-        cells = proj >= hi
+        cells = proj > v
         frac = cells.mean()
         if 0.3 <= frac <= 0.6:
             return GroundTruthMap(cells.astype(np.uint8), res)
@@ -380,7 +373,6 @@ class TerrainEnv:
         self.state: GlobalState
         self.locals: list[AgentLocalState]
         self.step_index = 0
-        self._entropy: tuple = (None, 0, 0.0)  # (global map, its log length, entropy sum)
 
     def reset(self) -> tuple[GlobalState, list[AgentLocalState]]:
         """Deploy agents, take the start (t = 0) measurements, and exchange them.
@@ -426,8 +418,8 @@ class TerrainEnv:
         at its new pose, in-range measurements are exchanged and fused
         locally, and all measurements are fused globally. A rejected step
         changes nothing. The team reward is left to the reader that needs it:
-        ``reward(h_before, global_entropy(), ...)``, ``h_before`` being
-        ``global_entropy()`` before the step.
+        ``reward(h_before, global_entropy(), ...)``, ``h_before`` being the
+        ``global_entropy()`` read before the step.
         """
         cfg, state = self.cfg, self.state
         n = cfg.num_agents
@@ -489,16 +481,11 @@ class TerrainEnv:
             fuse_measurement(state.global_map, m)
 
     def global_entropy(self) -> float:
-        """Summed weighted entropy of the global map, computed once per length
-        of its fusion log: read before and after each step, a step's
-        ``h_before`` is the previous ``h_after``, and a logged out-of-band
-        write forces a fresh sum. The first read fills ``state``'s planes."""
-        grid = self.state.global_map
-        summed_grid, count, h = self._entropy
-        if summed_grid is not grid or count != len(grid.fused):
-            h = float(self.state.map_planes(self.cfg.weights)[1].sum())
-            self._entropy = (grid, len(grid.fused), h)
-        return h
+        """Summed weighted entropy of the global map. Each call sums the whole
+        map, so a runner reads it once per fused map and carries it: a step's
+        ``h_before`` is the previous step's ``h_after``. The first read fills
+        ``state``'s planes."""
+        return float(self.state.map_planes(self.cfg.weights)[1].sum())
 
 
 def write_episode_csv(path, rows: Sequence[dict]) -> None:

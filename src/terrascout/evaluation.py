@@ -212,18 +212,19 @@ def run_mission(
     scores = MapScorer(env.state.global_map, terrain, cfg.weights)
     local_scores = [MapScorer(loc.local_map, terrain, cfg.weights)
                     for loc in env.locals] if local_metrics else []
-    rows = _episode_rows(0, env, ["init"] * cfg.num_agents, 0.0) if episode_rows else []
+    h = env.global_entropy() if episode_rows else None
+    rows = _episode_rows(0, env, ["init"] * cfg.num_agents, 0.0, h) if episode_rows else []
     done = False
     t = 0
     while not done:
         t += 1
         joint = planner.act_team(env.locals, env.masks(), cfg, rng)
-        h_before = env.global_entropy() if episode_rows else 0.0
         done = env.step(joint)
         records.append(MetricsRecord(*scores.catch_up()))
         if episode_rows:
-            r = reward(h_before, env.global_entropy(), cfg.reward_alpha, cfg.reward_beta)
-            rows += _episode_rows(t, env, [Action(a).name.lower() for a in joint], r)
+            h_before, h = h, env.global_entropy()
+            r = reward(h_before, h, cfg.reward_alpha, cfg.reward_beta)
+            rows += _episode_rows(t, env, [Action(a).name.lower() for a in joint], r, h)
         for i, (loc, local) in enumerate(zip(env.locals, local_scores)):
             loc.local_map  # reading it fuses what the step delivered
             local_rows.append((mission_index, t, i, *local.catch_up()))
@@ -240,9 +241,9 @@ def _prior_record(cfg: EnvConfig, terrain: GroundTruthMap) -> MetricsRecord:
     return MetricsRecord(roi_entropy(prior, terrain, cfg.weights), f1_score(prior, terrain))
 
 
-def _episode_rows(step: int, env: TerrainEnv, actions: Sequence[str], r: float) -> list[dict]:
-    """One trajectory row per agent; the global entropy is summed once per step."""
-    h = env.global_entropy()
+def _episode_rows(step: int, env: TerrainEnv, actions: Sequence[str], r: float,
+                  h: float) -> list[dict]:
+    """One trajectory row per agent, each with reward ``r`` and global entropy ``h``."""
     rows = []
     for agent, action in enumerate(actions):
         x, y, z = (float(v) for v in env.cfg.position_m(env.state.positions[agent]))

@@ -64,8 +64,8 @@ class GroundTruthMap:
         if not ((cells == 0) | (cells == 1)).all():
             raise ConfigurationError("ground truth cells must be 0 or 1")
         self.cells = cells.astype(np.uint8, copy=False)
-        if self.resolution <= 0:
-            raise ConfigurationError("map resolution must be positive")
+        if not 0 < self.resolution < math.inf:  # NaN fails it
+            raise ConfigurationError("map resolution must be finite and positive")
 
     @cached_property
     def roi_index(self) -> np.ndarray:
@@ -93,16 +93,17 @@ class OccupancyGrid:
     ``[PROB_FLOOR, 1 - PROB_FLOOR]`` is applied by :meth:`probs`.
 
     One invalidation rule covers every plane derived from the map
-    (``GlobalState.map_planes``, the policy's pooled planes) and every
-    score kept of it (``evaluation.MapScorer``): writers log
-    what they wrote, readers start from ``prior`` and catch up. ``prior`` is
-    the log-odds every cell held before the first entry of ``fused``, and
-    ``fused`` logs, in order, the rectangle of every write: each
-    :func:`fuse_measurement`, and one whole-map rectangle for a grid built
-    from non-uniform log-odds. A derived plane fills its constants from one
-    cell at the prior, records how many entries it includes and recomputes
-    the cells under the rest. Code that writes ``log_odds`` any other way
-    must log the rectangle it wrote.
+    (``GlobalState.map_planes``, and a local map's pooled planes in
+    ``policy._local_planes``) and every score kept of it
+    (``evaluation.MapScorer``): writers log what they wrote, readers start
+    from ``prior`` and catch up. ``prior`` is the log-odds every cell held
+    before the first entry of ``fused``, and ``fused`` logs, in order, the
+    rectangle of every write: each :func:`fuse_measurement`, and one
+    whole-map rectangle for a grid built from non-uniform log-odds. A
+    derived plane fills its constants from one cell at the prior, records
+    how many entries it includes and recomputes the cells under the rest.
+    Code that writes ``log_odds`` any other way must log the rectangle it
+    wrote.
 
     A writer may defer its fusions: ``AgentLocalState.pending`` holds the
     measurements a step delivered to an agent, and reading its ``local_map``
@@ -119,8 +120,8 @@ class OccupancyGrid:
         self.log_odds = np.asarray(self.log_odds, dtype=np.float64)
         if self.log_odds.ndim != 2:
             raise ConfigurationError("occupancy grid must be 2D")
-        if self.resolution <= 0:
-            raise ConfigurationError("map resolution must be positive")
+        if not 0 < self.resolution < math.inf:  # NaN fails it
+            raise ConfigurationError("map resolution must be finite and positive")
         first = self.log_odds.flat[0] if self.log_odds.size else 0.0
         if (self.log_odds == first).all():  # NaN fails it
             self.prior = float(first)
@@ -556,8 +557,8 @@ def read_text_grid(path) -> tuple[np.ndarray, float]:
         w, h, res = int(head[0]), int(head[1]), float(head[2])
     except ValueError as exc:
         raise DataError(f"{path}: line 1: bad header value ({exc})") from exc
-    if w < 1 or h < 1 or res <= 0:
-        raise DataError(f"{path}: line 1: non-positive dimensions or resolution")
+    if w < 1 or h < 1 or not 0 < res < math.inf:
+        raise DataError(f"{path}: line 1: dimensions and resolution must be finite and positive")
     flat: list[float] = []
     for ln_no, line in enumerate(lines[1:], start=2):
         if not line.strip():

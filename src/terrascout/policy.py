@@ -27,7 +27,7 @@ import numpy as np
 
 from .environment import Action, AgentLocalState, EnvConfig, GlobalState, NUM_ACTIONS
 from .errors import ConfigurationError, ContractViolation, DataError, DomainError
-from .gridmap import OccupancyGrid, footprint, weighted_cell_entropy
+from .gridmap import footprint, weighted_cell_entropy
 from . import nn
 from .nn import Tensor
 
@@ -115,35 +115,6 @@ def _pool_row_tile_sums(sums: np.ndarray, factor: int) -> np.ndarray:
     return sums.reshape(*lead, h // factor, factor, g).sum(axis=-2) / (factor * factor)
 
 
-def _pooled_planes(owner, grid: OccupancyGrid, cfg: EnvConfig, fine) -> np.ndarray:
-    """The (2, G, G) pooled belief and weighted entropy of ``grid``.
-
-    ``owner.row_sums`` keeps the (2, H, G) row-tile sums of both planes and
-    ``owner.row_sums_seen`` the number of ``grid.fused`` entries they
-    include. When ``row_sums`` is None they are filled from
-    ``grid.prior_cell`` and include no entry. A call then takes them over
-    the cell rows by whole tile columns of each later entry; ``fine(cells)``
-    returns the (belief, entropy) of a box. Every box is computed before any
-    is written, so a failed refresh changes nothing.
-    """
-    f, fused = cfg.pool_factor, grid.fused
-    seen = 0 if owner.row_sums is None else owner.row_sums_seen
-    boxes = [(slice(r.y_lo, r.y_hi + 1), slice(r.x_lo // f, r.x_hi // f + 1))
-             for r in fused[seen:]]
-    fresh = []
-    for rows, tiles in boxes:
-        belief, entropy = fine((rows, slice(tiles.start * f, tiles.stop * f)))
-        fresh.append(np.stack([_row_tile_sums(belief, f), _row_tile_sums(entropy, f)]))
-    if owner.row_sums is None:
-        cell = grid.prior_cell(cfg.weights)
-        tile = np.stack([_row_tile_sums(np.repeat(c, f, axis=1), f) for c in cell])
-        owner.row_sums = np.broadcast_to(tile, (2, cfg.map_cells, cfg.lattice_cols)).copy()
-    for (rows, tiles), sums in zip(boxes, fresh):
-        owner.row_sums[:, rows, tiles] = sums
-    owner.row_sums_seen = len(fused)
-    return _pool_row_tile_sums(owner.row_sums, f)
-
-
 def _footprint_plane(rects, cfg: EnvConfig) -> np.ndarray:
     """1 on every tile a rectangle touches, set from its bounds (exact: the plane is boolean)."""
     f, g = cfg.pool_factor, cfg.lattice_cols
@@ -208,16 +179,35 @@ def _measurement_entropy_plane(local: AgentLocalState, cfg: EnvConfig) -> np.nda
 
 
 def _local_planes(local: AgentLocalState, cfg: EnvConfig) -> np.ndarray:
-    """The agent's (2, G, G) pooled belief and weighted entropy (``_pooled_planes``)."""
+    """The agent's (2, G, G) pooled belief and weighted entropy.
 
-    def fine(cells):
-        probs = local.local_map.probs_slice(cells)
+    ``local.row_sums`` keeps the (2, H, G) row-tile sums of both planes and
+    ``local.row_sums_seen`` the number of ``local_map.fused`` entries they
+    include. When ``row_sums`` is None they are filled from the map's
+    ``prior_cell`` and include no entry. A call then takes them over the cell
+    rows by whole tile columns of each later entry. Every box is computed
+    before any is written, so a failed refresh changes nothing.
+    """
+    grid, f = local.local_map, cfg.pool_factor
+    seen = 0 if local.row_sums is None else local.row_sums_seen
+    boxes = [(slice(r.y_lo, r.y_hi + 1), slice(r.x_lo // f, r.x_hi // f + 1))
+             for r in grid.fused[seen:]]
+    fresh = []
+    for rows, tiles in boxes:
+        probs = grid.probs_slice((rows, slice(tiles.start * f, tiles.stop * f)))
         try:  # a NaN belief fails the entropy's domain check before the stack check
-            return probs, weighted_cell_entropy(probs, cfg.weights)
+            entropy = weighted_cell_entropy(probs, cfg.weights)
         except DomainError as exc:
             raise ContractViolation("feature planes contain non-finite values") from exc
-
-    return _pooled_planes(local, local.local_map, cfg, fine)
+        fresh.append(np.stack([_row_tile_sums(probs, f), _row_tile_sums(entropy, f)]))
+    if local.row_sums is None:
+        cell = grid.prior_cell(cfg.weights)
+        tile = np.stack([_row_tile_sums(np.repeat(c, f, axis=1), f) for c in cell])
+        local.row_sums = np.broadcast_to(tile, (2, cfg.map_cells, cfg.lattice_cols)).copy()
+    for (rows, tiles), sums in zip(boxes, fresh):
+        local.row_sums[:, rows, tiles] = sums
+    local.row_sums_seen = len(grid.fused)
+    return _pool_row_tile_sums(local.row_sums, f)
 
 
 def build_actor_features(local: AgentLocalState, cfg: EnvConfig,
@@ -251,10 +241,10 @@ def build_actor_features(local: AgentLocalState, cfg: EnvConfig,
 
 def critic_global_planes(state: GlobalState, cfg: EnvConfig) -> np.ndarray:
     """The four global planes (f)-(i), the same for every agent of a step; the
-    pooled two come from ``state.map_planes``."""
-    probs, cell_entropy = state.map_planes(cfg.weights)
-    pooled = _pooled_planes(state, state.global_map, cfg,
-                            lambda cells: (probs[cells], cell_entropy[cells]))
+    pooled two are pooled in full from the two of ``state.map_planes``."""
+    f = cfg.pool_factor
+    pooled = [_pool_row_tile_sums(_row_tile_sums(plane, f), f)
+              for plane in state.map_planes(cfg.weights)]
     rects = [
         footprint(cfg.position_m(pos), cfg.footprint_factor, cfg.map_cells,
                   cfg.map_cells, cfg.map_resolution)

@@ -267,6 +267,7 @@ def run_training_mission(
     planner = LearnedPlanner(actor, fcfg, epsilon=epsilon)
     features, masks, actions, rewards = [], [], [], []
     mission_return = 0.0
+    h = env.global_entropy()
     done = False
     while not done:
         step_masks = env.masks()
@@ -279,9 +280,9 @@ def run_training_mission(
             features.append(build_critic_features(
                 env.state, stack, i, others, cfg, critic_fcfg, global_planes=shared
             ))
-        h_before = env.global_entropy()
         done = env.step(step_actions)
-        r = reward(h_before, env.global_entropy(), cfg.reward_alpha, cfg.reward_beta)
+        h_before, h = h, env.global_entropy()
+        r = reward(h_before, h, cfg.reward_alpha, cfg.reward_beta)
         mission_return += r
         masks.extend(step_masks)
         actions += step_actions

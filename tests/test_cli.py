@@ -548,6 +548,17 @@ def test_ingest_parse_error_exit_code(tmp_path):
     assert rc == 3
 
 
+@pytest.mark.parametrize("res", ["nan", "inf"])
+def test_ingest_non_finite_resolution_is_data_error(tmp_path, capsys, res):
+    raster = tmp_path / "raster.txt"
+    raster.write_text(f"2 2 {res}\n30 10\n26 24\n")
+    out = tmp_path / "ing"
+    rc = main(["ingest", "--input", str(raster), "--threshold", "25.0", "--out", str(out)])
+    assert rc == 3
+    assert "line 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _text_grid_argv(command, path, out):
     if command == "ingest":
         return ["ingest", "--input", str(path), "--threshold", "25.0", "--out", str(out)]

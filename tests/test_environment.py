@@ -11,7 +11,6 @@ from terrascout.environment import (
     Action,
     AgentLocalState,
     EnvConfig,
-    GlobalState,
     TerrainEnv,
     exchange_messages,
     generate_terrain,
@@ -32,7 +31,8 @@ from terrascout.gridmap import (
     weighted_cell_entropy,
 )
 from terrascout.planners import GreedyInfoGainPlanner
-from terrascout.policy import _local_planes
+from terrascout.policy import FeatureConfig, NetArch, _local_planes, make_actor
+from terrascout.training import run_training_mission
 
 import reference_kernels as reference
 
@@ -552,33 +552,39 @@ def test_cached_map_planes_track_full_map_every_step():
     assert env.global_entropy() == map_entropy(env.state.global_map, cfg.weights) != stale
 
 
-def test_global_entropy_is_summed_once_per_step(monkeypatch):
-    """The env itself never sums the global map. A reader of ``h_before`` and
-    ``h_after`` around every step sums each fused map once: ``h_before``
-    reuses the previous step's ``h_after``."""
-    cfg = small_cfg(terrain_size=50.0, num_agents=2, budget=4)
-    terrain = generate_terrain(np.random.default_rng(3), cfg)
-    sums = []
-    map_planes = GlobalState.map_planes
+@pytest.mark.parametrize("runner", ["training", "evaluation"])
+def test_each_runner_sums_the_global_map_once_per_step(monkeypatch, runner):
+    """A mission's runner reads the global entropy once after reset and once
+    after each of its B steps, each read a fresh sum of the map, and rewards
+    step t with reward(h_{t-1}, h_t) of the values it read."""
+    cfg = small_cfg(terrain_size=50.0, num_agents=2, budget=4, reward_alpha=1.5,
+                    reward_beta=0.25)
+    hs = []
+    global_entropy = TerrainEnv.global_entropy
 
-    def counted(state, w):
-        sums.append(len(state.global_map.fused))
-        return map_planes(state, w)
+    def counted(env):
+        h = global_entropy(env)
+        assert h == map_entropy(env.state.global_map, env.cfg.weights)
+        hs.append(h)
+        return h
 
-    monkeypatch.setattr(GlobalState, "map_planes", counted)
-    for read in (False, True):
-        env = TerrainEnv(cfg, terrain, 3)
-        env.reset()
-        for t in range(cfg.budget):
-            if read:
-                env.global_entropy()
-            env.step([int(np.flatnonzero(m)[0]) for m in env.masks()])
-            if read:
-                env.global_entropy()
-        if not read:
-            assert sums == []
-    n = cfg.num_agents
-    assert sums == [n * k for k in range(1, cfg.budget + 2)]
+    monkeypatch.setattr(TerrainEnv, "global_entropy", counted)
+    if runner == "training":
+        fcfg = FeatureConfig()
+        arch = NetArch(conv_channels=(2,), conv_strides=(1,), mlp_sizes=(4,))
+        actor = make_actor(cfg, fcfg, np.random.default_rng(0), arch)
+        rollout, mission_return = run_training_mission(actor, cfg, fcfg, 3, 1, 0.5, fcfg)
+        rewards = rollout.rewards[:: cfg.num_agents].tolist()
+        assert rollout.rewards.tolist() == [r for r in rewards for _ in range(cfg.num_agents)]
+        assert mission_return == sum(rewards)
+    else:
+        result = run_mission(PlannerSpec("random"), cfg, 3, 1, episode_rows=True)
+        rows = result.episode_rows[:: cfg.num_agents]
+        assert [row["global_entropy"] for row in rows] == hs
+        rewards = [row["reward"] for row in rows[1:]]
+    assert len(hs) == cfg.budget + 1
+    assert rewards == [reward(h_before, h, cfg.reward_alpha, cfg.reward_beta)
+                       for h_before, h in zip(hs, hs[1:])]
 
 
 # ---------------------------------------------------------------------------

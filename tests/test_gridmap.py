@@ -417,6 +417,10 @@ def test_text_grid_parse_errors_carry_line_numbers(tmp_path):
     p.write_text("3 2\n")
     with pytest.raises(DataError, match="line 1"):
         read_text_grid(p)
+    for res in ("nan", "inf"):  # a header that float() parses but no map can use
+        p.write_text(f"2 2 {res}\n0.5 0.5\n0.5 0.5\n")
+        with pytest.raises(DataError, match="line 1"):
+            read_text_grid(p)
     p.write_text("2 2 0.1\n0.5 0.5\n0.5 oops\n")
     with pytest.raises(DataError, match="line 3"):
         read_text_grid(p)
@@ -643,6 +647,14 @@ def test_ground_truth_takes_zero_and_one_in_any_dtype(cells):
     gt = GroundTruthMap(np.array(cells), 0.5)
     assert gt.cells.dtype == np.uint8
     assert gt.cells.tolist() == [[0, 1]]
+
+
+@pytest.mark.parametrize("res", [0.0, -0.5, math.nan, math.inf])
+def test_maps_reject_a_resolution_that_is_not_finite_and_positive(res):
+    with pytest.raises(ConfigurationError, match="finite and positive"):
+        GroundTruthMap(np.zeros((2, 2)), res)
+    with pytest.raises(ConfigurationError, match="finite and positive"):
+        OccupancyGrid(np.zeros((2, 2)), res)
 
 
 def test_roi_index_lists_interesting_cells_in_c_order():

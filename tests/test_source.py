@@ -142,3 +142,48 @@ def test_wall_clock_is_read_only_by_the_training_loop():
             found.append((scope, where))
     assert "training.training_loop" in {scope for scope, _ in found}  # the walk sees it
     assert [where for scope, where in found if scope != "training.training_loop"] == []
+
+
+def test_the_fusion_log_is_written_by_gridmap_and_read_by_the_three_caches():
+    # every derived plane and score catches up from OccupancyGrid.fused: a
+    # writer outside gridmap could log a rectangle it did not write, and a
+    # reader outside the three caches is a fourth cache under the same rule.
+    # Any call of a method of the log counts as a write.
+    writers = {"gridmap.OccupancyGrid.__post_init__", "gridmap.fuse_measurement"}
+    readers = {"environment.GlobalState.map_planes", "policy._local_planes",
+               "evaluation.MapScorer.catch_up"}
+    nodes = list(_scoped_nodes())  # one parse, so that ids stay those of its nodes
+    writes = set()
+    for _, _, node in nodes:
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            writes.add(id(node.func.value))
+        elif isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load):
+            writes.add(id(node.value))
+        elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Load):
+            writes.add(id(node))
+    found = {"write": [], "read": []}
+    for scope, where, node in nodes:
+        if isinstance(node, ast.Attribute) and node.attr == "fused":
+            found["write" if id(node) in writes else "read"].append((scope, where))
+    assert {scope for scope, _ in found["write"]} == writers
+    assert {scope for scope, _ in found["read"]} == readers
+
+
+def test_every_imported_name_is_read():
+    # an import that nothing reads is a dependency for nothing. environment
+    # re-exports map_entropy, because bench/test_bench.py checks that the
+    # tracer replaces it there too.
+    allowed = {("environment", "map_entropy")}
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        loaded = {node.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (
+                    isinstance(node, ast.ImportFrom) and node.module != "__future__"):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in loaded and (path.stem, name) not in allowed:
+                        unread.append(f"{path.name}:{node.lineno} {name}")
+    assert unread == []
