@@ -15,6 +15,12 @@ and with ``--threads 2``, and both must write the files of
 ``golden/evaluate.json``; ``manifest.json``, which holds paths and argv, is
 left out.
 
+``ablate-features`` (two plane toggles, so both actors and critics are
+built on fewer input channels), ``sweep-coverage-altitude`` and ``ingest``
+also run through the command line, each at a micro scale; every file they
+write is compared with ``golden/commands.json``, except ``manifest.json``
+and ``timing.csv``.
+
 A change that moves outputs on purpose re-records the digests, and its
 CHANGES.md entry says which moved and why:
 
@@ -31,12 +37,14 @@ import pytest
 
 from terrascout.cli import build_env_config, main, parse_config_file
 from terrascout.environment import EnvConfig, keyed_generator
+from terrascout.gridmap import write_text_grid
 from terrascout.planners import PLANNERS
 from terrascout.policy import FeatureConfig, NetArch, actor_manifest, make_actor, save_network
 from terrascout.training import INIT_ACTOR, VARIANTS, TrainConfig, training_loop
 
 GOLDEN = Path(__file__).with_name("golden") / "train.json"
 EVAL_GOLDEN = GOLDEN.with_name("evaluate.json")
+COMMANDS_GOLDEN = GOLDEN.with_name("commands.json")
 
 # 2 agents 10 m apart at the start, out of each other's 8 m range, so the
 # local maps differ from the global one
@@ -53,6 +61,25 @@ EVAL_RUNS = {
     "sample": [arg for name in PLANNERS for arg in ("--planner", name)],
     "argmax": ["--planner", "learned", "--learned-mode", "argmax"],
 }
+
+# ablate-features trains on EVAL_CONFIG's scenario: 8 rows a mission, so 3
+# missions are a 2-mission block and a 1-mission block
+TRAIN_CONFIG = """\
+train.total_missions = 3
+train.rollout_block = 10
+train.epochs = 2
+train.batch_size = 5
+train.conv_channels = 3, 4
+train.conv_strides = 1, 2
+train.mlp_sizes = 12
+"""
+# the other commands, by their arguments after the command name
+COMMAND_RUNS = {
+    "ablate-features": ["--toggles", "entropy_map,global_belief_map", "--missions", "2"],
+    "sweep-coverage-altitude": ["--missions", "2"],
+    "ingest": ["--threshold", "3.0"],
+}
+UNDIGESTED = {"manifest.json", "timing.csv"}
 
 
 def host() -> dict:
@@ -105,8 +132,30 @@ def evaluate_digests(run: str, threads: int, work: Path) -> dict[str, str]:
             "--local-metrics", "--out", str(out), *EVAL_RUNS[run]]
     if main(argv) != 0:
         raise AssertionError(f"evaluate {run} exited non-zero")
+    return tree_digests(out)
+
+
+def tree_digests(out: Path) -> dict[str, str]:
+    """Digests of every file under ``out`` by its path, but those of ``UNDIGESTED``."""
     return {p.relative_to(out).as_posix(): sha256(p) for p in sorted(out.rglob("*"))
-            if p.is_file() and p.name != "manifest.json"}
+            if p.is_file() and p.name not in UNDIGESTED}
+
+
+def command_digests(command: str, work: Path) -> dict[str, str]:
+    """Digests of one micro run of ``command``, by path under ``--out``."""
+    work.mkdir(parents=True, exist_ok=True)
+    out = work / "out"
+    if command == "ingest":
+        raster = work / "raster.txt"
+        write_text_grid(raster, np.arange(24.0).reshape(4, 6) % 7.0, 0.5)
+        source = ["--input", str(raster)]
+    else:
+        config = work / "run.cfg"
+        config.write_text(EVAL_CONFIG + TRAIN_CONFIG, encoding="ascii")
+        source = ["--config", str(config), "--seed", "3"]
+    if main([command, *source, "--out", str(out), *COMMAND_RUNS[command]]) != 0:
+        raise AssertionError(f"{command} exited non-zero")
+    return tree_digests(out)
 
 
 def assert_unmoved(golden: dict, want: dict, got: dict, what: str) -> None:
@@ -131,6 +180,13 @@ def test_evaluate_outputs_match_the_golden_digests(run, threads, tmp_path):
                    f"evaluate {run} with {threads} thread(s)")
 
 
+@pytest.mark.parametrize("command", COMMAND_RUNS)
+def test_command_outputs_match_the_golden_digests(command, tmp_path):
+    golden = json.loads(COMMANDS_GOLDEN.read_text(encoding="utf-8"))
+    assert_unmoved(golden, golden["commands"][command], command_digests(command, tmp_path),
+                   command)
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         records = {
@@ -138,6 +194,9 @@ if __name__ == "__main__":
                      "train": {v: train_digests(v, Path(tmp) / v) for v in VARIANTS}},
             EVAL_GOLDEN: {"host": host(),
                           "evaluate": {r: evaluate_digests(r, 1, Path(tmp) / r) for r in EVAL_RUNS}},
+            COMMANDS_GOLDEN: {"host": host(),
+                              "commands": {c: command_digests(c, Path(tmp) / c)
+                                           for c in COMMAND_RUNS}},
         }
     GOLDEN.parent.mkdir(exist_ok=True)
     for path, record in records.items():
