@@ -376,7 +376,18 @@ def linear(x: Tensor, weight, bias) -> Tensor:
 
 
 def conv2d(x, weight, bias, stride: int = 1, padding: int = 0) -> Tensor:
-    """Batched 2D cross-correlation: (B,C,H,W) * (O,C,kh,kw) -> (B,O,oh,ow)."""
+    """Batched 2D cross-correlation: (B,C,H,W) * (O,C,kh,kw) -> (B,O,oh,ow).
+
+    No im2col column array covers the batch. The forward builds one
+    sample's columns at a time from a strided window view of the padded
+    input and writes its gemm into the output. The backward keeps only that
+    view: it rebuilds each sample's columns and adds the samples' weight
+    gradients in sample order, the order in which a batched einsum sums
+    them, so every bit equals a whole-batch step. The exception is
+    cout == cin*kh*kw == 1, where einsum folds samples and pixels into one
+    dot; that case takes the batch in one step, on columns no larger than
+    the input.
+    """
     x, weight, bias = as_tensor(x), as_tensor(weight), as_tensor(bias)
     bsz, cin, h, w = x.data.shape
     cout, cin_w, kh, kw = weight.data.shape
@@ -387,36 +398,47 @@ def conv2d(x, weight, bias, stride: int = 1, padding: int = 0) -> Tensor:
         raise DimensionError("conv2d kernel larger than the padded input")
     oh = (hp - kh) // stride + 1
     ow = (wp - kw) // stride + 1
+    k, p = cin * kh * kw, oh * ow
 
     xp = x.data
     if padding:
         xp = np.zeros((bsz, cin, hp, wp))
         xp[:, :, padding : padding + h, padding : padding + w] = x.data
     taps = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-    cols2 = np.ascontiguousarray(taps.transpose(0, 1, 4, 5, 2, 3)).reshape(
-        bsz, cin * kh * kw, oh * ow
-    )
-    w2 = weight.data.reshape(cout, cin * kh * kw)
-    out = np.matmul(w2, cols2).reshape(bsz, cout, oh, ow) + bias.data.reshape(1, cout, 1, 1)
+    taps = taps.transpose(0, 1, 4, 5, 2, 3)
+    # cout == k == 1: einsum merges the sample and pixel axes into one dot,
+    # whose sum order no per-sample split reproduces
+    step = bsz if cout == k == 1 else 1
+    blocks = [slice(start, start + step) for start in range(0, bsz, step)]
+
+    def columns(rows: slice) -> np.ndarray:
+        return np.ascontiguousarray(taps[rows]).reshape(-1, k, p)
+
+    w2 = weight.data.reshape(cout, k)
+    out = np.empty((bsz, cout, p))
+    for rows in blocks:
+        np.matmul(w2, columns(rows), out=out[rows])
+    out = out.reshape(bsz, cout, oh, ow)
+    out += bias.data.reshape(1, cout, 1, 1)
 
     def backward(g, grads):
-        g2 = g.reshape(bsz, cout, oh * ow)
+        g2 = g.reshape(bsz, cout, p)
         grads.add(bias, g.sum(axis=(0, 2, 3)))
-        gw = np.einsum("bop,bkp->ok", g2, cols2)
+        gw = np.zeros((cout, k))
+        gxp = np.zeros((bsz, cin, hp, wp)) if x._needs_grad else None
+        for rows in blocks:
+            gw += np.einsum("bop,bkp->ok", g2[rows], columns(rows))
+            if gxp is not None:
+                gcols = np.matmul(w2.T, g2[rows]).reshape(-1, cin, kh, kw, oh, ow)
+                gxb = gxp[rows]
+                for i in range(kh):
+                    for j in range(kw):
+                        gxb[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride] += (
+                            gcols[:, :, i, j]
+                        )
         grads.add(weight, gw.reshape(weight.data.shape))
-        if x._needs_grad:
-            gcols = np.matmul(w2.T, g2).reshape(bsz, cin, kh, kw, oh, ow)
-            gxp = np.zeros((bsz, cin, hp, wp))
-            for i in range(kh):
-                for j in range(kw):
-                    gxp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride] += gcols[
-                        :, :, i, j
-                    ]
-            if padding:
-                gx = gxp[:, :, padding:-padding, padding:-padding]
-            else:
-                gx = gxp
-            grads.add(x, gx)
+        if gxp is not None:
+            grads.add(x, gxp[:, :, padding : padding + h, padding : padding + w])
 
     return _make(out, (x, weight, bias), backward)
 

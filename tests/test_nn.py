@@ -1,10 +1,11 @@
 """Autograd, optimizer, and checkpoint behaviour."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import reference_kernels as reference
 from terrascout import nn
@@ -292,25 +293,8 @@ def test_no_grad_restores_recording_after_an_exception():
     assert (x * 3.0)._backward is not None
 
 
-@settings(max_examples=80, deadline=None)
-@given(
-    bsz=st.integers(1, 4),
-    cin=st.integers(1, 3),
-    cout=st.integers(1, 3),
-    h=st.integers(1, 9),
-    w=st.integers(1, 9),
-    ksize=st.integers(1, 4),
-    stride=st.integers(1, 3),
-    padding=st.integers(0, 2),
-    seed=st.integers(0, 2**16),
-)
-def test_conv2d_equals_the_reference_forward_and_backward(bsz, cin, cout, h, w, ksize, stride,
-                                                          padding, seed):
-    assume(ksize <= min(h, w) + 2 * padding)
-    rng = np.random.default_rng(seed)
-    x0 = rng.normal(size=(bsz, cin, h, w))
-    w0 = rng.normal(size=(cout, cin, ksize, ksize))
-    b0 = rng.normal(size=cout)
+def assert_conv2d_equals_the_reference(x0, w0, b0, stride, padding, rng):
+    """Forward and all three gradients of ``conv2d`` equal the reference's bits."""
     upstream = None
     results = []
     for kernel in (conv2d, reference.conv2d):
@@ -323,6 +307,61 @@ def test_conv2d_equals_the_reference_forward_and_backward(bsz, cin, cout, h, w, 
     for new, old in zip(*results):
         assert new.shape == old.shape
         assert new.tobytes() == old.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    bsz=st.integers(1, 4),
+    cin=st.integers(1, 3),
+    cout=st.integers(1, 3),
+    h=st.integers(1, 9),
+    w=st.integers(1, 9),
+    ksize=st.integers(1, 4),
+    stride=st.integers(1, 3),
+    padding=st.integers(0, 2),
+    seed=st.integers(0, 2**16),
+)
+# cout == cin*k*k == 1: einsum folds samples and pixels into one dot
+@example(bsz=2, cin=1, cout=1, h=1, w=2, ksize=1, stride=1, padding=0, seed=2)
+# a 1x1 output: each sample's weight gradient is a single product
+@example(bsz=3, cin=2, cout=3, h=4, w=5, ksize=3, stride=3, padding=0, seed=7)
+def test_conv2d_equals_the_reference_forward_and_backward(bsz, cin, cout, h, w, ksize, stride,
+                                                          padding, seed):
+    assume(ksize <= min(h, w) + 2 * padding)
+    rng = np.random.default_rng(seed)
+    x0 = rng.normal(size=(bsz, cin, h, w))
+    w0 = rng.normal(size=(cout, cin, ksize, ksize))
+    b0 = rng.normal(size=cout)
+    assert_conv2d_equals_the_reference(x0, w0, b0, stride, padding, rng)
+
+
+@pytest.mark.parametrize("bsz", [1, 7, 33])
+@pytest.mark.parametrize("cin, cout, stride", [(29, 16, 1), (16, 32, 1), (32, 32, 2)])
+def test_conv2d_equals_the_reference_on_the_critic_layers(cin, cout, stride, bsz):
+    rng = np.random.default_rng(bsz)
+    x0 = rng.normal(size=(bsz, cin, 10, 10))
+    w0 = rng.normal(size=(cout, cin, 3, 3))
+    b0 = rng.normal(size=cout)
+    assert_conv2d_equals_the_reference(x0, w0, b0, stride, 1, rng)
+
+
+def test_conv2d_keeps_no_column_array_on_the_tape():
+    """Between a taped forward and its backward, conv2d holds its output and
+    the padded input, not the 9x larger im2col columns of the batch."""
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.normal(size=(64, 29, 10, 10)), requires_grad=True)
+    weight = Tensor(rng.normal(size=(16, 29, 3, 3)), requires_grad=True)
+    bias = Tensor(np.zeros(16), requires_grad=True)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = conv2d(x, weight, bias, 1, 1)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 4 * x.data.nbytes
+    tsum(out).backward()
+    assert x.grad.shape == x.data.shape
 
 
 # ---------------------------------------------------------------------------
