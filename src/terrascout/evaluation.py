@@ -254,9 +254,12 @@ def _episode_rows(step: int, env: TerrainEnv, actions: Sequence[str], r: float,
 
 def _keep_records(result: MissionResult, label: str, dump_dir: Optional[Path],
                   local_csv: Optional[Path]) -> list[MetricsRecord]:
-    """Write one mission's artifacts, then let go of all but its records."""
+    """Write one mission's artifacts, then let go of all but its records.
+
+    File names carry no ``:``: the ``learned:argmax`` label's files are
+    ``learned-argmax_*``."""
     if dump_dir is not None:
-        stem = f"{label}_mission{result.mission:03d}"
+        stem = f"{label.replace(':', '-')}_mission{result.mission:03d}"
         write_episode_csv(dump_dir / f"{stem}.csv", result.episode_rows)
         save_grid_pgm(dump_dir / f"{stem}_belief.pgm", result.final_map)
     if local_csv is not None:

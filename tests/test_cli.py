@@ -776,6 +776,24 @@ def test_evaluate_threads_write_the_serial_files(smoke_config, tmp_path):
     assert serial == _files(tmp_path / "pool")
 
 
+def test_dumped_file_names_are_file_safe(smoke_config, tmp_path):
+    """No ':' or other character a file system or an scp-style host:path
+    argument may reject: the argmax label ``learned:argmax`` stays in
+    benchmark.csv, while its dumps are named ``learned-argmax_*``."""
+    import re
+
+    actor = _toy_actor_checkpoint(smoke_config, tmp_path / "actor.ckpt")
+    out = tmp_path / "run"
+    rc = main(["evaluate", "--config", str(smoke_config), "--planner", "random",
+               "--planner", "learned", "--learned-mode", "argmax", "--actor-weights", str(actor),
+               "--missions", "2", "--dump-maps", "--local-metrics", "--out", str(out)])
+    assert rc == 0
+    names = [p.name for p in out.rglob("*")]
+    assert [name for name in names if not re.fullmatch(r"[A-Za-z0-9._-]+", name)] == []
+    assert "learned-argmax_mission001_belief.pgm" in names
+    assert "learned:argmax" in (out / "benchmark.csv").read_text()
+
+
 def test_importing_the_cli_leaves_the_process_pool_unloaded():
     """Only ``evaluate --threads`` above 1 needs ``multiprocessing``; a plain
     import, which every command pays for, does not load it."""
