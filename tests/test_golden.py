@@ -15,11 +15,11 @@ and with ``--threads 2``, and both must write the files of
 ``golden/evaluate.json``; ``manifest.json``, which holds paths and argv, is
 left out.
 
-``ablate-features`` (two plane toggles, so both actors and critics are
-built on fewer input channels), ``sweep-coverage-altitude`` and ``ingest``
-also run through the command line, each at a micro scale; every file they
-write is compared with ``golden/commands.json``, except ``manifest.json``
-and ``timing.csv``.
+``ablate-features`` (two plane toggles: without ``entropy_map`` the actor
+and the critic have a narrower first conv, without ``global_belief_map``
+the critic), ``sweep-coverage-altitude`` and ``ingest`` also run through
+the command line, each at a micro scale; every file they write is compared
+with ``golden/commands.json``, except ``manifest.json`` and ``timing.csv``.
 
 A change that moves outputs on purpose re-records the digests, and its
 CHANGES.md entry says which moved and why:
