@@ -226,13 +226,7 @@ def keyed_generator(*key: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(list(key))))
 
 
-def generate_terrain(
-    rng: np.random.Generator,
-    cfg: EnvConfig,
-    *,
-    angle: Optional[float] = None,
-    fraction: Optional[float] = None,
-) -> GroundTruthMap:
+def generate_terrain(rng: np.random.Generator, cfg: EnvConfig) -> GroundTruthMap:
     """Random half-plane split covering 30-60% of the terrain.
 
     A line of uniform random orientation splits the map; its offset is a
@@ -245,28 +239,23 @@ def generate_terrain(
     centers = (np.arange(n) + 0.5) * res
 
     for _ in range(16):
-        theta = rng.uniform(0.0, 2.0 * math.pi) if angle is None else angle
-        target = rng.uniform(0.3, 0.6) if fraction is None else fraction
-        target = min(max(target, 0.3), 0.6)
+        theta = rng.uniform(0.0, 2.0 * math.pi)
+        target = rng.uniform(0.3, 0.6)
         # x varies along columns, y along rows: one full-map array, no meshgrid copies
         proj = math.cos(theta) * centers[None, :] + math.sin(theta) * centers[:, None]
         # v is the k-th largest value of proj for the smallest count k above
         # the target: the k or more cells at or above it exceed the target,
         # and the fewer than k above it do not
-        size, v = proj.size, -math.inf  # no count is above a NaN target
-        if target == target:
-            k = int(target * size)
-            while k > 0 and (k - 1) / size > target:
-                k -= 1
-            while k / size <= target:
-                k += 1
-            v = np.partition(proj, size - k, axis=None)[size - k]
+        size = proj.size
+        k = int(target * size)
+        while (k - 1) / size > target:
+            k -= 1
+        while k / size <= target:
+            k += 1
+        v = np.partition(proj, size - k, axis=None)[size - k]
         cells = proj > v
-        frac = cells.mean()
-        if 0.3 <= frac <= 0.6:
-            return GroundTruthMap(cells.astype(np.uint8), res)
-        if angle is not None and fraction is not None:
-            break  # forced parameters: return best effort below
+        if 0.3 <= cells.mean() <= 0.6:
+            break
     return GroundTruthMap(cells.astype(np.uint8), res)
 
 

@@ -37,8 +37,6 @@ from .errors import (
 # read, so log-odds stay finite and fusion remains exactly commutative.
 PROB_FLOOR = 1e-4
 
-# Cells per band of the entropy kernel: its two float buffers stay in cache.
-_ENTROPY_BAND = 8192
 # The weighted class-term sum at p = 0.5: both terms are 0.5 * log2(0.5) and
 # both carry the weight 0.5, whatever w1 and w2 are.
 _T_HALF = 0.5 * math.log2(0.5)
@@ -362,8 +360,7 @@ def simulate_measurement(
     y0, x0 = fac - len_y[0], fac - len_x[0]
     padded = np.zeros((len(len_y) * fac, len(len_x) * fac), dtype=np.int32)
     padded[y0:y0 + rect.height, x0:x0 + rect.width] = gt.cells[rect.slices]
-    rows = sum(padded[k::fac] for k in range(fac))
-    sums = sum(rows[:, k::fac] for k in range(fac))
+    sums = padded.reshape(len(len_y), fac, len(len_x), fac).sum(axis=(1, 3))
     truth = 2 * sums >= len_y[:, None] * len_x  # majority, ties -> interesting
     flips = _virtual_uniforms(seed, anchor_y, anchor_x, gt.width) >= acc
     observed = (truth ^ flips).view(np.uint8)
@@ -434,8 +431,6 @@ def weighted_cell_entropy(p, w: ImportanceWeights):
     with side-dependent weights bit for bit, because for p >= 0.5 the
     subtraction 1 - p is exact and 1 - (1 - p) = p, so each cell gets the
     same two products, added in the other order.
-
-    Cells are processed in cache-sized bands of a flat C-order view.
     """
     arr = np.asarray(p, dtype=np.float64)
     if arr.size == 0:
@@ -444,28 +439,20 @@ def weighted_cell_entropy(p, w: ImportanceWeights):
     if not (0.0 <= lo and hi <= 1.0):  # NaN fails both
         raise DomainError("cell probability outside [0, 1]")
     x = arr.ravel()
-    out = np.empty(x.size)
-    n = min(x.size, _ENTROPY_BAND)
-    y_buf, m_buf = np.empty(n), np.empty(n)
-    w1, w2 = w.w1, w.w2
+    y = np.subtract(1.0, x)
+    np.minimum(x, y, out=y)
+    m = np.subtract(1.0, y)
     with np.errstate(divide="ignore", invalid="ignore"):  # 0 * log2(0), fixed below
-        for start in range(0, x.size, _ENTROPY_BAND):
-            xb = x[start:start + _ENTROPY_BAND]
-            ob = out[start:start + _ENTROPY_BAND]
-            y, m = y_buf[:xb.size], m_buf[:xb.size]
-            np.subtract(1.0, xb, out=y)
-            np.minimum(xb, y, out=y)
-            np.subtract(1.0, y, out=m)
-            np.log2(y, out=ob)
-            ob *= y  # y log2 y
-            if lo == 0.0 or hi == 1.0:
-                ob[y == 0.0] = 0.0
-            ob *= w2
-            np.log2(m, out=y)
-            y *= m  # m log2 m
-            y *= w1
-            ob += y
-            ob[xb == 0.5] = _SUM_AT_HALF
+        out = np.log2(y)
+        out *= y  # y log2 y
+        if lo == 0.0 or hi == 1.0:
+            out[y == 0.0] = 0.0
+        out *= w.w2
+        np.log2(m, out=y)
+        y *= m  # m log2 m
+        y *= w.w1
+        out += y
+        out[x == 0.5] = _SUM_AT_HALF
     np.negative(out, out=out)
     if np.ndim(p) == 0:
         return float(out[0])

@@ -6,7 +6,15 @@ The package computes the same IEEE operations per value in fewer passes; the
 gates require its outputs to equal these bit for bit. ``batch_advantages`` is
 the per-row advantage loop, the reference of the stacked advantages in
 ``test_training``, and ``generate_terrain`` the full-map bisection, the
-reference of the terrain generator in ``test_environment``.
+reference of the terrain generator in ``test_environment``; it also keeps the
+``angle`` and ``fraction`` overrides, which draw the fixed terrains of
+``test_evaluation``.
+
+``banded_weighted_cell_entropy`` and ``simulate_measurement`` are the package's
+earlier forms of its entropy kernel (the same operations, run over bands of
+8,192 cells) and of its measurement (block sums taken as two Python ``sum``s
+over ``fac`` strided slices), kept as the references of the one-pass kernel
+and the one-step block sums in ``test_gridmap``.
 """
 
 import math
@@ -14,7 +22,17 @@ import math
 import numpy as np
 
 from terrascout.errors import ConfigurationError, ContractViolation, DomainError
-from terrascout.gridmap import PROB_FLOOR, GroundTruthMap, map_entropy
+from terrascout.gridmap import (
+    PROB_FLOOR,
+    GroundTruthMap,
+    Measurement,
+    _blocks,
+    _footprint_origin,
+    _virtual_uniforms,
+    footprint,
+    map_entropy,
+    upsample_factor,
+)
 from terrascout.nn import DimensionError, Tensor, _make, as_tensor
 
 
@@ -78,6 +96,75 @@ def f1_score(grid, gt, *, probs=None):
     precision = tp / (tp + fp)
     recall = tp / (tp + fn)
     return 2.0 * precision * recall / (precision + recall)
+
+
+ENTROPY_BAND = 8192
+_T_HALF = 0.5 * math.log2(0.5)
+_SUM_AT_HALF = 0.5 * _T_HALF + 0.5 * _T_HALF
+
+
+def banded_weighted_cell_entropy(p, w):
+    """The package's kernel with its operations run over bands of a flat C-order view."""
+    arr = np.asarray(p, dtype=np.float64)
+    if arr.size == 0:
+        return np.empty(arr.shape)
+    lo, hi = arr.min(), arr.max()
+    if not (0.0 <= lo and hi <= 1.0):  # NaN fails both
+        raise DomainError("cell probability outside [0, 1]")
+    x = arr.ravel()
+    out = np.empty(x.size)
+    n = min(x.size, ENTROPY_BAND)
+    y_buf, m_buf = np.empty(n), np.empty(n)
+    w1, w2 = w.w1, w.w2
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0 * log2(0), fixed below
+        for start in range(0, x.size, ENTROPY_BAND):
+            xb = x[start:start + ENTROPY_BAND]
+            ob = out[start:start + ENTROPY_BAND]
+            y, m = y_buf[:xb.size], m_buf[:xb.size]
+            np.subtract(1.0, xb, out=y)
+            np.minimum(xb, y, out=y)
+            np.subtract(1.0, y, out=m)
+            np.log2(y, out=ob)
+            ob *= y  # y log2 y
+            if lo == 0.0 or hi == 1.0:
+                ob[y == 0.0] = 0.0
+            ob *= w2
+            np.log2(m, out=y)
+            y *= m  # m log2 m
+            y *= w1
+            ob += y
+            ob[xb == 0.5] = _SUM_AT_HALF
+    np.negative(out, out=out)
+    if np.ndim(p) == 0:
+        return float(out[0])
+    return out.reshape(arr.shape)
+
+
+def simulate_measurement(gt, position, sensor, seed, *, footprint_factor=1.0,
+                         agent_id=0, step=0):
+    """The package's measurement with its block sums taken as two Python ``sum``s
+    over ``fac`` strided slices, rows first."""
+    alt = float(position[2])
+    acc = sensor.accuracy_at(alt)
+    rect = footprint(position, footprint_factor, gt.width, gt.height, gt.resolution)
+    fac = upsample_factor(alt, sensor.min_altitude)
+    side_cells = max(1, round(footprint_factor * alt / gt.resolution))
+    x_lo0, y_lo0 = _footprint_origin(float(position[0]), float(position[1]), side_cells, gt.resolution)
+    anchor_y, len_y = _blocks(rect.y_lo, rect.y_hi, y_lo0, fac)
+    anchor_x, len_x = _blocks(rect.x_lo, rect.x_hi, x_lo0, fac)
+
+    # block sums over a zero-padded copy whose rows and columns start on block edges
+    y0, x0 = fac - len_y[0], fac - len_x[0]
+    padded = np.zeros((len(len_y) * fac, len(len_x) * fac), dtype=np.int32)
+    padded[y0:y0 + rect.height, x0:x0 + rect.width] = gt.cells[rect.slices]
+    rows = sum(padded[k::fac] for k in range(fac))
+    sums = sum(rows[:, k::fac] for k in range(fac))
+    truth = 2 * sums >= len_y[:, None] * len_x  # majority, ties -> interesting
+    flips = _virtual_uniforms(seed, anchor_y, anchor_x, gt.width) >= acc
+    observed = (truth ^ flips).view(np.uint8)
+
+    values = np.repeat(np.repeat(observed, len_y, axis=0), len_x, axis=1)
+    return Measurement(np.asarray(position, dtype=float), rect, values, acc, agent_id, step)
 
 
 def conv2d(x, weight, bias, stride: int = 1, padding: int = 0) -> Tensor:

@@ -77,14 +77,6 @@ def test_terrain_deterministic_per_seed():
     np.testing.assert_array_equal(a.cells, b.cells)
 
 
-def test_terrain_forced_axis_aligned_half_split():
-    cfg = EnvConfig()
-    gt = generate_terrain(np.random.default_rng(0), cfg, angle=math.pi / 2, fraction=0.5)
-    # exactly the northern half of the rows
-    assert gt.interesting_fraction() == pytest.approx(0.5, abs=1e-12)
-    assert (gt.cells[250:] == 1).all() and (gt.cells[:250] == 0).all()
-
-
 def square_cfg(cells: int) -> EnvConfig:
     """A ``cells`` x ``cells`` map at 1 m on a one-tile lattice."""
     side = float(cells)
@@ -95,18 +87,14 @@ def square_cfg(cells: int) -> EnvConfig:
 @settings(max_examples=200, deadline=None)
 @given(
     cells=st.integers(1, 45),  # odd and even sizes; the smallest often take the retry path
-    angle=st.one_of(st.none(), st.sampled_from([0.0, math.pi / 4, math.pi / 2, math.pi]),
-                    st.floats(0.0, 2.0 * math.pi)),
-    fraction=st.one_of(st.none(), st.floats(0.0, 1.0), st.just(math.nan)),
     seed=st.integers(0, 2**16),
 )
-@example(cells=500, angle=None, fraction=None, seed=0)  # full scale
-@example(cells=2, angle=0.0, fraction=0.45, seed=0)  # forced, out of band: best effort
-def test_terrain_bisection_equals_the_reference_loop(cells, angle, fraction, seed):
+@example(cells=500, seed=0)  # full scale
+def test_terrain_bisection_equals_the_reference_loop(cells, seed):
     cfg = square_cfg(cells)
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = generate_terrain(rng, cfg, angle=angle, fraction=fraction)
-    want = reference.generate_terrain(ref_rng, cfg, angle=angle, fraction=fraction)
+    got = generate_terrain(rng, cfg)
+    want = reference.generate_terrain(ref_rng, cfg)
     assert got.cells.tobytes() == want.cells.tobytes()
     assert got.resolution == want.resolution
     # both took the same number of attempts

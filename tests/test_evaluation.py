@@ -14,7 +14,6 @@ from terrascout.environment import (
     EnvConfig,
     GlobalState,
     TerrainEnv,
-    generate_terrain,
     reward,
     start_mission,
 )
@@ -212,7 +211,7 @@ class _ScoredFromScratch:
 def test_mission_scores_and_local_rows_equal_scores_from_scratch(planner, monkeypatch):
     cfg = cfg_(num_agents=3, budget=6, comm_radius=20.0)
     # the interesting side lies south, where the agents start, so every score moves
-    gt = generate_terrain(np.random.default_rng(0), cfg, angle=-1.2, fraction=0.45)
+    gt = reference.generate_terrain(np.random.default_rng(0), cfg, angle=-1.2, fraction=0.45)
     run = partial(run_mission, PlannerSpec(planner), cfg, 8, 1, terrain=gt, local_metrics=True)
     caught_up = run()
     monkeypatch.setattr(evaluation, "MapScorer", _ScoredFromScratch)
@@ -229,7 +228,7 @@ def test_mission_scores_and_local_rows_equal_scores_from_scratch(planner, monkey
 def test_scorers_equal_scores_from_scratch_after_every_step(planner):
     # the global scorer and each agent's local scorer, on a seeded mission
     cfg = cfg_(num_agents=3, budget=6, comm_radius=20.0)
-    gt = generate_terrain(np.random.default_rng(0), cfg, angle=-1.2, fraction=0.45)
+    gt = reference.generate_terrain(np.random.default_rng(0), cfg, angle=-1.2, fraction=0.45)
     env, rng = start_mission(cfg, 8, 1, gt)
     env.reset()
     team = PlannerSpec(planner).build(FeatureConfig())

@@ -507,11 +507,50 @@ def test_entropy_kernel_scalars_and_band_edges_equal_reference(w):
         got, want = weighted_cell_entropy(p, w), reference.weighted_cell_entropy(p, w)
         assert type(got) is float
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
-    # planes that end exactly on, one short of and one past a band edge
+    # planes around the banded reference's band size
     for n in (8191, 8192, 8193, 3 * 8192):
         p = gate_probs(n, (n,), 0.3)
         want = reference.weighted_cell_entropy(p, w)
         assert weighted_cell_entropy(p, w).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("w", GATE_WEIGHTS)
+def test_one_pass_entropy_kernel_equals_the_banded_kernel(w):
+    # one cell of each of 0, 0.5 and 1 alone, then planes that end on, one
+    # short of and one past a band edge, a training map and the largest ROI
+    # gather of an evaluation mission, each holding 0, 0.5 and 1
+    planes = [np.empty(0), *(np.array([p]) for p in (0.0, 0.5, 1.0))]
+    for n in (8191, 8192, 8193, 22_500, 131_651):
+        p = gate_probs(n, (n,), 0.3)
+        p[:3] = 0.0, 0.5, 1.0
+        planes.append(p)
+    for p in planes:
+        got, want = weighted_cell_entropy(p, w), reference.banded_weighted_cell_entropy(p, w)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()  # signed zeros included
+
+
+# altitudes 5, 10, 15 and 20 m read native blocks of 1 to 4 map cells
+BLOCK_SENSOR = SensorModel(((5.0, 0.99), (10.0, 0.8), (15.0, 0.7), (20.0, 0.6)))
+
+
+@pytest.mark.parametrize("altitude", [5.0, 10.0, 15.0, 20.0])
+@pytest.mark.parametrize("height,width", [(37, 41), (6, 5)])
+def test_one_step_block_sums_equal_the_two_sum_labelling(altitude, height, width):
+    assert upsample_factor(altitude, BLOCK_SENSOR.min_altitude) == altitude / 5.0
+    cells = np.random.default_rng(height * width).integers(0, 2, (height, width))
+    gt = GroundTruthMap(cells, 1.0)
+    # the centre, each edge and each corner, and positions a fraction of a
+    # block inside each edge, where the first and last blocks are cut short
+    fractions = (0.0, 0.03, 0.5, 0.97, 1.0)
+    for i, (fx, fy) in enumerate((fx, fy) for fx in fractions for fy in fractions):
+        position = np.array([fx * width, fy * height, altitude])
+        got = simulate_measurement(gt, position, BLOCK_SENSOR, np.random.SeedSequence(i))
+        want = reference.simulate_measurement(gt, position, BLOCK_SENSOR,
+                                              np.random.SeedSequence(i))
+        assert got.rect == want.rect and got.accuracy == want.accuracy
+        assert got.values.shape == want.values.shape
+        assert got.values.tobytes() == want.values.tobytes()
 
 
 def test_entropy_kernel_rejects_nan_and_keeps_empty_shapes():
