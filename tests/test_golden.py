@@ -27,6 +27,7 @@ CHANGES.md entry says which moved and why:
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import ctypes
 import hashlib
 import json
 import tempfile
@@ -83,9 +84,33 @@ UNDIGESTED = {"manifest.json", "timing.csv"}
 
 
 def host() -> dict:
-    """What the digests depend on besides the program: numpy and its BLAS."""
+    """What the digests depend on besides the program: numpy, its BLAS build,
+    and the core and thread count that BLAS runs with."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}"}
+    return {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}",
+            **blas_runtime()}
+
+
+def blas_runtime() -> dict:
+    """The running core and thread count of numpy's bundled OpenBLAS, read
+    through ctypes; "unknown" where the library or the symbol is missing.
+    A ``DYNAMIC_ARCH`` build picks its kernels for the CPU at load time, so
+    the core, not the build, says which kernels made the checkpoint bits."""
+    found = {"blas_core": "unknown", "blas_threads": "unknown"}
+    queries = (("blas_core", "get_corename", ctypes.c_char_p),
+               ("blas_threads", "get_num_threads", ctypes.c_int))
+    libdir = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libdir.glob("*openblas*"))[:1]:
+        handle = ctypes.CDLL(str(lib))
+        for key, query, restype in queries:
+            symbols = (f"scipy_openblas_{query}64_", f"scipy_openblas_{query}",
+                       f"openblas_{query}64_", f"openblas_{query}")
+            fn = next((getattr(handle, s) for s in symbols if hasattr(handle, s)), None)
+            if fn is not None:
+                fn.argtypes, fn.restype = [], restype
+                value = fn()
+                found[key] = value.decode() if isinstance(value, bytes) else value
+    return found
 
 
 def sha256(path: Path) -> str:
@@ -163,6 +188,13 @@ def assert_unmoved(golden: dict, want: dict, got: dict, what: str) -> None:
     recorded, running = golden["host"], host()
     note = "" if recorded == running else f"; recorded on {recorded}, running on {running}"
     assert not moved, f"{what}: moved {', '.join(moved)}{note}"
+
+
+def test_each_golden_file_records_the_host_fields():
+    # a re-record on another machine must name its BLAS core and threads too
+    fields = host().keys()
+    for path in (GOLDEN, EVAL_GOLDEN, COMMANDS_GOLDEN):
+        assert json.loads(path.read_text(encoding="utf-8"))["host"].keys() == fields, path.name
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
