@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .environment import EnvConfig, check_terrain
+from .environment import NUM_ACTIONS, EnvConfig, check_terrain
 from .errors import (
     ConfigurationError,
     DataError,
@@ -42,7 +42,7 @@ from .gridmap import (
     write_text_grid,
 )
 from .planners import PLANNERS
-from .policy import ACTOR_PLANES, FeatureConfig, NetArch, actor_manifest, load_network
+from .policy import ACTOR_PLANES, FeatureConfig, NetArch, actor_manifest, layer_shapes, load_network
 from .training import TrainConfig, VARIANTS, run_outputs, training_loop
 
 
@@ -241,15 +241,23 @@ def _start_run(args, config: dict, outputs: Sequence[str]) -> Path:
     return out
 
 
-def _check_actor_planes(fcfg: FeatureConfig, what: str) -> None:
+def _check_networks(cfg: EnvConfig, fcfg: FeatureConfig, tcfg: TrainConfig, what: str) -> None:
+    """Checks before ``--out`` exists what training finds only later: the
+    actor needs an input plane, and the arch must keep the lattice at least
+    1x1. The actor, the critic and central-qv's V net read the same lattice
+    through the same arch, so the actor's ``layer_shapes`` checks all three."""
     if not actor_manifest(fcfg):
         raise UsageError(f"{what} leaves the actor no input plane; enable one of "
                          f"{', '.join(ACTOR_PLANES)}")
+    try:
+        layer_shapes(len(actor_manifest(fcfg)), cfg.lattice_cols, NUM_ACTIONS, tcfg.arch)
+    except ConfigurationError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def cmd_train(args) -> int:
     cfg, fcfg, tcfg = _load_configs(args)
-    _check_actor_planes(fcfg, "the feature config")
+    _check_networks(cfg, fcfg, tcfg, "the feature config")
     out = _start_run(args, _config_record(cfg, fcfg, tcfg), run_outputs(tcfg.variant))
     training_loop(cfg, tcfg, fcfg, args.seed, out, progress=None if args.quiet else _print_block)
     print(f"trained {tcfg.total_missions} missions -> {out / 'actor.ckpt'}")
@@ -356,7 +364,7 @@ def cmd_ablate_features(args) -> int:
             raise UsageError(f"toggle '{tok}' repeats an earlier toggle of '{name}'")
         plans.append((label, fcfg.with_toggle(name, enable)))
     for label, toggled in plans:
-        _check_actor_planes(toggled, f"plan '{label}'")
+        _check_networks(cfg, toggled, tcfg, f"plan '{label}'")
     out = _start_run(args, _config_record(cfg, fcfg, tcfg),
                      [f"{label}/benchmark.csv" for label, _ in plans])
     for label, toggled in plans:

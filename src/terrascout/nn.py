@@ -2,9 +2,13 @@
 
 Covers exactly what the small actor/critic networks need: dense tensors,
 2D cross-correlation, linear layers, relu, softmax-style compositions, and
-a bias-corrected Adam optimizer. Forward passes record a tape of parent
-links; ``Tensor.backward`` replays it in reverse topological order.
-Everything is float64 for determinism and finite-difference fidelity.
+a bias-corrected Adam optimizer. Every op builds its output through
+``_op(data, *edges)``, where an edge pairs a parent with the map from the
+output's gradient to that parent's. Outside ``no_grad`` the output keeps
+the parents that need a gradient, in edge order, as its tape;
+``Tensor.backward`` replays the tape in reverse topological order and runs
+only those parents' maps. Everything is float64 for determinism and
+finite-difference fidelity.
 
 Checkpoint byte layout (versioned):
     bytes 0..7    magic ``NNCKPT01``
@@ -86,15 +90,10 @@ class Tensor:
                 continue
             seen.add(id(node))
             stack.append((node, True))
-            for p in node._parents:
-                if p._needs_grad:
-                    stack.append((p, False))
-        grads = _GradStore()
-        grads.add(self, np.ones_like(self.data))
+            stack.extend((p, False) for p in node._parents)
+        grads = _GradStore({id(self): np.ones_like(self.data)})
         for node in reversed(topo):
-            g = grads.pop(node)
-            if g is None:
-                continue
+            g = grads.pop(id(node))
             if node.requires_grad:
                 node.grad += g
             if node._backward is not None:
@@ -155,37 +154,40 @@ def no_grad() -> Iterator[None]:
         _recording.reset(token)
 
 
-def _make(data: np.ndarray, parents: Sequence[Tensor], backward: Callable) -> Tensor:
+def _op(data: np.ndarray, *edges: tuple[Tensor, Callable]) -> Tensor:
+    """The one op constructor. An edge pairs a parent with the map from the
+    output's gradient to that parent's gradient.
+
+    Outside ``no_grad`` the output keeps the parents that need a gradient, in
+    edge order, and its backward runs their maps on the output's gradient in
+    that order. This is the only place that decides which parents get a
+    gradient: a map never runs for a parent that needs none.
+    """
     out = Tensor(data)
-    if not _recording.get():
-        return out
-    needy = tuple(p for p in parents if p._needs_grad)
+    needy = [edge for edge in edges if edge[0]._needs_grad] if _recording.get() else []
     if needy:
-        out._parents = needy
-        out._backward = backward
+        out._parents = tuple(parent for parent, _ in needy)
         out._needs_grad = True
+
+        def backward(g, grads):
+            for parent, grad_map in needy:
+                grads.add(parent, grad_map(g))
+
+        out._backward = backward
     return out
 
 
-class _GradStore:
-    """Accumulates upstream gradients per node without aliasing surprises.
+class _GradStore(dict):
+    """Upstream gradients by node id.
 
-    Backward closures may hand over arrays they do not own (or hand the
-    same array to two parents), so a repeated gradient is added out of
-    place, never into a stored array.
+    A gradient map may hand over an array it does not own (or the same
+    array to two parents), so a repeated gradient is added out of place,
+    never into a stored array.
     """
 
-    def __init__(self) -> None:
-        self._grads: dict[int, np.ndarray] = {}
-
     def add(self, node: Tensor, g: np.ndarray) -> None:
-        if not node._needs_grad:
-            return
         key = id(node)
-        self._grads[key] = self._grads[key] + g if key in self._grads else g
-
-    def pop(self, node: Tensor) -> Optional[np.ndarray]:
-        return self._grads.pop(id(node), None)
+        self[key] = self[key] + g if key in self else g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -208,123 +210,72 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    data = a.data + b.data
-
-    def backward(g, grads):
-        grads.add(a, _unbroadcast(g, a.data.shape))
-        grads.add(b, _unbroadcast(g, b.data.shape))
-
-    return _make(data, (a, b), backward)
+    return _op(a.data + b.data, (a, lambda g: _unbroadcast(g, a.data.shape)),
+               (b, lambda g: _unbroadcast(g, b.data.shape)))
 
 
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    data = a.data - b.data
-
-    def backward(g, grads):
-        grads.add(a, _unbroadcast(g, a.data.shape))
-        grads.add(b, _unbroadcast(-g, b.data.shape))
-
-    return _make(data, (a, b), backward)
+    return _op(a.data - b.data, (a, lambda g: _unbroadcast(g, a.data.shape)),
+               (b, lambda g: _unbroadcast(-g, b.data.shape)))
 
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    data = a.data * b.data
-
-    def backward(g, grads):
-        grads.add(a, _unbroadcast(g * b.data, a.data.shape))
-        grads.add(b, _unbroadcast(g * a.data, b.data.shape))
-
-    return _make(data, (a, b), backward)
+    return _op(a.data * b.data, (a, lambda g: _unbroadcast(g * b.data, a.data.shape)),
+               (b, lambda g: _unbroadcast(g * a.data, b.data.shape)))
 
 
 def div(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    data = a.data / b.data
-
-    def backward(g, grads):
-        grads.add(a, _unbroadcast(g / b.data, a.data.shape))
-        grads.add(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
-
-    return _make(data, (a, b), backward)
+    return _op(a.data / b.data, (a, lambda g: _unbroadcast(g / b.data, a.data.shape)),
+               (b, lambda g: _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)))
 
 
 def exp(a) -> Tensor:
     a = as_tensor(a)
     data = np.exp(a.data)
-
-    def backward(g, grads):
-        grads.add(a, g * data)
-
-    return _make(data, (a,), backward)
+    return _op(data, (a, lambda g: g * data))
 
 
 def log(a) -> Tensor:
     a = as_tensor(a)
-    data = np.log(a.data)
-
-    def backward(g, grads):
-        grads.add(a, g / a.data)
-
-    return _make(data, (a,), backward)
+    return _op(np.log(a.data), (a, lambda g: g / a.data))
 
 
 def relu(a) -> Tensor:
     a = as_tensor(a)
     keep = a.data > 0.0
-    data = np.where(keep, a.data, 0.0)
-
-    def backward(g, grads):
-        grads.add(a, g * keep)
-
-    return _make(data, (a,), backward)
+    return _op(np.where(keep, a.data, 0.0), (a, lambda g: g * keep))
 
 
 def reshape(a, shape) -> Tensor:
     a = as_tensor(a)
-    data = a.data.reshape(shape)
-
-    def backward(g, grads):
-        grads.add(a, g.reshape(a.data.shape))
-
-    return _make(data, (a,), backward)
+    return _op(a.data.reshape(shape), (a, lambda g: g.reshape(a.data.shape)))
 
 
 def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
-    data = a.data.sum(axis=axis, keepdims=keepdims)
 
-    def backward(g, grads):
-        gg = g
+    def grad(g):
         if axis is not None and not keepdims:
-            gg = np.expand_dims(gg, axis)
-        grads.add(a, np.broadcast_to(gg, a.data.shape).copy())
+            g = np.expand_dims(g, axis)
+        return np.broadcast_to(g, a.data.shape).copy()
 
-    return _make(np.asarray(data), (a,), backward)
+    return _op(a.data.sum(axis=axis, keepdims=keepdims), (a, grad))
 
 
 def mean(a) -> Tensor:
     a = as_tensor(a)
     n = a.data.size
-    data = np.asarray(a.data.mean())
-
-    def backward(g, grads):
-        grads.add(a, np.full(a.data.shape, float(g) / n))
-
-    return _make(data, (a,), backward)
+    return _op(a.data.mean(), (a, lambda g: np.full(a.data.shape, float(g) / n)))
 
 
 def where_const(cond: np.ndarray, a, fill: float) -> Tensor:
     """Select ``a`` where cond else a constant; gradient passes only where cond."""
     a = as_tensor(a)
     cond = np.asarray(cond, dtype=bool)
-    data = np.where(cond, a.data, fill)
-
-    def backward(g, grads):
-        grads.add(a, np.where(cond, g, 0.0))
-
-    return _make(data, (a,), backward)
+    return _op(np.where(cond, a.data, fill), (a, lambda g: np.where(cond, g, 0.0)))
 
 
 def gather_last(a, index: np.ndarray) -> Tensor:
@@ -334,14 +285,13 @@ def gather_last(a, index: np.ndarray) -> Tensor:
     if a.data.ndim != 2 or index.shape != (a.data.shape[0],):
         raise DimensionError("gather_last expects (B, K) data and (B,) indices")
     rows = np.arange(a.data.shape[0])
-    data = a.data[rows, index]
 
-    def backward(g, grads):
+    def grad(g):
         full = np.zeros_like(a.data)
         full[rows, index] = g
-        grads.add(a, full)
+        return full
 
-    return _make(data, (a,), backward)
+    return _op(a.data[rows, index], (a, grad))
 
 
 def matmul(a, b) -> Tensor:
@@ -350,13 +300,7 @@ def matmul(a, b) -> Tensor:
         raise DimensionError(
             f"matmul shape mismatch: {a.data.shape} @ {b.data.shape}"
         )
-    data = a.data @ b.data
-
-    def backward(g, grads):
-        grads.add(a, g @ b.data.T)
-        grads.add(b, a.data.T @ g)
-
-    return _make(data, (a, b), backward)
+    return _op(a.data @ b.data, (a, lambda g: g @ b.data.T), (b, lambda g: a.data.T @ g))
 
 
 def linear(x: Tensor, weight, bias) -> Tensor:
@@ -380,10 +324,11 @@ def conv2d(x, weight, bias, stride: int = 1, padding: int = 0) -> Tensor:
 
     No im2col column array covers the batch. The forward builds one
     sample's columns at a time from a strided window view of the padded
-    input and writes its gemm into the output. The backward keeps only that
-    view: it rebuilds each sample's columns and adds the samples' weight
-    gradients in sample order, the order in which a batched einsum sums
-    them, so every bit equals a whole-batch step. The exception is
+    input and writes its gemm into the output. The backward is three edges,
+    bias, weight and input, and keeps only that view: the weight map
+    rebuilds each sample's columns and adds the samples' weight gradients in
+    sample order, the order in which a batched einsum sums them, so every
+    bit equals a whole-batch step. The exception is
     cout == cin*kh*kw == 1, where einsum folds samples and pixels into one
     dot; that case takes the batch in one step, on columns no larger than
     the input.
@@ -421,26 +366,27 @@ def conv2d(x, weight, bias, stride: int = 1, padding: int = 0) -> Tensor:
     out = out.reshape(bsz, cout, oh, ow)
     out += bias.data.reshape(1, cout, 1, 1)
 
-    def backward(g, grads):
+    def grad_weight(g):
         g2 = g.reshape(bsz, cout, p)
-        grads.add(bias, g.sum(axis=(0, 2, 3)))
         gw = np.zeros((cout, k))
-        gxp = np.zeros((bsz, cin, hp, wp)) if x._needs_grad else None
         for rows in blocks:
             gw += np.einsum("bop,bkp->ok", g2[rows], columns(rows))
-            if gxp is not None:
-                gcols = np.matmul(w2.T, g2[rows]).reshape(-1, cin, kh, kw, oh, ow)
-                gxb = gxp[rows]
-                for i in range(kh):
-                    for j in range(kw):
-                        gxb[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride] += (
-                            gcols[:, :, i, j]
-                        )
-        grads.add(weight, gw.reshape(weight.data.shape))
-        if gxp is not None:
-            grads.add(x, gxp[:, :, padding : padding + h, padding : padding + w])
+        return gw.reshape(weight.data.shape)
 
-    return _make(out, (x, weight, bias), backward)
+    def grad_input(g):
+        g2 = g.reshape(bsz, cout, p)
+        gxp = np.zeros((bsz, cin, hp, wp))
+        for rows in blocks:
+            gcols = np.matmul(w2.T, g2[rows]).reshape(-1, cin, kh, kw, oh, ow)
+            gxb = gxp[rows]
+            for i in range(kh):
+                for j in range(kw):
+                    gxb[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride] += (
+                        gcols[:, :, i, j]
+                    )
+        return gxp[:, :, padding : padding + h, padding : padding + w]
+
+    return _op(out, (bias, lambda g: g.sum(axis=(0, 2, 3))), (weight, grad_weight), (x, grad_input))
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,9 @@ earlier forms of its entropy kernel (the same operations, run over bands of
 8,192 cells) and of its measurement (block sums taken as two Python ``sum``s
 over ``fac`` strided slices), kept as the references of the one-pass kernel
 and the one-step block sums in ``test_gridmap``.
+
+``_make`` is the package's earlier op constructor, one backward closure per
+op; ``conv2d`` builds its output through it, as the package's ``conv2d`` did.
 """
 
 import math
@@ -33,7 +36,7 @@ from terrascout.gridmap import (
     map_entropy,
     upsample_factor,
 )
-from terrascout.nn import DimensionError, Tensor, _make, as_tensor
+from terrascout.nn import DimensionError, Tensor, _recording, as_tensor
 
 
 def weighted_cell_entropy(p, w):
@@ -165,6 +168,20 @@ def simulate_measurement(gt, position, sensor, seed, *, footprint_factor=1.0,
 
     values = np.repeat(np.repeat(observed, len_y, axis=0), len_x, axis=1)
     return Measurement(np.asarray(position, dtype=float), rect, values, acc, agent_id, step)
+
+
+def _make(data, parents, backward) -> Tensor:
+    """The package's earlier op constructor: the output keeps the parents
+    that need a gradient and one backward closure over all of them."""
+    out = Tensor(data)
+    if not _recording.get():
+        return out
+    needy = tuple(p for p in parents if p._needs_grad)
+    if needy:
+        out._parents = needy
+        out._backward = backward
+        out._needs_grad = True
+    return out
 
 
 def conv2d(x, weight, bias, stride: int = 1, padding: int = 0) -> Tensor:

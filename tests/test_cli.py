@@ -640,6 +640,23 @@ def test_a_config_leaving_the_actor_no_plane_is_usage_error(smoke_config, tmp_pa
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["train"],
+    ["train", "--variant", "central-qv"],
+    ["ablate-features", "--toggles", "budget", "--missions", "2"],
+], ids=["train", "train-central-qv", "ablate"])
+def test_an_arch_that_collapses_the_lattice_is_usage_error(tmp_path, capsys, argv):
+    # a 15-cell unpadded kernel on a 10-column lattice leaves no output cell
+    config = tmp_path / "collapse.cfg"
+    config.write_text("terrain_size = 50.0\nmap_resolution = 0.5\nnum_agents = 2\nbudget = 2\n"
+                      "train.total_missions = 2\ntrain.kernel_size = 15\ntrain.padding = 0\n")
+    out = tmp_path / "x"
+    rc = main([argv[0], "--config", str(config), "--out", str(out), *argv[1:]])
+    assert rc == 2
+    assert capsys.readouterr().err == "usage error: encoder strides collapse the grid below 1x1\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("toggles", ["+budget,+budget", "budget,-budget"])
 def test_ablate_repeated_toggle_is_usage_error(smoke_config, tmp_path, capsys, toggles):
     out = tmp_path / "x"

@@ -1,7 +1,9 @@
 """Autograd, optimizer, and checkpoint behaviour."""
 
+import itertools
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from terrascout.nn import (
     masked_bounded_softmax,
     matmul,
     mean,
+    mul,
     relu,
     save_checkpoint,
     tsum,
@@ -291,6 +294,112 @@ def test_no_grad_restores_recording_after_an_exception():
             pass
         assert (x * 3.0)._backward is None  # the inner exit restores the outer state
     assert (x * 3.0)._backward is not None
+
+
+# ---------------------------------------------------------------------------
+# the op constructor
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def op_log(monkeypatch):
+    """Every call through ``nn._op``: its edges' parents in edge order, and
+    each gradient map's run as (call, edge)."""
+    log = SimpleNamespace(parents=[], ran=[])
+    op = nn._op
+
+    def logged(call, edge, grad_map):
+        def run(g):
+            log.ran.append((call, edge))
+            return grad_map(g)
+        return run
+
+    def spy(data, *edges):
+        call = len(log.parents)
+        log.parents.append(tuple(parent for parent, _ in edges))
+        return op(data, *((parent, logged(call, i, grad_map))
+                          for i, (parent, grad_map) in enumerate(edges)))
+
+    monkeypatch.setattr(nn, "_op", spy)
+    return log
+
+
+def test_op_runs_a_gradient_map_only_for_a_needy_parent_in_edge_order(op_log):
+    leaf = Tensor(np.array([2.0, -1.0]), requires_grad=True)
+    const = Tensor(np.array([3.0, 0.5]))
+    # calls: 0 mul(const, leaf), 1 mul(leaf, const), 2 mul(call 1, leaf), 3 add, 4 tsum
+    loss = tsum(mul(const, leaf) + mul(leaf, const) * leaf)
+    assert len(op_log.parents) == 5
+    loss.backward()
+    runs = {call: [edge for c, edge in op_log.ran if c == call] for call in range(5)}
+    assert runs == {0: [1], 1: [0], 2: [0, 1], 3: [0, 1], 4: [0]}
+    assert const.grad is None
+    np.testing.assert_array_equal(leaf.grad, const.data + 2.0 * const.data * leaf.data)
+
+
+# each op with the shapes of its tensor arguments
+OPS = {
+    "add": (nn.add, [(2, 3), (2, 3)]),
+    "sub": (nn.sub, [(2, 3), (1, 3)]),
+    "mul": (nn.mul, [(2, 3), (2, 1)]),
+    "div": (nn.div, [(2, 3), (2, 3)]),
+    "exp": (nn.exp, [(2, 3)]),
+    "log": (nn.log, [(2, 3)]),
+    "relu": (relu, [(2, 3)]),
+    "reshape": (lambda a: nn.reshape(a, (3, 2)), [(2, 3)]),
+    "tsum": (lambda a: tsum(a, axis=1), [(2, 3)]),
+    "mean": (mean, [(2, 3)]),
+    "where_const": (lambda a: nn.where_const(np.array([[True, False, True]] * 2), a, 0.0),
+                    [(2, 3)]),
+    "gather_last": (lambda a: gather_last(a, np.array([2, 0])), [(2, 3)]),
+    "matmul": (matmul, [(2, 3), (3, 4)]),
+    "conv2d": (lambda x, w, b: conv2d(x, w, b, 1, 1), [(2, 2, 4, 4), (3, 2, 3, 3), (3,)]),
+}
+
+
+@pytest.mark.parametrize("name", OPS)
+def test_a_taped_output_keeps_its_needy_parents_in_edge_order(op_log, name):
+    fn, shapes = OPS[name]
+    rng = np.random.default_rng(3)
+    for needs in itertools.product((False, True), repeat=len(shapes)):
+        del op_log.parents[:], op_log.ran[:]
+        args = [Tensor(rng.uniform(0.5, 2.0, size=shape), requires_grad=need)
+                for shape, need in zip(shapes, needs)]
+        out = fn(*args)
+        (edges,) = op_log.parents
+        assert sorted(map(id, edges)) == sorted(map(id, args))
+        assert out._parents == tuple(p for p in edges if p.requires_grad)
+        if not any(needs):
+            assert out._backward is None and not out._needs_grad
+            continue
+        tsum(out * Tensor(rng.normal(size=out.shape))).backward()
+        assert [edges[edge] for call, edge in op_log.ran if call == 0] == list(out._parents)
+        for arg in args:
+            assert np.any(arg.grad) if arg.requires_grad else arg.grad is None
+
+
+@pytest.mark.parametrize("cin, cout, stride", [(29, 16, 1), (16, 32, 1), (32, 32, 2)])
+def test_conv2d_without_an_input_gradient_keeps_the_parameter_gradients(op_log, cin, cout,
+                                                                         stride):
+    rng = np.random.default_rng(cin + cout)
+    x0 = rng.normal(size=(7, cin, 10, 10))
+    w0 = rng.normal(size=(cout, cin, 3, 3))
+    b0 = rng.normal(size=cout)
+    upstream = None
+    results = []
+    for input_grad in (True, False):
+        del op_log.parents[:], op_log.ran[:]
+        x = Tensor(x0, requires_grad=input_grad)
+        weight, bias = Tensor(w0, requires_grad=True), Tensor(b0, requires_grad=True)
+        out = conv2d(x, weight, bias, stride, 1)
+        if upstream is None:
+            upstream = rng.normal(size=out.shape)
+        tsum(out * Tensor(upstream)).backward()
+        # the conv's edges are bias, weight and input
+        assert [edge for call, edge in op_log.ran if call == 0] == [0, 1, 2][:2 + input_grad]
+        assert np.any(x.grad) if input_grad else x.grad is None
+        results.append([weight.grad.tobytes(), bias.grad.tobytes()])
+    assert results[0] == results[1]
 
 
 def assert_conv2d_equals_the_reference(x0, w0, b0, stride, padding, rng):
